@@ -38,12 +38,14 @@ from .schedules import (
 )
 from .optimizers import (
     DIVERGENCE_CUTOFF,
+    BatchRun,
     EqualStart,
     IterationTrace,
     PerturbedStart,
     RunConfig,
     StartPolicy,
     escape_time,
+    iterate,
     run,
     run_accelerated,
     run_gradient_descent,

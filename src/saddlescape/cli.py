@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--seed", type=int, default=0, help="master seed")
     table.add_argument("--iters", type=int, default=10**6, help="per-trial iteration cap")
     table.add_argument("--threshold", type=float, default=None,
-                       help="escape threshold (default: the dimension n)")
+                       help="escape threshold in (0, 1e100] (default: the dimension n); "
+                       "a threshold at or below a start's projection counts 0 iterations")
     add_output_flags(table, "csv")
     table.set_defaults(func=_cmd_table)
 

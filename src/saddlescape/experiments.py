@@ -27,10 +27,21 @@ from typing import IO
 
 import numpy as np
 
-from .optimizers import EqualStart, StartPolicy, escape_time, run_accelerated, run_gradient_descent, run_heavy_ball
+from .optimizers import (
+    DIVERGENCE_CUTOFF,
+    GRADIENT_DESCENT,
+    EqualStart,
+    FirstCrossing,
+    StartPolicy,
+    Trace,
+    escape_time,
+    iterate,
+    run_gradient_descent,
+    run_heavy_ball,
+)
 from .problems import QuadraticProblem, random_problem, sample_unit_ball
 from .rates import predicted_escape_iters, rate_limit
-from .schedules import MomentumSchedule, NesterovSchedule, params_array
+from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 from .seeding import rng_from
 
 __all__ = [
@@ -191,6 +202,8 @@ def negspace_experiment(
     schedule.  The predictor series grows the starting projection by the
     limiting rate at every step.
     """
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     rng = rng_from(seed, 0)
     nonneg = rng.uniform(0.0, 1.0, size=n - p)
     if nonneg.max() < delta:
@@ -210,12 +223,18 @@ def negspace_experiment(
     alpha_ag = 0.99 / lipschitz
     mask = eigenvalues < 0
 
-    descent = run_gradient_descent(problem, alpha, x0, iterations)
-    heavy = run_heavy_ball(problem, alpha, beta_hb, x0, start_policy, iterations)
-    accel = run_accelerated(problem, alpha_ag, NesterovSchedule(), x0, start_policy, iterations)
+    start = x0[None]
+    previous = start_policy.resolve(x0)[None]
 
-    def proj_norms(trace):
-        return np.linalg.norm(trace.points[:, mask], axis=1)
+    def proj_norms(step_size, schedule, x_prev):
+        projection = Trace(mask)
+        gradient = lambda y, rows: problem.gradient(y)  # noqa: E731
+        batch = iterate(gradient, step_size, schedule, start, x_prev, iterations, projection)
+        return projection.norms(0, batch.steps[0])
+
+    descent = proj_norms(alpha, GRADIENT_DESCENT, start)
+    heavy = proj_norms(alpha, ConstantSchedule(beta_hb, 0.0), previous)
+    accel = proj_norms(alpha_ag, NesterovSchedule(), previous)
 
     limit = rate_limit(lam_n, alpha_ag, 1.0, 1.0)
     start_norm = float(np.linalg.norm(x0[mask]))
@@ -223,9 +242,9 @@ def negspace_experiment(
         predicted = start_norm * (1.0 + limit.value) ** np.arange(iterations + 1, dtype=float)
 
     return NegspaceSeries(
-        descent=proj_norms(descent),
-        heavy_ball=proj_norms(heavy),
-        accelerated=proj_norms(accel),
+        descent=descent,
+        heavy_ball=heavy,
+        accelerated=accel,
         predicted=predicted,
         params={
             "n": int(n),
@@ -341,40 +360,6 @@ class TableResult:
         }
 
 
-def _steepest_escape_steps(neg_values, neg_start, alpha, threshold, cap):
-    # On a diagonal quadratic the coordinates decouple, so only the
-    # negative-eigenvalue block can drive the projection norm; iterating just
-    # that block reproduces the full run's escape count exactly.
-    x = neg_start.copy()
-    factors = 1.0 - alpha * neg_values
-    for k in range(1, cap + 1):
-        x *= factors
-        if math.sqrt(float(x @ x)) >= threshold:
-            return k, False
-    return cap, True
-
-
-def _accelerated_escape_steps(neg_values, neg_start, alpha, schedule, threshold, cap):
-    x = neg_start.copy()
-    xp = neg_start.copy()
-    horizon = min(cap, 1024)
-    betas, gammas = params_array(schedule, horizon)
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < cap:
-            if k + 1 > horizon:
-                horizon = min(cap, 2 * horizon)
-                betas, gammas = params_array(schedule, horizon)
-            k += 1
-            d = x - xp
-            y = x + gammas[k] * d
-            xn = x - alpha * (neg_values * y) + betas[k] * d
-            xp, x = x, xn
-            if math.sqrt(float(x @ x)) >= threshold:
-                return k, False
-    return cap, True
-
-
 def divergence_table(
     ns=(100,),
     deltas=(1e-2, 1e-3),
@@ -394,80 +379,81 @@ def divergence_table(
     rate-predictor column converts the limiting growth rate of the most
     negative eigenvalue and the realized starting projection into a predicted
     count.  Trials that hit ``iteration_cap`` are recorded at the cap and
-    counted as censored, with a warning.
+    counted as censored, with one warning per cell and method.  All trials of
+    a cell run as one batch.
+
+    A count is the first step at which the projection norm reaches the
+    threshold, the start (step 0) included, as :func:`escape_time` counts it:
+    a threshold at or below the start's projection gives 0.  A given
+    ``threshold`` must lie in ``(0, DIVERGENCE_CUTOFF]``, since a run stops
+    at the divergence cutoff before it could cross a larger one.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if threshold is not None and not 0.0 < threshold <= DIVERGENCE_CUTOFF:
+        raise ValueError(f"threshold must lie in (0, {DIVERGENCE_CUTOFF:g}], got {threshold!r}")
+    cap = iteration_cap
     rows: list[TableRow] = []
     records: list[TrialRecord] = []
     for cell_index, (n, delta) in enumerate((int(n), float(d)) for n in ns for d in deltas):
         cell_threshold = float(n) if threshold is None else float(threshold)
-        if cell_threshold <= 0:
-            raise ValueError("threshold must be positive")
-        counts = {method: [] for method in TABLE_METHODS}
-        censored_counts = dict.fromkeys(TABLE_METHODS, 0)
+        # On a diagonal quadratic the coordinates decouple, so only the
+        # negative-eigenvalue block can drive the projection norm; iterating
+        # just that block reproduces the full run's escape count exactly.
+        neg_values, neg_start, lipschitz = [], [], []
         for trial in range(trials):
             rng = rng_from(seed, cell_index, trial)
             problem = random_problem(n, 5, delta, rng)
             x0 = sample_unit_ball(n, rng)
-            ev = problem.eigenvalues
-            mask = ev < 0
-            neg_values = ev[mask]
-            neg_start = x0[mask]
-            alpha = 1.0 / problem.lipschitz
-            alpha_ag = 0.99 / problem.lipschitz
+            mask = problem.eigenvalues < 0
+            neg_values.append(problem.eigenvalues[mask])
+            neg_start.append(x0[mask])
+            lipschitz.append(problem.lipschitz)
+        neg_values, neg_start, lipschitz = np.array(neg_values), np.array(neg_start), np.array(lipschitz)
 
-            sd_iters, sd_cens = _steepest_escape_steps(
-                neg_values, neg_start, alpha, cell_threshold, iteration_cap
-            )
-            ag_iters, ag_cens = _accelerated_escape_steps(
-                neg_values, neg_start, alpha_ag, schedule, cell_threshold, iteration_cap
-            )
-            limit = rate_limit(float(ev[-1]), alpha_ag, 1.0, 1.0)
-            start_norm = float(np.linalg.norm(neg_start))
-            if start_norm > 0:
-                predicted = predicted_escape_iters(limit.value, start_norm, cell_threshold)
-                pred_cens = predicted > iteration_cap
-                predicted = min(predicted, iteration_cap)
-            else:
-                predicted, pred_cens = iteration_cap, True
+        def escape_steps(step_sizes, momentum):
+            active = [neg_values]  # curvatures of the active rows, re-indexed when rows leave
 
-            censored = []
-            for method, hit in zip(TABLE_METHODS, (sd_cens, ag_cens, pred_cens)):
-                if hit:
-                    censored.append(method)
-                    censored_counts[method] += 1
-                    warnings.warn(
-                        f"trial {trial} (n={n}, delta={delta:g}) hit the iteration cap for {method}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            counts["steepest_descent"].append(sd_iters)
-            counts["accelerated_gradient"].append(ag_iters)
-            counts["rate_predictor"].append(predicted)
-            records.append(
-                TrialRecord(
-                    n=n,
-                    delta=delta,
-                    trial=trial,
-                    steepest_descent=sd_iters,
-                    accelerated_gradient=ag_iters,
-                    rate_predictor=predicted,
-                    censored=tuple(censored),
-                )
-            )
+            def gradient(y, rows):
+                if active[0].shape[0] != rows.size:
+                    active[0] = neg_values[rows]
+                return active[0] * y
+
+            crossing = FirstCrossing(cell_threshold)
+            iterate(gradient, step_sizes, momentum, neg_start, neg_start, cap, crossing)
+            return [(int(k), False) if k >= 0 else (cap, True) for k in crossing.crossing]
+
+        def predicted_count(curvature, start, alpha):
+            norm = float(np.linalg.norm(start))
+            if not norm > 0:
+                return cap, True
+            k = predicted_escape_iters(rate_limit(curvature, alpha, 1.0, 1.0).value, norm, cell_threshold)
+            return min(k, cap), k > cap
+
+        alpha_ag = 0.99 / lipschitz
+        # per method, one (escape count, censored) pair per trial
+        outcomes = {
+            "steepest_descent": escape_steps(1.0 / lipschitz, GRADIENT_DESCENT),
+            "accelerated_gradient": escape_steps(alpha_ag, schedule),
+            "rate_predictor": [
+                predicted_count(float(v[-1]), x, float(a)) for v, x, a in zip(neg_values, neg_start, alpha_ag)
+            ],
+        }
+        for trial in range(trials):
+            escapes = (outcomes[m][trial][0] for m in TABLE_METHODS)
+            censored = tuple(m for m in TABLE_METHODS if outcomes[m][trial][1])
+            records.append(TrialRecord(n, delta, trial, *escapes, censored=censored))
         for method in TABLE_METHODS:
-            values = counts[method]
-            rows.append(
-                TableRow(
-                    n=n,
-                    delta=delta,
-                    method=method,
-                    avg_iters=float(np.mean(values)),
-                    max_iters=int(max(values)),
-                    censored=censored_counts[method],
+            values = [count for count, _ in outcomes[method]]
+            censored = sum(hit for _, hit in outcomes[method])
+            if censored:
+                warnings.warn(
+                    f"{censored} of {trials} trials (n={n}, delta={delta:g}) "
+                    f"hit the iteration cap for {method}",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-            )
+            rows.append(TableRow(n, delta, method, float(np.mean(values)), max(values), censored))
     return TableResult(
         rows=tuple(rows),
         trials=tuple(records),

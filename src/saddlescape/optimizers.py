@@ -6,8 +6,12 @@ All three methods run the same two-term recurrence
     x^{k+1} = x^k - alpha * grad f(y^k) + beta_k (x^k - x^{k-1})
 
 with gradient descent as (beta, gamma) = (0, 0) and heavy-ball as
-(beta, 0).  Traces index iterates by the number of update steps applied:
-``points[0]`` is the starting point and ``points[k]`` the k-th iterate.
+(beta, 0).  One kernel, :func:`iterate`, runs it over a batch of starts and
+hands every iterate to a reducer: :class:`Trace` keeps all of them or only
+the columns of a subspace, and :class:`FirstCrossing` only the step at which
+the state's norm reaches a threshold.
+Traces index iterates by the number of update steps applied: ``points[0]``
+is the starting point and ``points[k]`` the k-th iterate.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -23,6 +27,8 @@ from .problems import GradientOracle
 from .schedules import ConstantSchedule, MomentumSchedule, params_array
 from .seeding import rng_from
 
+# The reducers Trace and FirstCrossing are called once per step from inside
+# iterate; they are importable from here but not part of the exported surface.
 __all__ = [
     "DIVERGENCE_CUTOFF",
     "EqualStart",
@@ -30,6 +36,8 @@ __all__ = [
     "StartPolicy",
     "IterationTrace",
     "RunConfig",
+    "BatchRun",
+    "iterate",
     "run",
     "run_gradient_descent",
     "run_heavy_ball",
@@ -42,6 +50,7 @@ __all__ = [
 # expected, well-defined outcome rather than an error: a run stops and is
 # flagged as diverged once any coordinate magnitude passes this cutoff.
 DIVERGENCE_CUTOFF = 1e100
+GRADIENT_DESCENT = ConstantSchedule(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,56 +123,115 @@ class IterationTrace:
         return np.linalg.norm(self.points @ projector.T, axis=1)
 
 
-def _gradient_fn(oracle: GradientOracle):
-    grad = getattr(oracle, "gradient", None)
-    if callable(grad):
-        return grad
-    return lambda x: oracle.evaluate(x)[1]
+class BatchRun(NamedTuple):
+    """Per row of a batch: update steps taken, whether the run stopped at the cutoff, last iterate."""
+
+    steps: np.ndarray
+    diverged: np.ndarray
+    final: np.ndarray
 
 
-def _iterate(
-    oracle: GradientOracle,
-    alpha: float,
-    betas: np.ndarray,
-    gammas: np.ndarray,
+class Trace:
+    """Reducer storing the columns ``x[:, mask]`` of every iterate (all columns when ``mask`` is None).
+
+    Row ``i`` of a run that took ``steps`` steps is ``values[: steps + 1, i]``.
+    """
+
+    def __init__(self, mask: np.ndarray | None = None):
+        self.columns = slice(None) if mask is None else np.flatnonzero(mask)
+
+    def start(self, x0: np.ndarray, iterations: int) -> None:
+        self.values = np.empty((iterations + 1, *x0[:, self.columns].shape))
+
+    def step(self, k: int, x: np.ndarray, rows: np.ndarray) -> None:
+        self.values[k, rows] = x[:, self.columns]
+
+    def norms(self, i: int, steps: int) -> np.ndarray:
+        """Row ``i``'s norms, summed column by column as ``norm(points[:, mask], axis=1)`` sums."""
+        return np.linalg.norm(np.asfortranarray(self.values[: steps + 1, i]), axis=1)
+
+
+class FirstCrossing:
+    """Reducer stopping each row at its first step with ``||x|| >= threshold``, step 0 included.
+
+    ``crossing[i]`` is that step for row ``i``, or -1 if the row never got there.
+    """
+
+    def __init__(self, threshold: float):
+        if not threshold > 0:
+            raise ValueError(f"threshold must be positive, got {threshold!r}")
+        self.threshold = threshold
+
+    def start(self, x0: np.ndarray, iterations: int) -> None:
+        self.crossing = np.full(x0.shape[0], -1)
+
+    def step(self, k: int, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        hit = np.sqrt(np.einsum("ij,ij->i", x, x)) >= self.threshold
+        self.crossing[rows[hit]] = k
+        return hit
+
+
+def iterate(
+    gradient,
+    alpha,
+    schedule: MomentumSchedule,
     x0: np.ndarray,
     x_prev: np.ndarray,
     iterations: int,
-) -> IterationTrace:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.size != oracle.dimension:
-        raise ValueError(f"starting point must have dimension {oracle.dimension}")
-    x_prev = np.asarray(x_prev, dtype=float)
-    if x_prev.shape != x0.shape:
-        raise ValueError("momentum predecessor must match the starting point's shape")
-    gradient = _gradient_fn(oracle)
-    points = np.empty((iterations + 1, x0.size))
-    points[0] = x0
-    x = x0.copy()
-    xp = x_prev.copy()
-    diverged = False
-    last = iterations
+    reducer: Trace | FirstCrossing | None = None,
+) -> BatchRun:
+    """Run the recurrence from every row of the ``(batch, n)`` array ``x0`` at once.
+
+    ``x_prev`` holds the rows' momentum predecessors and ``alpha`` one step
+    size or one per row.  ``gradient(y, rows)`` returns the gradients at the
+    active rows ``y``, whose indices in the batch are ``rows``.  The reducer
+    sees every iterate of the active rows, the start included.  A row leaves
+    the active set at the first step where a coordinate is non-finite or past
+    ``DIVERGENCE_CUTOFF`` in magnitude, or where ``reducer.step`` marks it.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
+    step_sizes = np.asarray(alpha, dtype=float)
+    if not (np.all(step_sizes > 0) and np.all(np.isfinite(step_sizes))):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    x = np.array(x0, dtype=float)
+    xp = np.array(x_prev, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0 or xp.shape != x.shape:
+        raise ValueError("starts and predecessors must be nonempty (batch, n) arrays of one shape")
+    a = np.broadcast_to(step_sizes, x.shape[:1])[:, None]  # raises unless one step size or one per row
+    result = BatchRun(np.zeros(x.shape[0], dtype=int), np.zeros(x.shape[0], dtype=bool), np.empty_like(x))
+    rows = np.arange(x.shape[0])
+    # the schedule's terms, extended by doubling as the run goes on
+    horizon = min(iterations, 1024)
+    betas, gammas = params_array(schedule, horizon)
+    if reducer is not None:
+        reducer.start(x, iterations)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, iterations + 1):
-            d = x - xp
-            y = x + gammas[k] * d
-            g = gradient(y)
-            xn = x - alpha * g + betas[k] * d
-            points[k] = xn
-            xp, x = x, xn
-            if not np.isfinite(xn).all() or np.abs(xn).max() > DIVERGENCE_CUTOFF:
-                diverged = True
-                last = k
+        for k in range(iterations + 1):
+            if k:
+                if k > horizon:
+                    horizon = min(iterations, 2 * horizon)
+                    betas, gammas = params_array(schedule, horizon)
+                d = x - xp
+                y = x + gammas[k] * d
+                xn = x - a * gradient(y, rows) + betas[k] * d
+                xp, x = x, xn
+            hit = None if reducer is None else reducer.step(k, x, rows)
+            # One whole-batch reduction per step; rows are told apart only
+            # once some coordinate is past the cutoff (or NaN).
+            over = k > 0 and not np.abs(x).max() <= DIVERGENCE_CUTOFF
+            if not over and (hit is None or not hit.any()):
+                continue
+            diverging = ~(np.abs(x).max(axis=1) <= DIVERGENCE_CUTOFF) if over else np.zeros(rows.size, bool)
+            stop = diverging if hit is None else diverging | hit
+            out, keep = rows[stop], ~stop
+            result.steps[out], result.diverged[out], result.final[out] = k, diverging[stop], x[stop]
+            rows, x, xp, a = rows[keep], x[keep], xp[keep], a[keep]
+            if rows.size == 0:
                 break
-        points = points[: last + 1]
-        values, grads = oracle.evaluate(points)
-    return IterationTrace(
-        points=points,
-        predecessor=x_prev,
-        function_values=np.asarray(values, dtype=float),
-        gradient_norms=np.linalg.norm(np.atleast_2d(grads), axis=-1),
-        diverged=diverged,
-    )
+    if rows.size:  # rows that ran all ``iterations`` steps
+        result.steps[rows], result.final[rows] = iterations, x
+    return result
 
 
 def run_gradient_descent(
@@ -174,13 +242,7 @@ def run_gradient_descent(
     On a diagonal quadratic, coordinate ``i`` of ``points[k]`` equals
     ``(1 - alpha * lambda_i)^k`` times its starting value.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    zeros = np.zeros(iterations + 1)
-    x0 = np.asarray(x0, dtype=float)
-    return _iterate(oracle, float(alpha), zeros, zeros, x0, x0, iterations)
+    return run_accelerated(oracle, alpha, GRADIENT_DESCENT, x0, EqualStart(), iterations)
 
 
 def run_heavy_ball(
@@ -206,13 +268,25 @@ def run_accelerated(
     iterations: int = 100,
 ) -> IterationTrace:
     """Run the general accelerated framework under the given momentum schedule."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    betas, gammas = params_array(schedule, iterations)
     x0 = np.asarray(x0, dtype=float)
-    return _iterate(oracle, float(alpha), betas, gammas, x0, start_policy.resolve(x0), iterations)
+    if x0.ndim != 1 or x0.size != oracle.dimension:
+        raise ValueError(f"starting point must have dimension {oracle.dimension}")
+    x_prev = start_policy.resolve(x0)
+    grad = getattr(oracle, "gradient", None)
+    if not callable(grad):
+        grad = lambda y: oracle.evaluate(y)[1]  # noqa: E731
+    trace = Trace()
+    batch = iterate(lambda y, rows: grad(y), alpha, schedule, x0[None], x_prev[None], iterations, trace)
+    points = trace.values[: batch.steps[0] + 1, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, grads = oracle.evaluate(points)
+    return IterationTrace(
+        points=points,
+        predecessor=x_prev,
+        function_values=np.asarray(values, dtype=float),
+        gradient_norms=np.linalg.norm(np.atleast_2d(grads), axis=-1),
+        diverged=bool(batch.diverged[0]),
+    )
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,8 @@ def random_problem(
     """
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not (delta > 0 and np.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if isinstance(seed, np.random.Generator):
         rng, recorded = seed, None
     else:

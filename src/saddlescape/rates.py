@@ -158,9 +158,14 @@ def predicted_escape_iters(bar_b: float, initial_projection: float, threshold: f
         raise ValueError(f"threshold must be positive, got {threshold!r}")
     if initial_projection >= threshold:
         return 0
-    growth = math.log1p(bar_b)
-    k = max(0, math.ceil(math.log(threshold / initial_projection) / growth))
-    # polish the rounding so the returned k is exactly the first crossing
+    ratio = math.log(threshold / initial_projection)
+    if 1.0 + bar_b == 1.0:
+        # (1 + bar_b)**k rounds to 1 for every k: only the log1p estimate is meaningful
+        return max(0, math.ceil(ratio / math.log1p(bar_b)))
+    # Estimate with the factor 1 + bar_b as rounded (log1p can be off by
+    # billions of steps when bar_b is near machine epsilon), then polish the
+    # rounding so the returned k is exactly the first crossing.
+    k = max(0, math.ceil(ratio / math.log(1.0 + bar_b)))
     while k > 0 and initial_projection * (1.0 + bar_b) ** (k - 1) >= threshold:
         k -= 1
     while initial_projection * (1.0 + bar_b) ** k < threshold:

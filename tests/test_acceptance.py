@@ -26,6 +26,7 @@ from saddlescape import (
     divergence_table,
     escape_time,
     invert_iteration_map,
+    iterate,
     product_reconstruction,
     random_problem,
     rate_limit,
@@ -270,14 +271,20 @@ def test_criterion_7_t_sequence_suite():
 def test_criterion_8_saddle_avoidance_monte_carlo():
     prob = toy_problem(0.02)
     alpha, beta = 0.75, 0.985
-    converged = 0
+    starts, predecessors = [], []
     for trial in range(1000):
         rng = rng_from(123, trial)
         g = rng.standard_normal(2)
         x0 = g / np.linalg.norm(g)
-        trace = run_heavy_ball(prob, alpha, beta, x0, PerturbedStart(1e-6, seed=trial), 10**4)
-        if not trace.diverged and np.linalg.norm(trace.final) <= 1e-8:
-            converged += 1
+        starts.append(x0)
+        predecessors.append(PerturbedStart(1e-6, seed=trial).resolve(x0))
+    # One batch of 1000 heavy-ball runs; row i is run_heavy_ball from starts[i]
+    # with the PerturbedStart(1e-6, seed=i) predecessor.
+    runs = iterate(
+        lambda y, rows: prob.gradient(y), alpha, ConstantSchedule(beta, 0.0),
+        np.array(starts), np.array(predecessors), 10**4,
+    )
+    converged = int(np.count_nonzero(~runs.diverged & (np.linalg.norm(runs.final, axis=1) <= 1e-8)))
     axis = run_heavy_ball(prob, alpha, beta, np.array([0.7, 0.0]), EqualStart(), 10**4)
     axis_converged = np.linalg.norm(axis.final) <= 1e-8 and np.all(axis.points[:, 1] == 0.0)
     check(

@@ -112,6 +112,15 @@ class TestRatesCommand:
         assert data["schedule"]["kind"] == "toy"
         assert data["schedule"]["delta"] == 0.02
 
+    def test_growth_below_rounding_still_returns(self, capsys):
+        # 1 + b_limit rounds to 1.0 here; the prediction used to loop forever
+        code, out, _ = run_cli(capsys, "rates", "--lambda=-1e-300", "--alpha", "1e-10")
+        assert code == 0
+        data = json.loads(out)
+        assert data["predicted_escape_iters"] == math.ceil(
+            math.log(1.0 / 1e-2) / math.log1p(data["b_limit"])
+        )
+
     def test_positive_lambda_rejected(self, capsys):
         code, _, err = run_cli(capsys, "rates", "--lambda", "0.1", "--alpha", "0.5")
         assert code == 1
@@ -184,6 +193,24 @@ class TestVerifyTkCommand:
         code, out, _ = run_cli(capsys, "verify-tk", "--K", "10")
         assert code == 2
         assert json.loads(out)["passed"] is False
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toy", "--alpha", "nan"],
+            ["table", "--delta", "nan", "--trials", "2"],
+            ["simulate", "--delta", "nan", "--iters", "10"],
+        ],
+    )
+    def test_nan_exits_one_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("saddlescape: error:")]
+        assert len(errors) == 1
+        assert "Traceback" not in err
 
 
 class TestCliContract:

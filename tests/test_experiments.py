@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,19 @@ from saddlescape import (
     sample_unit_ball,
     toy_figure,
 )
-from saddlescape.experiments import (
-    TABLE_METHODS,
-    _accelerated_escape_steps,
-    _steepest_escape_steps,
-)
+from saddlescape.experiments import TABLE_METHODS
+from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, iterate
+
+
+def _escape_steps(neg_values, neg_start, alpha, schedule, threshold, cap):
+    """Escape count of the negative block through the batched kernel, as the table runs it."""
+    crossing = FirstCrossing(threshold)
+    iterate(
+        lambda y, rows: neg_values * y, alpha, schedule,
+        neg_start[None], neg_start[None], cap, crossing,
+    )
+    steps = int(crossing.crossing[0])
+    return (cap, True) if steps < 0 else (steps, False)
 
 
 class TestToyFigure:
@@ -124,21 +133,21 @@ class TestStreamingEscape:
 
             trace = run_gradient_descent(prob, alpha, x0, 4000)
             expected = escape_time(trace, prob.negative_projector(), threshold)
-            steps, censored = _steepest_escape_steps(
-                prob.eigenvalues[mask], x0[mask], alpha, threshold, 4000
+            steps, censored = _escape_steps(
+                prob.eigenvalues[mask], x0[mask], alpha, GRADIENT_DESCENT, threshold, 4000
             )
             assert not censored and steps == expected
 
             trace = run_accelerated(prob, 0.99 * alpha, NesterovSchedule(), x0, EqualStart(), 4000)
             expected = escape_time(trace, prob.negative_projector(), threshold)
-            steps, censored = _accelerated_escape_steps(
+            steps, censored = _escape_steps(
                 prob.eigenvalues[mask], x0[mask], 0.99 * alpha, NesterovSchedule(), threshold, 4000
             )
             assert not censored and steps == expected
 
     def test_cap_reports_censoring(self):
-        steps, censored = _steepest_escape_steps(
-            np.array([-0.01]), np.array([1e-3]), 1.0, 1e6, cap=10
+        steps, censored = _escape_steps(
+            np.array([-0.01]), np.array([1e-3]), 1.0, GRADIENT_DESCENT, 1e6, cap=10
         )
         assert censored and steps == 10
 
@@ -179,6 +188,38 @@ class TestDivergenceTable:
         assert row.censored == 2
         assert row.avg_iters == 5.0
         assert all("steepest_descent" in rec.censored for rec in result.trials)
+
+    def test_one_censoring_warning_per_cell_and_method(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = divergence_table(ns=[30], deltas=[1e-2, 2e-2], trials=3, seed=0, iteration_cap=5)
+        messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        expected = [
+            f"{row.censored} of 3 trials (n=30, delta={row.delta:g}) hit the iteration cap for {row.method}"
+            for row in result.rows
+            if row.censored
+        ]
+        assert messages == expected
+        assert len(messages) == 6  # no method escapes within 5 steps
+
+    def test_cap_beyond_int64_is_accepted(self):
+        # every trial escapes long before the cap, which only the censored trials would reach
+        huge = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1, iteration_cap=10**23)
+        small = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1, iteration_cap=10**6)
+        assert huge.trials == small.trials and huge.rows == small.rows
+
+    def test_threshold_at_or_below_start_projection_counts_zero(self):
+        # the count includes the start (step 0), as escape_time counts it
+        result = divergence_table(ns=[30], deltas=[1e-2], trials=3, seed=0, threshold=1e-12)
+        for rec in result.trials:
+            assert (rec.steepest_descent, rec.accelerated_gradient, rec.rate_predictor) == (0, 0, 0)
+            assert rec.censored == ()
+        assert all(row.max_iters == 0 and row.censored == 0 for row in result.rows)
+
+    def test_threshold_domain(self):
+        for threshold in (0.0, float("nan"), 1e101):
+            with pytest.raises(ValueError):
+                divergence_table(ns=[30], deltas=[1e-2], trials=1, seed=0, threshold=threshold)
 
     def test_csv_has_trial_and_summary_rows(self):
         result = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=2)

@@ -33,7 +33,7 @@ class TestToyProblem:
         g = prob.gradient(np.array([0.25, 0.01]))
         assert np.allclose(g, [0.25, -0.0002], rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_delta_domain(self, delta):
         with pytest.raises(ValueError):
             toy_problem(delta)
@@ -59,6 +59,11 @@ class TestRandomProblem:
     def test_p_domain(self, n, p):
         with pytest.raises(ValueError):
             random_problem(n, p, 0.1, seed=0)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
+    def test_delta_domain(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            random_problem(10, 2, delta, seed=0)
 
     def test_counts_and_lipschitz(self):
         for seed in range(20):

@@ -185,6 +185,16 @@ class TestPredictedEscape:
         mean = float(np.mean(values))
         assert 46.0 * 0.7 <= mean <= 46.0 * 1.3
 
+    def test_growth_lost_to_rounding_returns_log1p_estimate(self):
+        # 1 + 1e-17 == 1.0, so no floating-point power ever crosses
+        assert predicted_escape_iters(1e-17, 0.5, 1.0) == math.ceil(math.log(2.0) / math.log1p(1e-17))
+
+    def test_coarsely_rounded_growth_is_still_the_exact_first_crossing(self):
+        # the log1p estimate is off by billions of steps here; the polish must not step one by one
+        for bar_b in (1e-13, 1.5e-16, 3e-16, 1e-10):
+            k = predicted_escape_iters(bar_b, 0.5, 1.0)
+            assert 0.5 * (1.0 + bar_b) ** k >= 1.0 > 0.5 * (1.0 + bar_b) ** (k - 1)
+
     def test_domains(self):
         with pytest.raises(ValueError):
             predicted_escape_iters(0.0, 0.1, 1.0)
