@@ -8,10 +8,9 @@ effective configuration, including the resolved seed, to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -79,12 +78,21 @@ def _echo_config(command: str, config: dict) -> None:
     print(f"saddlescape {command} config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, a string or an iterable of string chunks, to ``out`` (stdout when None)."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+
+
+def _emit_result(result, fmt: str, out: str | None) -> None:
+    if fmt == "json":
+        _emit(_json_text(result.to_json_dict()), out)
+    else:
+        result.to_csv(sys.stdout if out is None else out)
 
 
 def _json_text(payload: dict) -> str:
@@ -107,6 +115,7 @@ def _cmd_toy(args) -> int:
     x0 = args.x0
     if x0.size != 2:
         raise ValueError("--x0 must have exactly two components")
+    figure = toy_figure(args.delta, args.alpha, args.beta, x0, args.iters, args.thin, args.threshold)
     _echo_config(
         "toy",
         {
@@ -120,13 +129,7 @@ def _cmd_toy(args) -> int:
             "format": fmt,
         },
     )
-    figure = toy_figure(args.delta, args.alpha, args.beta, x0, args.iters, args.thin, args.threshold)
-    if fmt == "json":
-        _emit(_json_text(figure.to_json_dict()), args.out)
-    else:
-        buffer = io.StringIO()
-        figure.to_csv(buffer)
-        _emit(buffer.getvalue(), args.out)
+    _emit_result(figure, fmt, args.out)
     return 0
 
 
@@ -135,11 +138,11 @@ def _cmd_spectrum(args) -> int:
     if args.lam is not None:
         if args.alpha is None or args.beta is None:
             raise ValueError("single-eigenvalue mode needs --lambda, --alpha and --beta")
+        pair = block_eigenvalues(args.lam, args.alpha, args.beta)
         _echo_config(
             "spectrum",
             {"lambda": args.lam, "alpha": args.alpha, "beta": args.beta, "format": fmt},
         )
-        pair = block_eigenvalues(args.lam, args.alpha, args.beta)
         label = "stable" if args.lam > 0 else ("unit" if args.lam == 0 else "unstable")
         payload = {
             "blocks": [
@@ -158,6 +161,7 @@ def _cmd_spectrum(args) -> int:
             raise ValueError("--beta is required")
         problem = random_problem(args.n, args.p, args.delta, args.seed)
         alpha = args.alpha if args.alpha is not None else 1.0 / problem.lipschitz
+        payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
         _echo_config(
             "spectrum",
             {
@@ -170,33 +174,42 @@ def _cmd_spectrum(args) -> int:
                 "format": fmt,
             },
         )
-        payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
     if fmt == "json":
         _emit(_json_text(payload), args.out)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["lambda", "mu_hi_re", "mu_hi_im", "mu_lo_re", "mu_lo_im", "class"])
+        rows = ["lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n"]
         for block in payload["blocks"]:
-            writer.writerow(
-                [
-                    f"{block['lambda']:.12g}",
-                    f"{block['mu_hi']['re']:.12g}",
-                    f"{block['mu_hi']['im']:.12g}",
-                    f"{block['mu_lo']['re']:.12g}",
-                    f"{block['mu_lo']['im']:.12g}",
-                    block["class"],
-                ]
+            hi, lo = block["mu_hi"], block["mu_lo"]
+            rows.append(
+                f"{block['lambda']:.12g},{hi['re']:.12g},{hi['im']:.12g},"
+                f"{lo['re']:.12g},{lo['im']:.12g},{block['class']}\n"
             )
-        _emit(buffer.getvalue(), args.out)
+        _emit(rows, args.out)
     return 0
+
+
+# Rows of the rates CSV formatted into one chunk of text; bounds the memory
+# of the formatted text and of the ``tolist`` copy for long sequences.
+_ROWS_PER_CHUNK = 1 << 16
+
+
+def _rates_csv(values: np.ndarray) -> Iterable[str]:
+    """CSV rows ``iter,b`` of a rate sequence, in chunks of text."""
+    yield "iter,b\n"
+    for start in range(0, values.size, _ROWS_PER_CHUNK):
+        chunk = values[start : start + _ROWS_PER_CHUNK].tolist()
+        yield "".join([f"{k},{v:.12g}\n" for k, v in enumerate(chunk, start)])
 
 
 def _cmd_rates(args) -> int:
     fmt = _resolve_format(args, "json")
-    if args.lam >= 0:
-        raise ValueError("--lambda must be negative")
     schedule = _parse_schedule_spec(args.schedule, args.alpha, abs(args.lam), args.gamma)
+    # The limit and the prediction check lambda, alpha and the prediction's
+    # inputs before anything is echoed or written.
+    limit = rate_limit(args.lam, args.alpha, *limit_params(schedule))
+    predicted = None
+    if fmt == "json":
+        predicted = predicted_escape_iters(limit.value, args.projection, args.threshold)
     _echo_config(
         "rates",
         {
@@ -210,8 +223,6 @@ def _cmd_rates(args) -> int:
         },
     )
     sequence = rate_sequence(args.lam, args.alpha, schedule, args.iters)
-    beta_limit, gamma_limit = limit_params(schedule)
-    limit = rate_limit(args.lam, args.alpha, beta_limit, gamma_limit)
     if fmt == "json":
         payload = {
             "lambda": args.lam,
@@ -219,18 +230,11 @@ def _cmd_rates(args) -> int:
             "schedule": schedule_to_json_dict(schedule),
             "b_final": sequence.final,
             "b_limit": limit.value,
-            "predicted_escape_iters": predicted_escape_iters(
-                limit.value, args.projection, args.threshold
-            ),
+            "predicted_escape_iters": predicted,
         }
         _emit(_json_text(payload), args.out)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["iter", "b"])
-        for k, value in enumerate(sequence.values):
-            writer.writerow([str(k), f"{value:.12g}"])
-        _emit(buffer.getvalue(), args.out)
+        _emit(_rates_csv(sequence.values), args.out)
     return 0
 
 
@@ -250,12 +254,7 @@ def _cmd_simulate(args) -> int:
         },
     )
     series = negspace_experiment(args.n, args.p, args.delta, args.seed, args.iters, policy)
-    if fmt == "json":
-        _emit(_json_text(series.to_json_dict()), args.out)
-    else:
-        buffer = io.StringIO()
-        series.to_csv(buffer)
-        _emit(buffer.getvalue(), args.out)
+    _emit_result(series, fmt, args.out)
     return 0
 
 
@@ -281,12 +280,7 @@ def _cmd_table(args) -> int:
         iteration_cap=args.iters,
         threshold=args.threshold,
     )
-    if fmt == "json":
-        _emit(_json_text(result.to_json_dict()), args.out)
-    else:
-        buffer = io.StringIO()
-        result.to_csv(buffer)
-        _emit(buffer.getvalue(), args.out)
+    _emit_result(result, fmt, args.out)
     return 0
 
 

@@ -198,6 +198,8 @@ def iterate(
     xp = np.array(x_prev, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0 or xp.shape != x.shape:
         raise ValueError("starts and predecessors must be nonempty (batch, n) arrays of one shape")
+    if not (np.isfinite(x).all() and np.isfinite(xp).all()):
+        raise ValueError("starts and predecessors must be finite")
     a = np.broadcast_to(step_sizes, x.shape[:1])[:, None]  # raises unless one step size or one per row
     result = BatchRun(np.zeros(x.shape[0], dtype=int), np.zeros(x.shape[0], dtype=bool), np.empty_like(x))
     rows = np.arange(x.shape[0])

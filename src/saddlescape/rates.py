@@ -75,22 +75,45 @@ class RateLimit:
         return abs(lhs - (2.0 * b + b * b))
 
 
+# Steps of the growth recurrence run per block of Python floats; bounds the
+# memory of the ``tolist`` copies for long sequences.
+_CHUNK = 1 << 16
+
+
+def _positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _step_curvature(lam: float, alpha: float) -> float:
+    """``a = alpha*|lambda|`` for a negative, finite ``lambda`` and a positive, finite ``alpha``."""
+    if not (lam < 0 and math.isfinite(lam)):
+        raise ValueError(f"lambda must be negative and finite, got {lam!r}")
+    _positive("alpha", alpha)
+    a = float(alpha) * abs(float(lam))
+    if not math.isfinite(a):
+        raise ValueError(f"alpha*|lambda| overflows for alpha={alpha!r}, lambda={lam!r}")
+    return a
+
+
 def rate_sequence(lam: float, alpha: float, schedule: MomentumSchedule, count: int) -> RateSequence:
     """Iterate the growth recurrence for ``count`` steps (``b_0`` through ``b_count``)."""
-    if lam >= 0:
-        raise ValueError(f"lambda must be negative, got {lam!r}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    a = _step_curvature(lam, alpha)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count!r}")
-    a = alpha * abs(lam)
     betas, gammas = params_array(schedule, count)
+    # c_k = beta_k + gamma_k*a, built in place (params_array returns new
+    # arrays); gammas is freed before the values are allocated.
+    coeffs = np.add(betas, np.multiply(gammas, a, out=gammas), out=betas)
+    del betas, gammas
     values = np.empty(count + 1)
-    values[0] = 0.0
-    b = 0.0
-    for k in range(1, count + 1):
-        b = (betas[k] + gammas[k] * a) * (1.0 - 1.0 / (1.0 + b)) + a
-        values[k] = b
+    values[0] = b = 0.0
+    for start in range(1, count + 1, _CHUNK):
+        block = coeffs[start : start + _CHUNK].tolist()
+        for j, c in enumerate(block):
+            b = c * (1.0 - 1.0 / (1.0 + b)) + a
+            block[j] = b
+        values[start : start + len(block)] = block
     return RateSequence(lam=float(lam), alpha=float(alpha), schedule=schedule, values=values)
 
 
@@ -109,15 +132,13 @@ def rate_limit(lam: float, alpha: float, beta_limit: float, gamma_limit: float) 
     ``sqrt(a)``; and (0, 0) recovers the gradient-descent factor ``a``,
     always with ``a = alpha*|lambda|``.
     """
-    if lam >= 0:
-        raise ValueError(f"lambda must be negative, got {lam!r}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    a = _step_curvature(lam, alpha)
     if not 0.0 <= beta_limit <= 1.0 or not 0.0 <= gamma_limit <= 1.0:
         raise ValueError("schedule limits must lie in [0, 1]")
-    a = alpha * abs(lam)
     half_trace = beta_limit - 1.0 + a * (1.0 + gamma_limit)
     value = 0.5 * half_trace + 0.5 * math.sqrt(half_trace * half_trace + 4.0 * a)
+    if not math.isfinite(value):
+        raise ValueError(f"the limit overflows for alpha*|lambda| = {a!r}")
     return RateLimit(
         value=value,
         lam=float(lam),
@@ -141,33 +162,41 @@ def escape_bounds(delta: float, alpha: float, epsilon: float) -> dict:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    _positive("alpha", alpha)
     gd = math.ceil(abs(math.log(epsilon)) / (delta * alpha))
     hb = math.ceil(math.log(2.0 / epsilon) / math.sqrt(3.0 * delta) - 1.0)
     return {"gd_bound": int(gd), "hb_bound": int(max(hb, 0))}
 
 
+def _grown(start: float, factor: float, k: int) -> float:
+    """``start * factor**k``, also where ``factor**k`` alone is past the float range."""
+    try:
+        return start * factor**k
+    except OverflowError:
+        half = k // 2
+        return _grown(_grown(start, factor, half), factor, k - half)
+
+
 def predicted_escape_iters(bar_b: float, initial_projection: float, threshold: float) -> int:
     """Smallest ``k`` with ``initial_projection * (1 + bar_b)^k >= threshold``."""
-    if bar_b <= 0:
-        raise ValueError(f"bar_b must be positive, got {bar_b!r}")
-    if initial_projection <= 0:
-        raise ValueError(f"initial_projection must be positive, got {initial_projection!r}")
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    _positive("bar_b", bar_b)
+    _positive("initial_projection", initial_projection)
+    _positive("threshold", threshold)
     if initial_projection >= threshold:
         return 0
     ratio = math.log(threshold / initial_projection)
+    if ratio == math.inf:  # the quotient overflowed
+        ratio = math.log(threshold) - math.log(initial_projection)
     if 1.0 + bar_b == 1.0:
         # (1 + bar_b)**k rounds to 1 for every k: only the log1p estimate is meaningful
         return max(0, math.ceil(ratio / math.log1p(bar_b)))
     # Estimate with the factor 1 + bar_b as rounded (log1p can be off by
     # billions of steps when bar_b is near machine epsilon), then polish the
     # rounding so the returned k is exactly the first crossing.
-    k = max(0, math.ceil(ratio / math.log(1.0 + bar_b)))
-    while k > 0 and initial_projection * (1.0 + bar_b) ** (k - 1) >= threshold:
+    factor = 1.0 + bar_b
+    k = max(0, math.ceil(ratio / math.log(factor)))
+    while k > 0 and _grown(initial_projection, factor, k - 1) >= threshold:
         k -= 1
-    while initial_projection * (1.0 + bar_b) ** k < threshold:
+    while _grown(initial_projection, factor, k) < threshold:
         k += 1
     return int(k)

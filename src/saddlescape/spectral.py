@@ -64,8 +64,10 @@ class EigenPair:
 
 def block_eigenvalues(lam: float, alpha: float, beta: float) -> EigenPair:
     """Roots of ``mu^2 - (1 + beta - alpha*lambda) mu + beta = 0``."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
     lam, alpha, beta = float(lam), float(alpha), float(beta)
@@ -73,6 +75,8 @@ def block_eigenvalues(lam: float, alpha: float, beta: float) -> EigenPair:
     # Expanded so lambda = 0 yields exactly (1 - beta)^2 instead of the
     # cancellation-prone (1 + beta)^2 - 4*beta.
     disc = (1.0 - beta) ** 2 + alpha * lam * (alpha * lam - 2.0 * (1.0 + beta))
+    if not math.isfinite(disc):
+        raise ValueError(f"alpha*lambda = {alpha * lam!r} is too large for finite roots")
     if disc >= 0.0:
         root = math.sqrt(disc)
         plus = 0.5 * (s + root)
@@ -103,12 +107,13 @@ def param_conditions(alpha: float, beta: float, lambda1: float) -> ParamCheck:
     ``lambda1`` is the largest (positive) Hessian eigenvalue.  Both intervals
     are open.  Returns a diagnostic result rather than raising.
     """
-    if lambda1 <= 0:
-        raise ValueError(f"lambda1 must be positive, got {lambda1!r}")
+    if not (lambda1 > 0 and math.isfinite(lambda1)):
+        raise ValueError(f"lambda1 must be positive and finite, got {lambda1!r}")
     failures = []
     if not 0.0 < alpha < 4.0 / lambda1:
         failures.append(f"alpha must satisfy 0 < alpha < 4/lambda1 = {4.0 / lambda1:.6g}")
-    lower = max(alpha * lambda1 / 2.0 - 1.0, 0.0)
+    # A non-finite alpha is reported above; it must not garble the beta interval.
+    lower = max(alpha * lambda1 / 2.0 - 1.0, 0.0) if math.isfinite(alpha) else 0.0
     if not lower < beta < 1.0:
         failures.append(f"beta must lie in the open interval ({lower:.6g}, 1)")
     return ParamCheck(ok=not failures, failures=tuple(failures))
@@ -164,9 +169,7 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     pairs = []
     labels = []
     stable = 0
-    vectors = []
-    basis = problem.basis
-    for i, lam in enumerate(problem.eigenvalues):
+    for lam in problem.eigenvalues:
         pair = block_eigenvalues(lam, alpha, beta)
         pairs.append(pair)
         if lam > 0:
@@ -182,10 +185,16 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
         else:
             labels.append("unstable")
             stable += 1
-            direction = basis[:, i] if basis is not None else np.eye(problem.n)[i]
-            vectors.append(unstable_eigenvector(lam, alpha, beta, direction))
     unstable = 2 * problem.n - stable
-    eigvecs = np.array(vectors) if vectors else np.empty((0, 2 * problem.n))
+    # One row (v, v / mu_hi) per unstable block, as unstable_eigenvector builds it.
+    index = np.flatnonzero(problem.eigenvalues < 0)
+    mu_hi = np.array([pairs[i].mu_hi.real for i in index])
+    if problem.basis is None:
+        directions = np.zeros((index.size, problem.n))
+        directions[np.arange(index.size), index] = 1.0
+    else:
+        directions = problem.basis[:, index].T
+    eigvecs = np.concatenate([directions, directions / mu_hi[:, None]], axis=1)
     return SpectrumClassification(
         pairs=tuple(pairs),
         labels=tuple(labels),

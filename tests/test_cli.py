@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
-from saddlescape import cli
+from saddlescape import NesterovSchedule, cli, rate_sequence
 from saddlescape.schedules import TkPropertyReport
 
 
@@ -71,6 +73,22 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.splitlines()[0] == "lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class"
 
+    def test_problem_csv_matches_csv_writer(self, capsys):
+        argv = ["spectrum", "--n", "30", "--p", "3", "--delta", "0.01", "--beta", "0.9"]
+        _, report, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["lambda", "mu_hi_re", "mu_hi_im", "mu_lo_re", "mu_lo_im", "class"])
+        for block in json.loads(report)["blocks"]:
+            hi, lo = block["mu_hi"], block["mu_lo"]
+            writer.writerow(
+                [f"{v:.12g}" for v in (block["lambda"], hi["re"], hi["im"], lo["re"], lo["im"])]
+                + [block["class"]]
+            )
+        assert out == buffer.getvalue()
+
     def test_missing_mode_flags(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--beta", "0.9")
         assert code == 1
@@ -120,6 +138,45 @@ class TestRatesCommand:
         assert data["predicted_escape_iters"] == math.ceil(
             math.log(1.0 / 1e-2) / math.log1p(data["b_limit"])
         )
+
+    def test_csv_bytes_on_stdout_and_file_match_csv_writer(self, capsys, tmp_path):
+        # b_k ~ 1e-9 prints in exponent form; 70000 rows cross a chunk of formatted text
+        argv = ["rates", "--lambda=-1e-9", "--alpha", "0.99", "--iters", "70000", "--format", "csv"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "rates.csv"
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        written = path.read_bytes()
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["iter", "b"])
+        for k, value in enumerate(rate_sequence(-1e-9, 0.99, NesterovSchedule(), 70000).values):
+            writer.writerow([str(k), f"{value:.12g}"])
+        lines = out.split("\n")
+        assert "e-" in lines[2]
+        # line lists, not whole texts: pytest's diff of two 1.6 MB strings takes minutes
+        assert lines == buffer.getvalue().split("\n")
+        assert written == out.encode("utf-8")
+
+    def test_failed_run_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "rates.csv"
+        code, _, _ = run_cli(
+            capsys, "rates", "--lambda=-0.01", "--alpha", "0.5", "--iters", "0",
+            "--format", "csv", "--out", str(path),
+        )
+        assert code == 1
+        assert not path.exists()
+
+    def test_prediction_past_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rates", "--lambda=-0.01", "--alpha", "0.5",
+            "--projection", "1e-300", "--threshold", "1e300",
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        data = json.loads(out)
+        ratio = math.log(1e300) - math.log(1e-300)
+        assert abs(data["predicted_escape_iters"] - ratio / math.log1p(data["b_limit"])) <= 1.0
 
     def test_positive_lambda_rejected(self, capsys):
         code, _, err = run_cli(capsys, "rates", "--lambda", "0.1", "--alpha", "0.5")
@@ -211,6 +268,26 @@ class TestNonFiniteInput:
         errors = [line for line in err.splitlines() if line.startswith("saddlescape: error:")]
         assert len(errors) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--lambda=-0.01", "--alpha", "inf"],
+            ["rates", "--lambda=-0.01", "--alpha", "nan"],
+            ["rates", "--lambda=nan", "--alpha", "0.5"],
+            ["rates", "--lambda=-0.01", "--alpha", "0.5", "--projection", "nan"],
+            ["spectrum", "--lambda=-0.01", "--alpha", "nan", "--beta", "0.5"],
+            ["spectrum", "--lambda=nan", "--alpha", "0.5", "--beta", "0.5"],
+            ["spectrum", "--n", "20", "--p", "2", "--delta", "0.01", "--alpha", "nan", "--beta", "0.5"],
+            ["toy", "--x0", "nan,1", "--iters", "3"],
+        ],
+    )
+    def test_rejected_before_the_config_echo(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("saddlescape: error:") and err.count("\n") == 1
+        assert "NaN" not in err and "Infinity" not in err
 
 
 class TestCliContract:

@@ -195,6 +195,16 @@ class TestKernelDomain:
         with pytest.raises(ValueError):
             self.call(alpha=np.array([0.5, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_starts_and_predecessors_must_be_finite(self, bad):
+        prob = toy_problem(0.1)
+        good = np.zeros((2, 2))
+        broken = good.copy()
+        broken[1, 0] = bad
+        for starts, predecessors in ((broken, good), (good, broken)):
+            with pytest.raises(ValueError, match="finite"):
+                iterate(lambda y, rows: prob.gradient(y), 0.5, GRADIENT_DESCENT, starts, predecessors, 5)
+
     def test_threshold_positive(self):
         for threshold in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):

@@ -1,26 +1,67 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     AttouchSchedule,
     ConstantSchedule,
     EqualStart,
     NesterovSchedule,
+    PolyakSchedule,
     QuadraticProblem,
+    ToySchedule,
     escape_bounds,
     predicted_escape_iters,
     product_reconstruction,
     random_problem,
     rate_limit,
     rate_sequence,
+    params_array,
     rng_from,
     run_accelerated,
     sample_unit_ball,
 )
+from saddlescape.rates import _CHUNK
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
+NON_FINITE_CURVATURES = [
+    (float("nan"), 0.5),
+    (-float("inf"), 0.5),
+    (-0.1, float("nan")),
+    (-0.1, float("inf")),
+    (-1e200, 1e200),  # alpha*|lambda| overflows
+]
+
+all_schedules = st.one_of(
+    st.builds(ConstantSchedule, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.floats(0.01, 1.0).flatmap(lambda m: st.builds(PolyakSchedule, st.just(m), st.floats(m, 10.0))),
+    st.just(NesterovSchedule()),
+    st.builds(AttouchSchedule, st.floats(0.0, 5.0)),
+    st.builds(ToySchedule, st.floats(0.01, 2.0), st.floats(0.0, 0.4), st.floats(0.0, 0.1)),
+)
+
+
+def scalar_rates(lam, alpha, schedule, count):
+    """The growth recurrence, one numpy scalar at a time."""
+    a = alpha * abs(lam)
+    betas, gammas = params_array(schedule, count)
+    values = [0.0]
+    b = 0.0
+    for k in range(1, count + 1):
+        b = (betas[k] + gammas[k] * a) * (1.0 - 1.0 / (1.0 + b)) + a
+        values.append(b)
+    return np.array(values)
+
+
+def crosses(bar_b, projection, threshold, k):
+    """``projection * (1 + bar_b)^k >= threshold`` in 60-digit decimal arithmetic, past the float range."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(projection) * Decimal(1.0 + bar_b) ** k >= Decimal(threshold)
 
 
 class TestRateSequence:
@@ -39,6 +80,23 @@ class TestRateSequence:
             rate_sequence(0.1, 0.5, NesterovSchedule(), 10)
         with pytest.raises(ValueError):
             rate_sequence(-0.1, 0.5, NesterovSchedule(), 0)
+
+    @pytest.mark.parametrize("lam, alpha", NON_FINITE_CURVATURES)
+    def test_non_finite_curvature_rejected(self, lam, alpha):
+        with pytest.raises(ValueError):
+            rate_sequence(lam, alpha, NesterovSchedule(), 10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.floats(-2.0, -1e-9),
+        st.floats(1e-3, 2.0),
+        all_schedules,
+        st.one_of(st.integers(1, 300), st.integers(_CHUNK - 1, _CHUNK + 2)),
+    )
+    @example(-0.01, 0.99, NesterovSchedule(), _CHUNK + 1)
+    def test_matches_scalar_reference_loop(self, lam, alpha, schedule, count):
+        values = rate_sequence(lam, alpha, schedule, count).values
+        assert np.array_equal(values, scalar_rates(lam, alpha, schedule, count))
 
     @pytest.mark.parametrize("schedule", [NesterovSchedule(), AttouchSchedule(2.0)])
     @pytest.mark.parametrize("a", [1e-4, 1e-2, 1.0])
@@ -131,6 +189,11 @@ class TestRateLimit:
         with pytest.raises(ValueError):
             rate_limit(-0.1, 1.0, 1.5, 0.0)
 
+    @pytest.mark.parametrize("lam, alpha", NON_FINITE_CURVATURES + [(-1e200, 1e100)])
+    def test_non_finite_input_or_limit_rejected(self, lam, alpha):
+        with pytest.raises(ValueError):
+            rate_limit(lam, alpha, 1.0, 1.0)
+
 
 class TestEscapeBounds:
     def test_descent_bound(self):
@@ -195,6 +258,21 @@ class TestPredictedEscape:
             k = predicted_escape_iters(bar_b, 0.5, 1.0)
             assert 0.5 * (1.0 + bar_b) ** k >= 1.0 > 0.5 * (1.0 + bar_b) ** (k - 1)
 
+    @pytest.mark.parametrize(
+        "bar_b, projection, threshold",
+        [
+            (0.07588723439378912, 1e-300, 1e300),
+            (1e-3, 5e-324, 1.7e308),
+            (2.5, 1e-310, 1e308),
+            (1e-12, 1e-300, 1e300),
+        ],
+    )
+    def test_ratio_past_float_range_is_exact_first_crossing(self, bar_b, projection, threshold):
+        # threshold / projection and (1 + bar_b)**k both overflow a float here
+        k = predicted_escape_iters(bar_b, projection, threshold)
+        assert crosses(bar_b, projection, threshold, k)
+        assert not crosses(bar_b, projection, threshold, k - 1)
+
     def test_domains(self):
         with pytest.raises(ValueError):
             predicted_escape_iters(0.0, 0.1, 1.0)
@@ -202,3 +280,7 @@ class TestPredictedEscape:
             predicted_escape_iters(0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             predicted_escape_iters(0.1, 0.1, 0.0)
+        for bad in (float("nan"), float("inf")):
+            for args in ((bad, 0.1, 1.0), (0.1, bad, 1.0), (0.1, 0.1, bad)):
+                with pytest.raises(ValueError):
+                    predicted_escape_iters(*args)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ class TestBlockEigenvalues:
         with pytest.raises(ValueError):
             block_eigenvalues(0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lam, alpha, beta",
+        [
+            (float("nan"), 0.5, 0.5),
+            (float("-inf"), 0.5, 0.5),
+            (-0.01, float("nan"), 0.5),
+            (-0.01, float("inf"), 0.5),
+            (-0.01, 0.5, float("nan")),
+            (-1e300, 1e10, 0.5),  # alpha*lambda overflows
+        ],
+    )
+    def test_non_finite_input_rejected(self, lam, alpha, beta):
+        with pytest.raises(ValueError):
+            block_eigenvalues(lam, alpha, beta)
+
 
 class TestParamConditions:
     def test_toy_parameters_pass(self):
@@ -96,8 +113,20 @@ class TestParamConditions:
         assert any("beta" in f for f in check.failures)
 
     def test_lambda1_domain(self):
-        with pytest.raises(ValueError):
-            param_conditions(1.0, 0.5, 0.0)
+        for lambda1 in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                param_conditions(1.0, 0.5, lambda1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_fails_alone(self, alpha):
+        check = param_conditions(alpha, 0.5, 1.0)
+        assert not check
+        assert len(check.failures) == 1 and "alpha" in check.failures[0]
+
+    def test_nan_beta_fails(self):
+        check = param_conditions(1.0, float("nan"), 1.0)
+        assert not check
+        assert any("beta" in f for f in check.failures)
 
 
 class TestClassification:
@@ -263,6 +292,41 @@ class TestUnstableEigenvectors:
         for w, pair in zip(result.unstable_eigenvectors, result.pairs[-3:]):
             image = self.apply_linear_map(prob, alpha, beta, w)
             assert np.linalg.norm(image - pair.mu_hi.real * w) <= 1e-10 * np.linalg.norm(w)
+
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_rows_equal_dense_identity_construction(self, rotated):
+        prob = random_problem(40, 6, 0.05, seed=4)
+        if rotated:
+            prob = prob.rotated(basis_seed=2)
+        alpha, beta = 1.0 / prob.lipschitz, 0.95
+        result = classify_saddle_map(prob, alpha, beta)
+        negative = np.flatnonzero(prob.eigenvalues < 0)
+        expected = [
+            unstable_eigenvector(
+                prob.eigenvalues[i], alpha, beta, prob.basis[:, i] if rotated else np.eye(prob.n)[i]
+            )
+            for i in negative
+        ]
+        assert np.array_equal(result.unstable_eigenvectors, np.array(expected))
+        for z, i in zip(result.unstable_eigenvectors, negative):
+            mu_hi = result.pairs[i].mu_hi.real
+            image = self.apply_linear_map(prob, alpha, beta, z)
+            assert np.allclose(image, mu_hi * z, rtol=0.0, atol=1e-12)
+
+    def test_no_negative_eigenvalue_gives_no_rows(self):
+        result = classify_saddle_map(QuadraticProblem(np.array([1.0, 0.5, 0.0])), 0.5, 0.9)
+        assert result.unstable_eigenvectors.shape == (0, 6)
+
+    def test_classification_memory_stays_small(self):
+        prob = random_problem(5000, 50, 0.01, 0)
+        tracemalloc.start()
+        try:
+            classify_saddle_map(prob, 1.0 / prob.lipschitz, 0.989)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestInvariantSubspaces:
