@@ -18,7 +18,7 @@ from . import __version__
 from .experiments import divergence_table, negspace_experiment, toy_figure
 from .optimizers import EqualStart, PerturbedStart
 from .problems import random_problem
-from .rates import predicted_escape_iters, rate_limit, rate_sequence
+from .rates import _CHUNK, predicted_escape_iters, rate_limit, rate_sequence
 from .schedules import (
     AttouchSchedule,
     ConstantSchedule,
@@ -188,27 +188,23 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-# Rows of the rates CSV formatted into one chunk of text; bounds the memory
-# of the formatted text and of the ``tolist`` copy for long sequences.
-_ROWS_PER_CHUNK = 1 << 16
-
-
 def _rates_csv(values: np.ndarray) -> Iterable[str]:
     """CSV rows ``iter,b`` of a rate sequence, in chunks of text."""
     yield "iter,b\n"
-    for start in range(0, values.size, _ROWS_PER_CHUNK):
-        chunk = values[start : start + _ROWS_PER_CHUNK].tolist()
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start : start + _CHUNK].tolist()
         yield "".join([f"{k},{v:.12g}\n" for k, v in enumerate(chunk, start)])
 
 
 def _cmd_rates(args) -> int:
     fmt = _resolve_format(args, "json")
     schedule = _parse_schedule_spec(args.schedule, args.alpha, abs(args.lam), args.gamma)
-    # The limit and the prediction check lambda, alpha and the prediction's
-    # inputs before anything is echoed or written.
-    limit = rate_limit(args.lam, args.alpha, *limit_params(schedule))
-    predicted = None
+    # The sequence, the limit and the prediction check their inputs before
+    # anything is echoed or written; the CSV reads neither the limit nor the
+    # prediction.
+    sequence = rate_sequence(args.lam, args.alpha, schedule, args.iters)
     if fmt == "json":
+        limit = rate_limit(args.lam, args.alpha, *limit_params(schedule))
         predicted = predicted_escape_iters(limit.value, args.projection, args.threshold)
     _echo_config(
         "rates",
@@ -222,7 +218,6 @@ def _cmd_rates(args) -> int:
             "format": fmt,
         },
     )
-    sequence = rate_sequence(args.lam, args.alpha, schedule, args.iters)
     if fmt == "json":
         payload = {
             "lambda": args.lam,

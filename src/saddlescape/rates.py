@@ -75,8 +75,9 @@ class RateLimit:
         return abs(lhs - (2.0 * b + b * b))
 
 
-# Steps of the growth recurrence run per block of Python floats; bounds the
-# memory of the ``tolist`` copies for long sequences.
+# Values converted with ``tolist`` per block, both for the growth recurrence
+# and for the rows of the ``rates`` CSV; bounds the memory of the copies and
+# of the formatted text for long sequences.
 _CHUNK = 1 << 16
 
 
@@ -138,7 +139,7 @@ def rate_limit(lam: float, alpha: float, beta_limit: float, gamma_limit: float) 
     half_trace = beta_limit - 1.0 + a * (1.0 + gamma_limit)
     value = 0.5 * half_trace + 0.5 * math.sqrt(half_trace * half_trace + 4.0 * a)
     if not math.isfinite(value):
-        raise ValueError(f"the limit overflows for alpha*|lambda| = {a!r}")
+        raise ValueError(f"the closed form of the limit overflows for alpha*|lambda| = {a!r}")
     return RateLimit(
         value=value,
         lam=float(lam),

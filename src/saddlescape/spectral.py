@@ -169,7 +169,9 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     pairs = []
     labels = []
     stable = 0
-    for lam in problem.eigenvalues:
+    vectors = []
+    basis = problem.basis
+    for i, lam in enumerate(problem.eigenvalues):
         pair = block_eigenvalues(lam, alpha, beta)
         pairs.append(pair)
         if lam > 0:
@@ -185,16 +187,10 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
         else:
             labels.append("unstable")
             stable += 1
+            direction = basis[:, i] if basis is not None else np.eye(1, problem.n, i)[0]
+            vectors.append(unstable_eigenvector(lam, alpha, beta, direction))
     unstable = 2 * problem.n - stable
-    # One row (v, v / mu_hi) per unstable block, as unstable_eigenvector builds it.
-    index = np.flatnonzero(problem.eigenvalues < 0)
-    mu_hi = np.array([pairs[i].mu_hi.real for i in index])
-    if problem.basis is None:
-        directions = np.zeros((index.size, problem.n))
-        directions[np.arange(index.size), index] = 1.0
-    else:
-        directions = problem.basis[:, index].T
-    eigvecs = np.concatenate([directions, directions / mu_hi[:, None]], axis=1)
+    eigvecs = np.array(vectors) if vectors else np.empty((0, 2 * problem.n))
     return SpectrumClassification(
         pairs=tuple(pairs),
         labels=tuple(labels),

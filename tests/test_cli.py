@@ -158,6 +158,19 @@ class TestRatesCommand:
         assert lines == buffer.getvalue().split("\n")
         assert written == out.encode("utf-8")
 
+    def test_csv_needs_no_limit(self, capsys):
+        # a = 1e160: the closed form of the limit overflows, but the CSV never reads it
+        code, out, err = run_cli(
+            capsys, "rates", "--lambda=-1e160", "--alpha", "1", "--iters", "3", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == ["iter,b", "0,0"]
+        assert len(out.splitlines()) == 5
+        assert "error" not in err
+        code, _, err = run_cli(capsys, "rates", "--lambda=-1e160", "--alpha", "1", "--iters", "3")
+        assert code == 1
+        assert "closed form" in err
+
     def test_failed_run_writes_no_file(self, capsys, tmp_path):
         path = tmp_path / "rates.csv"
         code, _, _ = run_cli(
