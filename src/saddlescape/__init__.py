@@ -18,6 +18,7 @@ from .problems import (
     toy_problem,
 )
 from .schedules import (
+    SCHEDULE_KINDS,
     AttouchSchedule,
     ConstantSchedule,
     MomentumSchedule,
@@ -27,13 +28,10 @@ from .schedules import (
     TkPropertyReport,
     TkSequence,
     ToySchedule,
-    limit_params,
     nesterov_t,
     params_array,
     polyak_params,
     schedule_from_json_dict,
-    schedule_params,
-    schedule_to_json_dict,
     verify_tk_properties,
 )
 from .optimizers import (

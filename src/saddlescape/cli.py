@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -19,17 +20,7 @@ from .experiments import divergence_table, negspace_experiment, toy_figure
 from .optimizers import EqualStart, PerturbedStart
 from .problems import random_problem
 from .rates import _CHUNK, predicted_escape_iters, rate_limit, rate_sequence
-from .schedules import (
-    AttouchSchedule,
-    ConstantSchedule,
-    NesterovSchedule,
-    PolyakSchedule,
-    ScheduleError,
-    ToySchedule,
-    limit_params,
-    schedule_to_json_dict,
-    verify_tk_properties,
-)
+from .schedules import SCHEDULE_KINDS, ScheduleError, ToySchedule, verify_tk_properties
 from .spectral import ConditionError, block_eigenvalues, classify_saddle_map
 
 __all__ = ["main", "console_entry", "build_parser"]
@@ -49,29 +40,22 @@ def _parse_point(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _parse_schedule_spec(text: str, alpha=None, delta=None, gamma_hat=0.0):
+_SCHEDULE_SPECS = " | ".join(cls.spec for cls in SCHEDULE_KINDS.values())
+
+
+def _parse_schedule_spec(text: str, alpha: float, delta: float, gamma_hat: float):
+    """The schedule spelled ``text``, one of ``_SCHEDULE_SPECS``."""
     name, _, arg = text.partition(":")
-    if name == "nesterov":
-        return NesterovSchedule()
-    if name == "attouch":
-        return AttouchSchedule(eta=float(arg) if arg else 2.0)
-    if name == "constant":
-        parts = [float(p) for p in arg.split(",")] if arg else []
-        if len(parts) == 1:
-            parts.append(0.0)
-        if len(parts) != 2:
-            raise ValueError("constant schedule needs 'constant:BETA,GAMMA'")
-        return ConstantSchedule(beta=parts[0], gamma=parts[1])
-    if name == "polyak":
-        parts = [float(p) for p in arg.split(",")]
-        if len(parts) != 2:
-            raise ValueError("polyak schedule needs 'polyak:M,L'")
-        return PolyakSchedule(m=parts[0], L=parts[1])
-    if name == "toy":
-        if alpha is None or delta is None:
-            raise ValueError("the toy schedule needs --alpha and a curvature (--delta or --lambda)")
-        return ToySchedule(alpha=alpha, delta=delta, gamma_hat=gamma_hat)
-    raise ValueError(f"unknown schedule {text!r}")
+    cls = SCHEDULE_KINDS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown schedule {text!r}; expected {_SCHEDULE_SPECS}")
+    if cls is ToySchedule and not arg:  # its arguments come from --alpha, --lambda and --gamma
+        return ToySchedule(alpha, delta, gamma_hat)
+    values = [float(part) for part in arg.split(",")] if arg else []
+    least = sum(f.default is MISSING for f in fields(cls))
+    if not least <= len(values) <= cls.spec.count(",") + (":" in cls.spec):
+        raise ValueError(f"the {name} schedule is spelled {cls.spec!r}, got {text!r}")
+    return cls(*values)
 
 
 def _echo_config(command: str, config: dict) -> None:
@@ -204,14 +188,14 @@ def _cmd_rates(args) -> int:
     # prediction.
     sequence = rate_sequence(args.lam, args.alpha, schedule, args.iters)
     if fmt == "json":
-        limit = rate_limit(args.lam, args.alpha, *limit_params(schedule))
+        limit = rate_limit(args.lam, args.alpha, *schedule.limit())
         predicted = predicted_escape_iters(limit.value, args.projection, args.threshold)
     _echo_config(
         "rates",
         {
             "lambda": args.lam,
             "alpha": args.alpha,
-            "schedule": schedule_to_json_dict(schedule),
+            "schedule": schedule.to_json_dict(),
             "iters": args.iters,
             "projection": args.projection,
             "threshold": args.threshold,
@@ -222,7 +206,7 @@ def _cmd_rates(args) -> int:
         payload = {
             "lambda": args.lam,
             "alpha": args.alpha,
-            "schedule": schedule_to_json_dict(schedule),
+            "schedule": schedule.to_json_dict(),
             "b_final": sequence.final,
             "b_limit": limit.value,
             "predicted_escape_iters": predicted,
@@ -236,6 +220,7 @@ def _cmd_rates(args) -> int:
 def _cmd_simulate(args) -> int:
     fmt = _resolve_format(args, "csv")
     policy = EqualStart() if args.eps_perturb == 0 else PerturbedStart(args.eps_perturb, args.seed)
+    series = negspace_experiment(args.n, args.p, args.delta, args.seed, args.iters, policy)
     _echo_config(
         "simulate",
         {
@@ -248,13 +233,20 @@ def _cmd_simulate(args) -> int:
             "format": fmt,
         },
     )
-    series = negspace_experiment(args.n, args.p, args.delta, args.seed, args.iters, policy)
     _emit_result(series, fmt, args.out)
     return 0
 
 
 def _cmd_table(args) -> int:
     fmt = _resolve_format(args, "csv")
+    result = divergence_table(
+        ns=args.n,
+        deltas=args.delta,
+        trials=args.trials,
+        seed=args.seed,
+        iteration_cap=args.iters,
+        threshold=args.threshold,
+    )
     _echo_config(
         "table",
         {
@@ -266,14 +258,6 @@ def _cmd_table(args) -> int:
             "threshold": args.threshold,
             "format": fmt,
         },
-    )
-    result = divergence_table(
-        ns=args.n,
-        deltas=args.delta,
-        trials=args.trials,
-        seed=args.seed,
-        iteration_cap=args.iters,
-        threshold=args.threshold,
     )
     _emit_result(result, fmt, args.out)
     return 0
@@ -332,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--alpha", type=float, required=True, help="step size")
     rates.add_argument("--gamma", type=float, default=0.0,
                        help="slack term for the toy schedule")
-    rates.add_argument("--schedule", default="nesterov",
-                       help="nesterov | attouch:ETA | constant:B,G | polyak:M,L | toy")
+    rates.add_argument("--schedule", default="nesterov", help=_SCHEDULE_SPECS)
     rates.add_argument("--iters", type=int, default=10000, help="recurrence length")
     rates.add_argument("--projection", type=float, default=1e-2,
                        help="starting projection norm for the prediction")

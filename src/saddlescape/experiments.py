@@ -374,11 +374,11 @@ def divergence_table(
     For each ``(n, delta)`` cell and trial, a random diagonal quadratic is
     drawn with 5 negative eigenvalues uniform on ``[-2*delta, -delta]`` and a
     start uniform on the unit ball; steepest descent (``alpha = 1/L``) and
-    accelerated gradient (``alpha = 0.99/L``, t-sequence schedule) run until
-    the projection norm reaches the threshold (``n`` by default).  The
+    accelerated gradient (``alpha = 0.99/L``, ``schedule``) run until the
+    projection norm reaches the threshold (``n`` by default).  The
     rate-predictor column converts the limiting growth rate of the most
-    negative eigenvalue and the realized starting projection into a predicted
-    count.  Trials that hit ``iteration_cap`` are recorded at the cap and
+    negative eigenvalue under ``schedule.limit()`` and the realized starting
+    projection into a predicted count.  Trials that hit ``iteration_cap`` are recorded at the cap and
     counted as censored, with one warning per cell and method.  All trials of
     a cell run as one batch.
 
@@ -393,6 +393,7 @@ def divergence_table(
     if threshold is not None and not 0.0 < threshold <= DIVERGENCE_CUTOFF:
         raise ValueError(f"threshold must lie in (0, {DIVERGENCE_CUTOFF:g}], got {threshold!r}")
     cap = iteration_cap
+    limits = schedule.limit()
     rows: list[TableRow] = []
     records: list[TrialRecord] = []
     for cell_index, (n, delta) in enumerate((int(n), float(d)) for n in ns for d in deltas):
@@ -427,7 +428,7 @@ def divergence_table(
             norm = float(np.linalg.norm(start))
             if not norm > 0:
                 return cap, True
-            k = predicted_escape_iters(rate_limit(curvature, alpha, 1.0, 1.0).value, norm, cell_threshold)
+            k = predicted_escape_iters(rate_limit(curvature, alpha, *limits).value, norm, cell_threshold)
             return min(k, cap), k > cap
 
         alpha_ag = 0.99 / lipschitz

@@ -137,7 +137,11 @@ def rate_limit(lam: float, alpha: float, beta_limit: float, gamma_limit: float) 
     if not 0.0 <= beta_limit <= 1.0 or not 0.0 <= gamma_limit <= 1.0:
         raise ValueError("schedule limits must lie in [0, 1]")
     half_trace = beta_limit - 1.0 + a * (1.0 + gamma_limit)
-    value = 0.5 * half_trace + 0.5 * math.sqrt(half_trace * half_trace + 4.0 * a)
+    root = math.sqrt(half_trace * half_trace + 4.0 * a)
+    if half_trace >= 0:
+        value = 0.5 * half_trace + 0.5 * root
+    else:  # the same root, without the cancellation of half_trace + root
+        value = 2.0 * a / (root - half_trace)
     if not math.isfinite(value):
         raise ValueError(f"the closed form of the limit overflows for alpha*|lambda| = {a!r}")
     return RateLimit(
@@ -190,7 +194,10 @@ def predicted_escape_iters(bar_b: float, initial_projection: float, threshold: f
         ratio = math.log(threshold) - math.log(initial_projection)
     if 1.0 + bar_b == 1.0:
         # (1 + bar_b)**k rounds to 1 for every k: only the log1p estimate is meaningful
-        return max(0, math.ceil(ratio / math.log1p(bar_b)))
+        estimate = ratio / math.log1p(bar_b)
+        if estimate == math.inf:
+            raise ValueError(f"bar_b = {bar_b!r} is too small: the escape count overflows")
+        return max(0, math.ceil(estimate))
     # Estimate with the factor 1 + bar_b as rounded (log1p can be off by
     # billions of steps when bar_b is near machine epsilon), then polish the
     # rounding so the returned k is exactly the first crossing.

@@ -2,34 +2,34 @@
 
 A schedule produces the pair ``(beta_k, gamma_k)`` used at iteration ``k``:
 ``gamma_k`` shifts the gradient evaluation point and ``beta_k`` weights the
-momentum step.  All schedules must emit values in [0, 1].
+momentum step.  All schedules must emit values in [0, 1].  Each schedule
+class carries its own rule, its limit and its JSON form, and registers itself
+in ``SCHEDULE_KINDS`` under its ``kind`` tag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 __all__ = [
     "ScheduleError",
+    "MomentumSchedule",
     "ConstantSchedule",
     "PolyakSchedule",
     "NesterovSchedule",
     "AttouchSchedule",
     "ToySchedule",
-    "MomentumSchedule",
+    "SCHEDULE_KINDS",
     "TkSequence",
     "nesterov_t",
-    "schedule_params",
     "params_array",
-    "limit_params",
     "polyak_params",
     "TkPropertyReport",
     "verify_tk_properties",
-    "schedule_to_json_dict",
     "schedule_from_json_dict",
 ]
 
@@ -45,8 +45,41 @@ def _unit_interval(name: str, value: float) -> float:
     return value
 
 
+SCHEDULE_KINDS: dict[str, type[MomentumSchedule]] = {}
+
+
+class MomentumSchedule:
+    """A rule for ``(beta_k, gamma_k)``, tagged with its ``kind`` and CLI ``spec``.
+
+    A subclass names its spec, e.g. ``class PolyakSchedule(MomentumSchedule,
+    spec="polyak:M,L")``; the kind is the spec up to the colon.  The base rule
+    is constant momentum ``(self.beta, self.gamma)``; schedules whose momentum
+    varies with ``k`` override ``_terms`` and ``limit``.
+    """
+
+    kind: ClassVar[str]
+    spec: ClassVar[str]
+
+    def __init_subclass__(cls, spec: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.spec, cls.kind = spec, spec.partition(":")[0]
+        SCHEDULE_KINDS[cls.kind] = cls
+
+    def _terms(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``betas, gammas`` for iterations ``0..count``; :func:`params_array` fixes index 0."""
+        return np.full(count + 1, self.beta), np.full(count + 1, self.gamma)
+
+    def limit(self) -> tuple[float, float]:
+        """Limits ``(beta, gamma)`` of the emitted sequences as ``k`` grows."""
+        return self.beta, self.gamma
+
+    def to_json_dict(self) -> dict:
+        """``{"kind": ..., **fields}``, the form :func:`schedule_from_json_dict` reads."""
+        return {"kind": self.kind, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class ConstantSchedule:
+class ConstantSchedule(MomentumSchedule, spec="constant:B,G"):
     """Fixed ``(beta, gamma)`` at every iteration.
 
     ``ConstantSchedule(0, 0)`` reduces the framework to gradient descent and
@@ -62,64 +95,77 @@ class ConstantSchedule:
 
 
 @dataclass(frozen=True)
-class PolyakSchedule:
+class PolyakSchedule(MomentumSchedule, spec="polyak:M,L"):
     """Classical heavy-ball momentum for a strongly convex spectrum in [m, L]."""
 
+    gamma = 0.0
     m: float
     L: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.m <= self.L:
-            raise ValueError(f"need 0 < m <= L, got m={self.m!r}, L={self.L!r}")
+        polyak_params(self.m, self.L)  # raises unless 0 < m <= L < inf
 
     @property
     def beta(self) -> float:
-        return (math.sqrt(self.L) - math.sqrt(self.m)) / (math.sqrt(self.L) + math.sqrt(self.m))
+        return polyak_params(self.m, self.L)[1]
 
 
 @dataclass(frozen=True)
-class NesterovSchedule:
+class NesterovSchedule(MomentumSchedule, spec="nesterov"):
     """``beta_k = gamma_k = (t_{k-1} - 1) / t_k`` driven by the t-sequence."""
 
+    def _terms(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        t = nesterov_t(count).values
+        betas = np.empty(count + 1)
+        betas[1:] = (t[:-1] - 1.0) / t[1:]
+        return betas, betas
+
+    def limit(self) -> tuple[float, float]:
+        return 1.0, 1.0
+
 
 @dataclass(frozen=True)
-class AttouchSchedule:
-    """``beta_k = gamma_k = (k - 1) / (k + eta + 1)`` for a fixed ``eta >= 0``."""
+class AttouchSchedule(MomentumSchedule, spec="attouch:ETA"):
+    """``beta_k = gamma_k = (k - 1) / (k + eta + 1)`` for a fixed finite ``eta >= 0``."""
 
-    eta: float
+    eta: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta!r}")
+
+    def _terms(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        k = np.arange(count + 1, dtype=float)
+        betas = (k - 1.0) / (k + self.eta + 1.0)
+        return betas, betas
+
+    def limit(self) -> tuple[float, float]:
+        return 1.0, 1.0
 
 
 @dataclass(frozen=True)
-class ToySchedule:
+class ToySchedule(MomentumSchedule, spec="toy"):
     """Heavy-ball momentum tuned to a known negative-curvature magnitude.
 
     Emits ``gamma_k = 0`` and ``beta_k = 1 - alpha*delta - gamma_hat``; the
     slack ``gamma_hat`` trades momentum for stability margin.
     """
 
+    gamma = 0.0
     alpha: float
     delta: float
     gamma_hat: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if self.gamma_hat < 0:
+        if not self.gamma_hat >= 0:
             raise ValueError(f"gamma_hat must be nonnegative, got {self.gamma_hat!r}")
         _unit_interval("beta = 1 - alpha*delta - gamma_hat", self.beta)
 
     @property
     def beta(self) -> float:
         return 1.0 - self.alpha * self.delta - self.gamma_hat
-
-
-MomentumSchedule = Union[
-    ConstantSchedule, PolyakSchedule, NesterovSchedule, AttouchSchedule, ToySchedule
-]
 
 
 @dataclass(frozen=True)
@@ -139,10 +185,6 @@ class TkSequence:
     def __getitem__(self, k: int) -> float:
         return float(self.values[k])
 
-    def ratios(self) -> np.ndarray:
-        """The momentum weights ``(t_{k-1} - 1) / t_k`` for ``k = 1..K``."""
-        return (self.values[:-1] - 1.0) / self.values[1:]
-
 
 def nesterov_t(count: int) -> TkSequence:
     """First ``count + 1`` terms of the t-sequence (``t_0`` through ``t_count``)."""
@@ -157,69 +199,18 @@ def nesterov_t(count: int) -> TkSequence:
     return TkSequence(t)
 
 
-def schedule_params(schedule: MomentumSchedule, k: int) -> tuple[float, float]:
-    """The pair ``(beta_k, gamma_k)`` emitted at iteration ``k >= 1``."""
-    if k < 1:
-        raise ValueError(f"iteration index must be >= 1, got {k!r}")
-    if isinstance(schedule, ConstantSchedule):
-        return schedule.beta, schedule.gamma
-    if isinstance(schedule, PolyakSchedule):
-        return schedule.beta, 0.0
-    if isinstance(schedule, ToySchedule):
-        return schedule.beta, 0.0
-    if isinstance(schedule, AttouchSchedule):
-        value = _unit_interval("beta", (k - 1) / (k + schedule.eta + 1))
-        return value, value
-    if isinstance(schedule, NesterovSchedule):
-        t = nesterov_t(k).values
-        value = _unit_interval("beta", (t[k - 1] - 1.0) / t[k])
-        return value, value
-    raise TypeError(f"unknown schedule {schedule!r}")
-
-
 def params_array(schedule: MomentumSchedule, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays ``betas, gammas`` indexed by iteration ``1..count`` (index 0 unused).
-
-    Much faster than calling :func:`schedule_params` in a loop for the
-    t-sequence variant, whose per-``k`` evaluation costs O(k).
-    """
+    """Arrays ``betas, gammas`` indexed by iteration ``1..count`` (index 0 unused)."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
-    if isinstance(schedule, ConstantSchedule):
-        betas = np.full(count + 1, schedule.beta)
-        gammas = np.full(count + 1, schedule.gamma)
-    elif isinstance(schedule, (PolyakSchedule, ToySchedule)):
-        betas = np.full(count + 1, schedule.beta)
-        gammas = np.zeros(count + 1)
-    elif isinstance(schedule, AttouchSchedule):
-        k = np.arange(count + 1, dtype=float)
-        betas = (k - 1.0) / (k + schedule.eta + 1.0)
-        gammas = betas
-    elif isinstance(schedule, NesterovSchedule):
-        t = nesterov_t(count).values
-        betas = np.empty(count + 1)
-        betas[1:] = (t[:-1] - 1.0) / t[1:]
-        gammas = betas
-    else:
-        raise TypeError(f"unknown schedule {schedule!r}")
+    betas, gammas = schedule._terms(count)
     betas[0] = 0.0
     gammas = gammas.copy() if gammas is betas else gammas
     gammas[0] = 0.0
     body = betas[1:]
-    if count and (body.min() < 0.0 or body.max() > 1.0):
+    if count and not (body.min() >= 0.0 and body.max() <= 1.0):
         raise ScheduleError("schedule emitted parameters outside [0, 1]")
     return betas, gammas
-
-
-def limit_params(schedule: MomentumSchedule) -> tuple[float, float]:
-    """Limits ``(beta, gamma)`` of the emitted sequences as ``k`` grows."""
-    if isinstance(schedule, ConstantSchedule):
-        return schedule.beta, schedule.gamma
-    if isinstance(schedule, (PolyakSchedule, ToySchedule)):
-        return schedule.beta, 0.0
-    if isinstance(schedule, (AttouchSchedule, NesterovSchedule)):
-        return 1.0, 1.0
-    raise TypeError(f"unknown schedule {schedule!r}")
 
 
 def polyak_params(m: float, L: float) -> tuple[float, float]:
@@ -228,8 +219,8 @@ def polyak_params(m: float, L: float) -> tuple[float, float]:
     Returns ``alpha = 4 / (sqrt(L) + sqrt(m))^2`` and
     ``beta = (sqrt(L) - sqrt(m)) / (sqrt(L) + sqrt(m))``.
     """
-    if m <= 0 or L < m:
-        raise ValueError(f"need 0 < m <= L, got m={m!r}, L={L!r}")
+    if not 0.0 < m <= L < math.inf:
+        raise ValueError(f"need 0 < m <= L < inf, got m={m!r}, L={L!r}")
     sl, sm = math.sqrt(L), math.sqrt(m)
     return 4.0 / (sl + sm) ** 2, (sl - sm) / (sl + sm)
 
@@ -263,15 +254,7 @@ class TkPropertyReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "identity_max_err": self.identity_max_err,
-            "bound_ok": self.bound_ok,
-            "ratio_monotone": self.ratio_monotone,
-            "ratio_gap": self.ratio_gap,
-            "final_ratio": self.final_ratio,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_tk_properties(count: int) -> TkPropertyReport:
@@ -300,39 +283,15 @@ def verify_tk_properties(count: int) -> TkPropertyReport:
     )
 
 
-def schedule_to_json_dict(schedule: MomentumSchedule) -> dict:
-    if isinstance(schedule, NesterovSchedule):
-        return {"kind": "nesterov"}
-    if isinstance(schedule, AttouchSchedule):
-        return {"kind": "attouch", "eta": schedule.eta}
-    if isinstance(schedule, ConstantSchedule):
-        return {"kind": "constant", "beta": schedule.beta, "gamma": schedule.gamma}
-    if isinstance(schedule, PolyakSchedule):
-        return {"kind": "polyak", "m": schedule.m, "L": schedule.L}
-    if isinstance(schedule, ToySchedule):
-        return {
-            "kind": "toy",
-            "alpha": schedule.alpha,
-            "delta": schedule.delta,
-            "gamma_hat": schedule.gamma_hat,
-        }
-    raise TypeError(f"unknown schedule {schedule!r}")
-
-
 def schedule_from_json_dict(data: dict) -> MomentumSchedule:
-    kind = data.get("kind")
-    if kind == "nesterov":
-        return NesterovSchedule()
-    if kind == "attouch":
-        return AttouchSchedule(eta=float(data["eta"]))
-    if kind == "constant":
-        return ConstantSchedule(beta=float(data["beta"]), gamma=float(data.get("gamma", 0.0)))
-    if kind == "polyak":
-        return PolyakSchedule(m=float(data["m"]), L=float(data["L"]))
-    if kind == "toy":
-        return ToySchedule(
-            alpha=float(data["alpha"]),
-            delta=float(data["delta"]),
-            gamma_hat=float(data.get("gamma_hat", 0.0)),
-        )
-    raise ValueError(f"unknown schedule kind {kind!r}")
+    """The schedule of a ``to_json_dict`` payload; unknown kinds and keys are rejected."""
+    values = dict(data)
+    kind = values.pop("kind", None)
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    cls = SCHEDULE_KINDS[kind]
+    names = [f.name for f in fields(cls)]
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    if not required <= values.keys() <= set(names):
+        raise ValueError(f"a {kind} schedule has the keys {names}, got {sorted(values)}")
+    return cls(**{name: float(value) for name, value in values.items()})

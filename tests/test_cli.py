@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from saddlescape import NesterovSchedule, cli, rate_sequence
+from saddlescape import SCHEDULE_KINDS, NesterovSchedule, cli, rate_sequence
 from saddlescape.schedules import TkPropertyReport
 
 
@@ -196,6 +196,73 @@ class TestRatesCommand:
         assert code == 1
         assert "negative" in err
 
+    def test_descent_limit_far_below_one(self, capsys):
+        # limits (0, 0) at a = 1e-17: the limit used to cancel to 0.0 and fail the prediction
+        code, out, err = run_cli(
+            capsys, "rates", "--schedule", "constant:0,0", "--lambda=-1e-17", "--alpha", "1",
+        )
+        assert code == 0, err
+        assert json.loads(out)["b_limit"] == 1e-17
+
+
+class TestScheduleSpec:
+    RATES = ["rates", "--lambda=-0.01", "--alpha", "0.5", "--iters", "5"]
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("polyak:0.01", "polyak:M,L"),
+            ("polyak:0.01,1,2", "polyak:M,L"),
+            ("constant", "constant:B,G"),
+            ("constant:0.1,0.2,0.3", "constant:B,G"),
+            ("attouch:1,2", "attouch:ETA"),
+            ("nesterov:3", "nesterov"),
+            ("toy:0.5", "toy"),
+        ],
+    )
+    def test_wrong_arity_names_the_spec(self, capsys, spec, expected):
+        code, out, err = run_cli(capsys, *self.RATES, "--schedule", spec)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("saddlescape: error:") and err.count("\n") == 1
+        assert f"'{expected}'" in err
+
+    def test_unknown_kind_lists_the_specs(self, capsys):
+        code, out, err = run_cli(capsys, *self.RATES, "--schedule", "cosine:1")
+        assert code == 1
+        assert out == ""
+        assert "unknown schedule 'cosine:1'" in err
+        assert all(cls.spec in err for cls in SCHEDULE_KINDS.values())
+
+    def test_help_lists_every_spec(self, capsys):
+        code, out, _ = run_cli(capsys, "rates", "--help")
+        assert code == 0
+        assert "constant:B,G | polyak:M,L | nesterov | attouch:ETA | toy" in " ".join(out.split())
+
+    def test_defaults_of_short_specs(self, capsys):
+        for spec, schedule in [
+            ("attouch", {"kind": "attouch", "eta": 2.0}),
+            ("constant:0.5", {"kind": "constant", "beta": 0.5, "gamma": 0.0}),
+        ]:
+            code, out, _ = run_cli(capsys, *self.RATES, "--schedule", spec)
+            assert code == 0
+            assert json.loads(out)["schedule"] == schedule
+
+    @pytest.mark.parametrize(
+        "spec", ["attouch:nan", "attouch:inf", "polyak:0.01,inf", "polyak:nan,1", "constant:nan"]
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_parameters_write_nothing(self, capsys, tmp_path, spec, fmt):
+        path = tmp_path / "rates.out"
+        for out_flags in ([], ["--out", str(path)]):
+            code, out, err = run_cli(
+                capsys, *self.RATES, "--schedule", spec, "--format", fmt, *out_flags
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("saddlescape: error:") and err.count("\n") == 1
+        assert not path.exists()
+
 
 class TestSimulateCommand:
     def test_identical_bytes_for_identical_argv(self, capsys, tmp_path):
@@ -293,6 +360,8 @@ class TestNonFiniteInput:
             ["spectrum", "--lambda=nan", "--alpha", "0.5", "--beta", "0.5"],
             ["spectrum", "--n", "20", "--p", "2", "--delta", "0.01", "--alpha", "nan", "--beta", "0.5"],
             ["toy", "--x0", "nan,1", "--iters", "3"],
+            ["simulate", "--delta", "nan", "--iters", "3"],
+            ["table", "--delta", "nan", "--trials", "2"],
         ],
     )
     def test_rejected_before_the_config_echo(self, capsys, argv):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from saddlescape import (
+    ConstantSchedule,
     EqualStart,
     NesterovSchedule,
     divergence_table,
     escape_time,
     negspace_experiment,
+    predicted_escape_iters,
     random_problem,
+    rate_limit,
     rng_from,
     run_accelerated,
     run_gradient_descent,
@@ -180,6 +183,19 @@ class TestDivergenceTable:
             result.row(60, 1e-2, "rate_predictor").avg_iters
             <= result.row(60, 1e-2, "accelerated_gradient").avg_iters
         )
+
+    def test_predictor_follows_the_schedule_limit(self):
+        schedule = ConstantSchedule(0.9, 0.0)
+        result = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1, schedule=schedule)
+        nesterov = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1)
+        for rec, other in zip(result.trials, nesterov.trials):
+            rng = rng_from(1, 0, rec.trial)
+            problem = random_problem(30, 5, 2e-2, rng)
+            x0 = sample_unit_ball(30, rng)
+            mask = problem.eigenvalues < 0
+            limit = rate_limit(problem.eigenvalues[-1], 0.99 / problem.lipschitz, 0.9, 0.0)
+            assert rec.rate_predictor == predicted_escape_iters(limit.value, np.linalg.norm(x0[mask]), 30.0)
+            assert rec.rate_predictor > other.rate_predictor
 
     def test_censoring_recorded_with_warning(self):
         with pytest.warns(RuntimeWarning, match="iteration cap"):

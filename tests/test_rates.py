@@ -183,6 +183,11 @@ class TestRateLimit:
             heavy = math.sqrt(a)
             assert accelerated >= heavy >= a
 
+    @pytest.mark.parametrize("a", [1e-17, 1e-12, 1e-10, 1e-4])
+    def test_no_cancellation_below_zero_half_trace(self, a):
+        # limits (0, 0): b^2 - (a - 1) b - a = (b - a)(b + 1), so the root is a itself
+        assert rate_limit(-a, 1.0, 0.0, 0.0).value == pytest.approx(a, rel=1e-15, abs=0.0)
+
     def test_domains(self):
         with pytest.raises(ValueError):
             rate_limit(0.1, 1.0, 1.0, 1.0)
@@ -251,6 +256,11 @@ class TestPredictedEscape:
     def test_growth_lost_to_rounding_returns_log1p_estimate(self):
         # 1 + 1e-17 == 1.0, so no floating-point power ever crosses
         assert predicted_escape_iters(1e-17, 0.5, 1.0) == math.ceil(math.log(2.0) / math.log1p(1e-17))
+
+    def test_subnormal_growth_is_a_value_error(self):
+        # 1 + bar_b == 1 and log(2)/log1p(bar_b) is inf: no escape count exists in a float
+        with pytest.raises(ValueError, match="bar_b"):
+            predicted_escape_iters(1e-320, 0.5, 1.0)
 
     def test_coarsely_rounded_growth_is_still_the_exact_first_crossing(self):
         # the log1p estimate is off by billions of steps here; the polish must not step one by one

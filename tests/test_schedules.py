@@ -1,24 +1,45 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
+    SCHEDULE_KINDS,
     AttouchSchedule,
     ConstantSchedule,
     NesterovSchedule,
     PolyakSchedule,
     ScheduleError,
     ToySchedule,
-    limit_params,
     nesterov_t,
     params_array,
     polyak_params,
     schedule_from_json_dict,
-    schedule_params,
-    schedule_to_json_dict,
     verify_tk_properties,
 )
+from saddlescape.cli import _parse_schedule_spec
+
+NAN, INF = float("nan"), float("inf")
+
+# One strategy per registered kind; a new kind must add its own.
+KIND_STRATEGIES = {
+    "nesterov": st.just(NesterovSchedule()),
+    "attouch": st.builds(AttouchSchedule, st.floats(0.0, 1e6)),
+    "constant": st.builds(ConstantSchedule, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    "polyak": st.floats(1e-9, 1e9).flatmap(
+        lambda m: st.builds(PolyakSchedule, st.just(m), st.floats(m, 1e9))
+    ),
+    "toy": st.builds(ToySchedule, st.floats(1e-6, 2.0), st.floats(0.0, 0.4), st.floats(0.0, 0.1)),
+}
+
+
+def params_at(schedule, k):
+    """The pair ``(beta_k, gamma_k)`` emitted at iteration ``k``."""
+    betas, gammas = params_array(schedule, k)
+    return betas[k], gammas[k]
 
 
 class TestNesterovT:
@@ -40,28 +61,28 @@ class TestNesterovT:
 
 class TestScheduleParams:
     def test_nesterov_first_step_is_zero(self):
-        assert schedule_params(NesterovSchedule(), 1) == (0.0, 0.0)
+        assert params_at(NesterovSchedule(), 1) == (0.0, 0.0)
 
     def test_attouch_example(self):
-        assert schedule_params(AttouchSchedule(eta=2.0), 5) == (0.5, 0.5)
+        assert params_at(AttouchSchedule(eta=2.0), 5) == (0.5, 0.5)
 
     def test_toy_momentum(self):
-        beta, gamma = schedule_params(ToySchedule(alpha=0.75, delta=0.02), 3)
+        beta, gamma = params_at(ToySchedule(alpha=0.75, delta=0.02), 3)
         assert beta == pytest.approx(0.985, rel=1e-12)
         assert gamma == 0.0
 
     def test_polyak_emits_zero_gamma(self):
         sched = PolyakSchedule(m=0.01, L=1.0)
-        beta, gamma = schedule_params(sched, 10)
+        beta, gamma = params_at(sched, 10)
         assert beta == pytest.approx(0.9 / 1.1, rel=1e-14)
         assert gamma == 0.0
 
     def test_constant_passthrough(self):
-        assert schedule_params(ConstantSchedule(0.3, 0.7), 100) == (0.3, 0.7)
+        assert params_at(ConstantSchedule(0.3, 0.7), 100) == (0.3, 0.7)
 
     def test_index_domain(self):
         with pytest.raises(ValueError):
-            schedule_params(NesterovSchedule(), 0)
+            params_array(NesterovSchedule(), -1)
 
     @pytest.mark.parametrize("beta,gamma", [(-0.1, 0.0), (1.1, 0.0), (0.5, 2.0)])
     def test_constant_out_of_range(self, beta, gamma):
@@ -76,7 +97,7 @@ class TestScheduleParams:
         for sched in (NesterovSchedule(), AttouchSchedule(1.5), ConstantSchedule(0.4, 0.2)):
             betas, gammas = params_array(sched, 50)
             for k in (1, 2, 17, 50):
-                assert (betas[k], gammas[k]) == schedule_params(sched, k)
+                assert (betas[k], gammas[k]) == params_at(sched, k)
 
     def test_nondecreasing_variants(self):
         for sched in (NesterovSchedule(), AttouchSchedule(2.0)):
@@ -147,13 +168,13 @@ class TestTkProperties:
 
 class TestLimits:
     def test_limit_params(self):
-        assert limit_params(NesterovSchedule()) == (1.0, 1.0)
-        assert limit_params(AttouchSchedule(2.0)) == (1.0, 1.0)
-        assert limit_params(ConstantSchedule(0.3, 0.1)) == (0.3, 0.1)
+        assert NesterovSchedule().limit() == (1.0, 1.0)
+        assert AttouchSchedule(2.0).limit() == (1.0, 1.0)
+        assert ConstantSchedule(0.3, 0.1).limit() == (0.3, 0.1)
         beta = PolyakSchedule(0.25, 1.0).beta
-        assert limit_params(PolyakSchedule(0.25, 1.0)) == (beta, 0.0)
+        assert PolyakSchedule(0.25, 1.0).limit() == (beta, 0.0)
         toy = ToySchedule(1.0, 0.02)
-        assert limit_params(toy) == (toy.beta, 0.0)
+        assert toy.limit() == (toy.beta, 0.0)
         assert toy.beta == pytest.approx(0.98, rel=1e-15)
 
 
@@ -169,12 +190,12 @@ class TestScheduleJson:
         ],
     )
     def test_roundtrip(self, schedule):
-        assert schedule_from_json_dict(schedule_to_json_dict(schedule)) == schedule
+        assert schedule_from_json_dict(schedule.to_json_dict()) == schedule
 
     def test_kind_tags(self):
-        assert schedule_to_json_dict(NesterovSchedule()) == {"kind": "nesterov"}
-        assert schedule_to_json_dict(AttouchSchedule(2.0)) == {"kind": "attouch", "eta": 2.0}
-        assert schedule_to_json_dict(ConstantSchedule(0.5, 0.25)) == {
+        assert NesterovSchedule().to_json_dict() == {"kind": "nesterov"}
+        assert AttouchSchedule(2.0).to_json_dict() == {"kind": "attouch", "eta": 2.0}
+        assert ConstantSchedule(0.5, 0.25).to_json_dict() == {
             "kind": "constant",
             "beta": 0.5,
             "gamma": 0.25,
@@ -183,3 +204,61 @@ class TestScheduleJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             schedule_from_json_dict({"kind": "cosine"})
+
+
+class TestScheduleKinds:
+    def test_every_kind_has_a_strategy(self):
+        assert KIND_STRATEGIES.keys() == SCHEDULE_KINDS.keys()
+        assert all(cls.kind == kind for kind, cls in SCHEDULE_KINDS.items())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(*KIND_STRATEGIES.values()))
+    def test_json_and_cli_spec_round_trip(self, schedule):
+        assert schedule_from_json_dict(schedule.to_json_dict()) == schedule
+        if isinstance(schedule, ToySchedule):  # its arguments come from flags
+            spec, flags = "toy", (schedule.alpha, schedule.delta, schedule.gamma_hat)
+        else:
+            values = ",".join(repr(v) for v in asdict(schedule).values())
+            spec, flags = f"{schedule.kind}:{values}" if values else schedule.kind, (None,) * 3
+        assert _parse_schedule_spec(spec, *flags) == schedule
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "attouch", "eta": 2.0, "beta": 0.5},
+            {"kind": "nesterov", "eta": 2.0},
+            {"kind": "polyak", "m": 0.1},
+            {"kind": "toy", "alpha": 0.5},
+            {"eta": 2.0},
+        ],
+    )
+    def test_extra_missing_or_unknown_keys(self, data):
+        with pytest.raises(ValueError):
+            schedule_from_json_dict(data)
+
+    def test_json_defaults(self):
+        assert schedule_from_json_dict({"kind": "constant", "beta": 0.5}) == ConstantSchedule(0.5, 0.0)
+        assert schedule_from_json_dict({"kind": "attouch"}) == AttouchSchedule(2.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AttouchSchedule(NAN),
+            lambda: AttouchSchedule(INF),
+            lambda: PolyakSchedule(0.01, INF),
+            lambda: PolyakSchedule(NAN, 1.0),
+            lambda: PolyakSchedule(0.01, NAN),
+            lambda: ToySchedule(NAN, 0.01),
+            lambda: ToySchedule(0.5, 0.01, NAN),
+            lambda: ConstantSchedule(NAN),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_range_check_rejects_nan_terms(self):
+        schedule = object.__new__(AttouchSchedule)  # skips the constructor's check of eta
+        object.__setattr__(schedule, "eta", NAN)
+        with pytest.raises(ScheduleError):
+            params_array(schedule, 5)
