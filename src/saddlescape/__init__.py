@@ -11,7 +11,6 @@ from .problems import (
     FunctionOracle,
     GradientOracle,
     QuadraticProblem,
-    gradient,
     random_orthogonal,
     random_problem,
     sample_unit_ball,
@@ -26,7 +25,6 @@ from .schedules import (
     PolyakSchedule,
     ScheduleError,
     TkPropertyReport,
-    TkSequence,
     ToySchedule,
     nesterov_t,
     params_array,
@@ -40,15 +38,12 @@ from .optimizers import (
     EqualStart,
     IterationTrace,
     PerturbedStart,
-    RunConfig,
     StartPolicy,
     escape_time,
     iterate,
-    run,
     run_accelerated,
     run_gradient_descent,
     run_heavy_ball,
-    write_trace_csv,
 )
 from .spectral import (
     ConditionError,
@@ -57,6 +52,7 @@ from .spectral import (
     SpectrumClassification,
     apply_iteration_map,
     block_eigenvalues,
+    blocks_csv,
     classify_saddle_map,
     invert_iteration_map,
     param_conditions,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterable
 from dataclasses import MISSING, fields
@@ -19,9 +20,9 @@ from . import __version__
 from .experiments import divergence_table, negspace_experiment, toy_figure
 from .optimizers import EqualStart, PerturbedStart
 from .problems import random_problem
-from .rates import _CHUNK, predicted_escape_iters, rate_limit, rate_sequence
+from .rates import predicted_escape_iters, rate_limit, rate_sequence
 from .schedules import SCHEDULE_KINDS, ScheduleError, ToySchedule, verify_tk_properties
-from .spectral import ConditionError, block_eigenvalues, classify_saddle_map
+from .spectral import ConditionError, block_eigenvalues, blocks_csv, classify_saddle_map
 
 __all__ = ["main", "console_entry", "build_parser"]
 
@@ -63,7 +64,10 @@ def _echo_config(command: str, config: dict) -> None:
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, a string or an iterable of string chunks, to ``out`` (stdout when None)."""
+    """Write ``text``, a string or an iterable of string chunks, to ``out`` (stdout when None).
+
+    The only function that writes a command's output.
+    """
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
         sys.stdout.writelines(chunks)
@@ -73,10 +77,7 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 
 def _emit_result(result, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit(_json_text(result.to_json_dict()), out)
-    else:
-        result.to_csv(sys.stdout if out is None else out)
+    _emit(_json_text(result.to_json_dict()) if fmt == "json" else result.to_csv(), out)
 
 
 def _json_text(payload: dict) -> str:
@@ -122,22 +123,8 @@ def _cmd_spectrum(args) -> int:
     if args.lam is not None:
         if args.alpha is None or args.beta is None:
             raise ValueError("single-eigenvalue mode needs --lambda, --alpha and --beta")
-        pair = block_eigenvalues(args.lam, args.alpha, args.beta)
-        _echo_config(
-            "spectrum",
-            {"lambda": args.lam, "alpha": args.alpha, "beta": args.beta, "format": fmt},
-        )
-        label = "stable" if args.lam > 0 else ("unit" if args.lam == 0 else "unstable")
-        payload = {
-            "blocks": [
-                {
-                    "lambda": pair.lam,
-                    "mu_hi": {"re": pair.mu_hi.real, "im": pair.mu_hi.imag},
-                    "mu_lo": {"re": pair.mu_lo.real, "im": pair.mu_lo.imag},
-                    "class": label,
-                }
-            ]
-        }
+        payload = {"blocks": [block_eigenvalues(args.lam, args.alpha, args.beta).to_json_dict()]}
+        config = {"lambda": args.lam, "alpha": args.alpha, "beta": args.beta, "format": fmt}
     else:
         if args.n is None or args.p is None or args.delta is None:
             raise ValueError("problem mode needs --n, --p and --delta (or use --lambda)")
@@ -145,39 +132,21 @@ def _cmd_spectrum(args) -> int:
             raise ValueError("--beta is required")
         problem = random_problem(args.n, args.p, args.delta, args.seed)
         alpha = args.alpha if args.alpha is not None else 1.0 / problem.lipschitz
+        # Only the blocks are written; the unstable eigenvectors are freed here,
+        # before the text is built.
         payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
-        _echo_config(
-            "spectrum",
-            {
-                "n": args.n,
-                "p": args.p,
-                "delta": args.delta,
-                "seed": args.seed,
-                "alpha": alpha,
-                "beta": args.beta,
-                "format": fmt,
-            },
-        )
-    if fmt == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        rows = ["lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n"]
-        for block in payload["blocks"]:
-            hi, lo = block["mu_hi"], block["mu_lo"]
-            rows.append(
-                f"{block['lambda']:.12g},{hi['re']:.12g},{hi['im']:.12g},"
-                f"{lo['re']:.12g},{lo['im']:.12g},{block['class']}\n"
-            )
-        _emit(rows, args.out)
+        config = {
+            "n": args.n,
+            "p": args.p,
+            "delta": args.delta,
+            "seed": args.seed,
+            "alpha": alpha,
+            "beta": args.beta,
+            "format": fmt,
+        }
+    _echo_config("spectrum", config)
+    _emit(_json_text(payload) if fmt == "json" else blocks_csv(payload["blocks"]), args.out)
     return 0
-
-
-def _rates_csv(values: np.ndarray) -> Iterable[str]:
-    """CSV rows ``iter,b`` of a rate sequence, in chunks of text."""
-    yield "iter,b\n"
-    for start in range(0, values.size, _CHUNK):
-        chunk = values[start : start + _CHUNK].tolist()
-        yield "".join([f"{k},{v:.12g}\n" for k, v in enumerate(chunk, start)])
 
 
 def _cmd_rates(args) -> int:
@@ -185,8 +154,12 @@ def _cmd_rates(args) -> int:
     schedule = _parse_schedule_spec(args.schedule, args.alpha, abs(args.lam), args.gamma)
     # The sequence, the limit and the prediction check their inputs before
     # anything is echoed or written; the CSV reads neither the limit nor the
-    # prediction.
+    # prediction, but the echo shows --projection and --threshold either way.
     sequence = rate_sequence(args.lam, args.alpha, schedule, args.iters)
+    for name in ("projection", "threshold"):
+        value = getattr(args, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"--{name} must be positive and finite, got {value!r}")
     if fmt == "json":
         limit = rate_limit(args.lam, args.alpha, *schedule.limit())
         predicted = predicted_escape_iters(limit.value, args.projection, args.threshold)
@@ -213,7 +186,7 @@ def _cmd_rates(args) -> int:
         }
         _emit(_json_text(payload), args.out)
     else:
-        _emit(_rates_csv(sequence.values), args.out)
+        _emit(sequence.to_csv(), args.out)
     return 0
 
 
@@ -264,8 +237,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify_tk(args) -> int:
-    _echo_config("verify-tk", {"K": args.K})
     report = verify_tk_properties(args.K)
+    _echo_config("verify-tk", {"K": args.K})
     _emit(_json_text(report.to_json_dict()), args.out)
     return 0 if report.passed else 2
 

@@ -18,12 +18,9 @@ an independent counter-based random stream, so trials may run in any order.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -34,12 +31,9 @@ from .optimizers import (
     FirstCrossing,
     StartPolicy,
     Trace,
-    escape_time,
     iterate,
-    run_gradient_descent,
-    run_heavy_ball,
 )
-from .problems import QuadraticProblem, random_problem, sample_unit_ball
+from .problems import QuadraticProblem, random_problem, sample_unit_ball, toy_problem
 from .rates import predicted_escape_iters, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 from .seeding import rng_from
@@ -59,23 +53,14 @@ __all__ = [
 TABLE_METHODS = ("steepest_descent", "accelerated_gradient", "rate_predictor")
 
 
-def _csv_text(write_rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    write_rows(writer)
-    return buffer.getvalue()
-
-
-def _write(text: str, file: IO[str] | str) -> None:
-    if isinstance(file, str):
-        with open(file, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        file.write(text)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _csv_line(fields) -> str:
+    # Fields are names, numbers and empty cells of rows with several cells,
+    # which csv.writer would write unquoted too.
+    return ",".join(map(str, fields)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -88,14 +73,13 @@ class ToyFigure:
     descent_escape: int | None
     heavy_ball_escape: int | None
 
-    def to_csv(self, file: IO[str] | str) -> None:
-        def rows(writer):
-            writer.writerow(["method", "iter", "x1", "x2"])
-            for name, block in (("steepest_descent", self.descent), ("heavy_ball", self.heavy_ball)):
-                for j, point in enumerate(block):
-                    writer.writerow([name, str(j * self.thin), _fmt(point[0]), _fmt(point[1])])
-
-        _write(_csv_text(rows), file)
+    def to_csv(self) -> list[str]:
+        """CSV rows ``method,iter,x1,x2``, one text chunk per row."""
+        lines = [_csv_line(["method", "iter", "x1", "x2"])]
+        for name, block in (("steepest_descent", self.descent), ("heavy_ball", self.heavy_ball)):
+            for j, (x1, x2) in enumerate(block.tolist()):
+                lines.append(_csv_line([name, j * self.thin, _fmt(x1), _fmt(x2)]))
+        return lines
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,25 +102,32 @@ def toy_figure(
 ) -> ToyFigure:
     """Trace gradient descent and heavy-ball on the toy saddle from ``x0``.
 
-    Both methods share the start; every ``thin``-th iterate is kept.  Escape
-    is the first step whose ``|x2|`` reaches ``threshold``.
+    Both methods share the start, which is also the heavy-ball predecessor;
+    every ``thin``-th iterate is kept.  Escape is the first step whose
+    ``|x2|`` reaches ``threshold``, a positive finite number.
     """
-    from .problems import toy_problem
-
     if thin < 1:
         raise ValueError("thin must be at least 1")
     problem = toy_problem(delta)
-    x0 = np.asarray(x0, dtype=float)
-    descent = run_gradient_descent(problem, alpha, x0, iterations)
-    heavy = run_heavy_ball(problem, alpha, beta, x0, EqualStart(), iterations)
-    projector = problem.negative_projector()
-    return ToyFigure(
-        descent=descent.points[::thin].copy(),
-        heavy_ball=heavy.points[::thin].copy(),
-        thin=int(thin),
-        descent_escape=escape_time(descent, projector, threshold),
-        heavy_ball_escape=escape_time(heavy, projector, threshold),
-    )
+    start = np.asarray(x0, dtype=float)[None]
+    if start.shape != (1, 2):
+        raise ValueError(f"x0 must have two components, got {x0!r}")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
+    gradient = lambda y, rows: problem.gradient(y)  # noqa: E731
+
+    def points_and_escape(schedule):
+        trace = Trace()
+        batch = iterate(gradient, alpha, schedule, start, start, iterations, trace)
+        points = trace.values[: batch.steps[0] + 1, 0]
+        hits = np.flatnonzero(np.abs(points[:, 1]) >= threshold)
+        return points[::thin].copy(), int(hits[0]) if hits.size else None
+
+    descent, descent_escape = points_and_escape(GRADIENT_DESCENT)
+    heavy_ball, heavy_ball_escape = points_and_escape(ConstantSchedule(beta, 0.0))
+    return ToyFigure(descent, heavy_ball, int(thin), descent_escape, heavy_ball_escape)
 
 
 @dataclass(frozen=True)
@@ -162,19 +153,16 @@ class NegspaceSeries:
             ("predicted", self.predicted),
         )
 
-    def to_csv(self, file: IO[str] | str) -> None:
-        names = [name for name, _ in self._blocks()]
-        series = [block for _, block in self._blocks()]
-        length = max(block.size for block in series)
+    def to_csv(self) -> list[str]:
+        """CSV rows ``iter`` and one column per series, one text chunk per row.
 
-        def rows(writer):
-            writer.writerow(["iter"] + names)
-            for k in range(length):
-                row = [str(k)]
-                row += [_fmt(block[k]) if k < block.size else "" for block in series]
-                writer.writerow(row)
-
-        _write(_csv_text(rows), file)
+        A series that stopped early leaves its cells empty.
+        """
+        names, series = zip(*self._blocks())
+        lines = [_csv_line(["iter", *names])]
+        for k in range(max(block.size for block in series)):
+            lines.append(_csv_line([k, *(_fmt(block[k]) if k < block.size else "" for block in series)]))
+        return lines
 
     def to_json_dict(self) -> dict:
         out = {name: [float(v) for v in block] for name, block in self._blocks()}
@@ -202,6 +190,8 @@ def negspace_experiment(
     schedule.  The predictor series grows the starting projection by the
     limiting rate at every step.
     """
+    if not 1 <= p < n:
+        raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     rng = rng_from(seed, 0)
@@ -313,32 +303,17 @@ class TableResult:
                 return row
         raise KeyError(f"no table row for n={n}, delta={delta}, method={method}")
 
-    def to_csv(self, file: IO[str] | str) -> None:
-        def rows(writer):
-            writer.writerow(["n", "delta", "row_type", "trial_or_method", *TABLE_METHODS])
-            for rec in self.trials:
-                writer.writerow(
-                    [
-                        rec.n,
-                        _fmt(rec.delta),
-                        "trial",
-                        rec.trial,
-                        rec.steepest_descent,
-                        rec.accelerated_gradient,
-                        rec.rate_predictor,
-                    ]
-                )
-            cells = sorted({(row.n, row.delta) for row in self.rows})
-            for n, delta in cells:
-                by_method = {m: self.row(n, delta, m) for m in TABLE_METHODS}
-                writer.writerow(
-                    [n, _fmt(delta), "average", "", *(_fmt(by_method[m].avg_iters) for m in TABLE_METHODS)]
-                )
-                writer.writerow(
-                    [n, _fmt(delta), "max", "", *(by_method[m].max_iters for m in TABLE_METHODS)]
-                )
-
-        _write(_csv_text(rows), file)
+    def to_csv(self) -> list[str]:
+        """CSV rows of every trial, then each cell's average and max rows, one text chunk per row."""
+        lines = [_csv_line(["n", "delta", "row_type", "trial_or_method", *TABLE_METHODS])]
+        for rec in self.trials:
+            counts = (rec.steepest_descent, rec.accelerated_gradient, rec.rate_predictor)
+            lines.append(_csv_line([rec.n, _fmt(rec.delta), "trial", rec.trial, *counts]))
+        for n, delta in sorted({(row.n, row.delta) for row in self.rows}):
+            by_method = [self.row(n, delta, m) for m in TABLE_METHODS]
+            lines.append(_csv_line([n, _fmt(delta), "average", "", *(_fmt(r.avg_iters) for r in by_method)]))
+            lines.append(_csv_line([n, _fmt(delta), "max", "", *(r.max_iters for r in by_method)]))
+        return lines
 
     def to_json_dict(self) -> dict:
         cells = []

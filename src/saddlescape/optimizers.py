@@ -16,10 +16,9 @@ is the starting point and ``points[k]`` the k-th iterate.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from dataclasses import dataclass
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +34,12 @@ __all__ = [
     "PerturbedStart",
     "StartPolicy",
     "IterationTrace",
-    "RunConfig",
     "BatchRun",
     "iterate",
-    "run",
     "run_gradient_descent",
     "run_heavy_ball",
     "run_accelerated",
     "escape_time",
-    "write_trace_csv",
 ]
 
 # The objectives of interest are unbounded below, so runaway iterates are an
@@ -89,27 +85,17 @@ class IterationTrace:
     the start).  On a diagonal quadratic, column ``i`` of ``points`` is the
     per-coordinate series for eigenvalue ``i``.  ``predecessor`` records the
     momentum predecessor used for the first step.  ``diverged`` is set when
-    the run stopped early at the divergence cutoff, in which case the arrays
-    are truncated at the offending iterate.
+    the run stopped early at the divergence cutoff, in which case ``points``
+    is truncated at the offending iterate.
     """
 
     points: np.ndarray
     predecessor: np.ndarray
-    function_values: np.ndarray
-    gradient_norms: np.ndarray
     diverged: bool
 
     @property
     def steps(self) -> int:
         return self.points.shape[0] - 1
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.points[0]
 
     @property
     def final(self) -> np.ndarray:
@@ -274,79 +260,17 @@ def run_accelerated(
     if x0.ndim != 1 or x0.size != oracle.dimension:
         raise ValueError(f"starting point must have dimension {oracle.dimension}")
     x_prev = start_policy.resolve(x0)
-    grad = getattr(oracle, "gradient", None)
-    if not callable(grad):
-        grad = lambda y: oracle.evaluate(y)[1]  # noqa: E731
     trace = Trace()
-    batch = iterate(lambda y, rows: grad(y), alpha, schedule, x0[None], x_prev[None], iterations, trace)
-    points = trace.values[: batch.steps[0] + 1, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, grads = oracle.evaluate(points)
-    return IterationTrace(
-        points=points,
-        predecessor=x_prev,
-        function_values=np.asarray(values, dtype=float),
-        gradient_norms=np.linalg.norm(np.atleast_2d(grads), axis=-1),
-        diverged=bool(batch.diverged[0]),
-    )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce one optimizer run."""
-
-    alpha: float
-    schedule: MomentumSchedule
-    x0: np.ndarray
-    start_policy: StartPolicy = EqualStart()
-    iterations: int = 100
-
-
-def run(oracle: GradientOracle, config: RunConfig) -> IterationTrace:
-    return run_accelerated(
-        oracle, config.alpha, config.schedule, config.x0, config.start_policy, config.iterations
-    )
+    gradient = lambda y, rows: oracle.gradient(y)  # noqa: E731
+    batch = iterate(gradient, alpha, schedule, x0[None], x_prev[None], iterations, trace)
+    return IterationTrace(trace.values[: batch.steps[0] + 1, 0], x_prev, bool(batch.diverged[0]))
 
 
 def escape_time(trace: IterationTrace, subspace_projector: np.ndarray, threshold: float) -> int | None:
     """First step index ``k`` with ``||P x^k|| >= threshold``, or None if never reached."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     norms = trace.projection_norms(subspace_projector)
     hits = np.nonzero(norms >= threshold)[0]
     return int(hits[0]) if hits.size else None
 
-
-def write_trace_csv(
-    trace: IterationTrace,
-    file: IO[str] | str,
-    thin: int = 1,
-    projector: np.ndarray | None = None,
-) -> None:
-    """Write a trace as CSV rows ``iter, coordinates..., f, grad_norm``.
-
-    ``thin=m`` keeps every m-th iterate (always including the start).  With a
-    ``projector``, a single ``proj_norm`` column replaces the coordinates.
-    """
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if projector is None:
-        header = ["iter"] + [f"x{i + 1}" for i in range(trace.dimension)] + ["f", "grad_norm"]
-        columns = trace.points
-    else:
-        header = ["iter", "proj_norm", "f", "grad_norm"]
-        columns = trace.projection_norms(projector)[:, None]
-    writer.writerow(header)
-    for k in range(0, trace.steps + 1, thin):
-        row = [str(k)]
-        row += [f"{v:.12g}" for v in np.atleast_1d(columns[k])]
-        row += [f"{trace.function_values[k]:.12g}", f"{trace.gradient_norms[k]:.12g}"]
-        writer.writerow(row)
-    text = buffer.getvalue()
-    if isinstance(file, str):
-        with open(file, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        file.write(text)

@@ -16,7 +16,6 @@ __all__ = [
     "QuadraticProblem",
     "toy_problem",
     "random_problem",
-    "gradient",
     "random_orthogonal",
     "sample_unit_ball",
 ]
@@ -26,16 +25,15 @@ BASIS_TOLERANCE = 1e-10
 
 @runtime_checkable
 class GradientOracle(Protocol):
-    """A smooth objective exposing function values and gradients.
+    """A smooth objective exposing its gradient, the only call the optimizers make.
 
-    ``evaluate`` accepts points of shape ``(..., dimension)`` and returns the
-    value(s) and gradient(s) with matching leading axes, so whole iterate
-    histories can be evaluated in one call.
+    ``gradient`` accepts points of shape ``(..., dimension)`` and returns the
+    gradients with matching leading axes.
     """
 
     dimension: int
 
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+    def gradient(self, x: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -114,11 +112,6 @@ class QuadraticProblem:
         """Gradient Lipschitz constant, ``max(largest, -smallest)`` eigenvalue."""
         return float(max(self.eigenvalues[0], -self.eigenvalues[-1]))
 
-    def hessian(self) -> np.ndarray:
-        if self.basis is None:
-            return np.diag(self.eigenvalues)
-        return (self.basis * self.eigenvalues) @ self.basis.T
-
     def _coords(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n,):
@@ -135,13 +128,6 @@ class QuadraticProblem:
         if self.basis is None:
             return self.eigenvalues * x
         return (self.eigenvalues * (x @ self.basis)) @ self.basis.T
-
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self._coords(x)
-        z = x if self.basis is None else x @ self.basis
-        value = 0.5 * np.sum(self.eigenvalues * z * z, axis=-1)
-        grad = self.eigenvalues * z if self.basis is None else (self.eigenvalues * z) @ self.basis.T
-        return value, grad
 
     def rotated(self, basis_seed: int) -> "QuadraticProblem":
         """Same spectrum expressed in a seeded random orthogonal basis."""
@@ -219,11 +205,6 @@ def random_problem(
     negative = rng.uniform(-2.0 * delta, -delta, size=p)
     ev = np.sort(np.concatenate([nonneg, negative]))[::-1]
     return QuadraticProblem(ev, seed=recorded)
-
-
-def gradient(problem: QuadraticProblem, x: np.ndarray) -> np.ndarray:
-    """Gradient ``V diag(eigenvalues) V^T x`` of the quadratic at ``x``."""
-    return problem.gradient(x)
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:

@@ -17,6 +17,7 @@ asymptotic per-iteration growth factor of the escaping coordinate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,13 @@ class RateSequence:
     def final(self) -> float:
         return float(self.values[-1])
 
+    def to_csv(self) -> Iterator[str]:
+        """CSV rows ``iter,b``, yielded as text chunks of ``_CHUNK`` rows each."""
+        yield "iter,b\n"
+        for start in range(0, self.values.size, _CHUNK):
+            chunk = self.values[start : start + _CHUNK].tolist()
+            yield "".join([f"{k},{v:.12g}\n" for k, v in enumerate(chunk, start)])
+
 
 @dataclass(frozen=True)
 class RateLimit:
@@ -76,8 +84,8 @@ class RateLimit:
 
 
 # Values converted with ``tolist`` per block, both for the growth recurrence
-# and for the rows of the ``rates`` CSV; bounds the memory of the copies and
-# of the formatted text for long sequences.
+# and for the rows of the CSV; bounds the memory of the copies and of the
+# formatted text for long sequences.
 _CHUNK = 1 << 16
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "AttouchSchedule",
     "ToySchedule",
     "SCHEDULE_KINDS",
-    "TkSequence",
     "nesterov_t",
     "params_array",
     "polyak_params",
@@ -115,7 +114,7 @@ class NesterovSchedule(MomentumSchedule, spec="nesterov"):
     """``beta_k = gamma_k = (t_{k-1} - 1) / t_k`` driven by the t-sequence."""
 
     def _terms(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        t = nesterov_t(count).values
+        t = nesterov_t(count)
         betas = np.empty(count + 1)
         betas[1:] = (t[:-1] - 1.0) / t[1:]
         return betas, betas
@@ -168,26 +167,8 @@ class ToySchedule(MomentumSchedule, spec="toy"):
         return 1.0 - self.alpha * self.delta - self.gamma_hat
 
 
-@dataclass(frozen=True)
-class TkSequence:
-    """Values ``t_0..t_K`` of ``t_0 = 1``, ``t_k = (sqrt(4 t_{k-1}^2 + 1) + 1)/2``."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.values[k])
-
-
-def nesterov_t(count: int) -> TkSequence:
-    """First ``count + 1`` terms of the t-sequence (``t_0`` through ``t_count``)."""
+def nesterov_t(count: int) -> np.ndarray:
+    """Read-only ``t_0..t_count`` of ``t_0 = 1``, ``t_k = (sqrt(4 t_{k-1}^2 + 1) + 1)/2``."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
     t = np.empty(count + 1)
@@ -196,7 +177,8 @@ def nesterov_t(count: int) -> TkSequence:
     for k in range(1, count + 1):
         prev = (math.sqrt(4.0 * prev * prev + 1.0) + 1.0) / 2.0
         t[k] = prev
-    return TkSequence(t)
+    t.setflags(write=False)
+    return t
 
 
 def params_array(schedule: MomentumSchedule, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +247,7 @@ def verify_tk_properties(count: int) -> TkPropertyReport:
     """
     if count < 2:
         raise ValueError(f"count must be at least 2, got {count!r}")
-    t = nesterov_t(count).values
+    t = nesterov_t(count)
     identity_err = np.abs(t[1:] * t[1:] - t[1:] - t[:-1] * t[:-1]) / (t[1:] * t[1:])
     k = np.arange(count + 1, dtype=float)
     bound_ok = bool(np.all(t >= (k + 1.0) / 2.0))
@@ -287,11 +269,15 @@ def schedule_from_json_dict(data: dict) -> MomentumSchedule:
     """The schedule of a ``to_json_dict`` payload; unknown kinds and keys are rejected."""
     values = dict(data)
     kind = values.pop("kind", None)
-    if kind not in SCHEDULE_KINDS:
+    cls = SCHEDULE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    cls = SCHEDULE_KINDS[kind]
     names = [f.name for f in fields(cls)]
     required = {f.name for f in fields(cls) if f.default is MISSING}
     if not required <= values.keys() <= set(names):
         raise ValueError(f"a {kind} schedule has the keys {names}, got {sorted(values)}")
-    return cls(**{name: float(value) for name, value in values.items()})
+    try:
+        params = {name: float(value) for name, value in values.items()}
+    except TypeError:
+        raise ValueError(f"a {kind} schedule's values must be numbers, got {values}") from None
+    return cls(**params)

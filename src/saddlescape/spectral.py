@@ -18,8 +18,8 @@ eigenvalues.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "EigenPair",
     "ParamCheck",
     "SpectrumClassification",
+    "blocks_csv",
     "block_eigenvalues",
     "param_conditions",
     "classify_saddle_map",
@@ -52,6 +53,8 @@ class EigenPair:
     magnitudes) it is the one with nonnegative imaginary part, which keeps
     the output deterministic.  The roots always satisfy
     ``mu_hi + mu_lo = 1 + beta - alpha*lambda`` and ``mu_hi * mu_lo = beta``.
+    ``label`` classifies the block by the sign of ``lambda``: ``stable``,
+    ``unit`` or ``unstable``.
     """
 
     mu_hi: complex
@@ -60,6 +63,30 @@ class EigenPair:
     lam: float
     alpha: float
     beta: float
+
+    @property
+    def label(self) -> str:
+        return "stable" if self.lam > 0 else ("unit" if self.lam == 0 else "unstable")
+
+    def to_json_dict(self) -> dict:
+        """The block as ``spectrum`` writes it, in JSON and, through :func:`blocks_csv`, in CSV."""
+        return {
+            "lambda": self.lam,
+            "mu_hi": {"re": self.mu_hi.real, "im": self.mu_hi.imag},
+            "mu_lo": {"re": self.mu_lo.real, "im": self.mu_lo.imag},
+            "class": self.label,
+        }
+
+
+def blocks_csv(blocks: Iterable[dict]) -> Iterator[str]:
+    """CSV text of blocks serialized by :meth:`EigenPair.to_json_dict`, one row per block."""
+    yield "lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n"
+    for block in blocks:
+        hi, lo = block["mu_hi"], block["mu_lo"]
+        yield (
+            f"{block['lambda']:.12g},{hi['re']:.12g},{hi['im']:.12g},"
+            f"{lo['re']:.12g},{lo['im']:.12g},{block['class']}\n"
+        )
 
 
 def block_eigenvalues(lam: float, alpha: float, beta: float) -> EigenPair:
@@ -131,26 +158,19 @@ class SpectrumClassification:
     """
 
     pairs: tuple[EigenPair, ...]
-    labels: tuple[str, ...]
     stable_dim: int
     unstable_dim: int
     unstable_eigenvectors: np.ndarray
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(pair.label for pair in self.pairs)
+
     def to_json_dict(self) -> dict:
-        blocks = []
-        for pair, label in zip(self.pairs, self.labels):
-            blocks.append(
-                {
-                    "lambda": pair.lam,
-                    "mu_hi": {"re": pair.mu_hi.real, "im": pair.mu_hi.imag},
-                    "mu_lo": {"re": pair.mu_lo.real, "im": pair.mu_lo.imag},
-                    "class": label,
-                }
-            )
         return {
             "stable_dim": self.stable_dim,
             "unstable_dim": self.unstable_dim,
-            "blocks": blocks,
+            "blocks": [pair.to_json_dict() for pair in self.pairs],
         }
 
 
@@ -167,7 +187,6 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     if not check:
         raise ConditionError("; ".join(check.failures))
     pairs = []
-    labels = []
     stable = 0
     vectors = []
     basis = problem.basis
@@ -175,17 +194,14 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
         pair = block_eigenvalues(lam, alpha, beta)
         pairs.append(pair)
         if lam > 0:
-            labels.append("stable")
             stable += 2
         elif lam == 0:
             # beta < 1 keeps the roots {1, beta} distinct, so the block is
             # diagonalizable; guard the assumption at runtime.
             if pair.mu_hi == pair.mu_lo:
                 raise ArithmeticError("zero-eigenvalue block produced a repeated root")
-            labels.append("unit")
             stable += 2
         else:
-            labels.append("unstable")
             stable += 1
             direction = basis[:, i] if basis is not None else np.eye(1, problem.n, i)[0]
             vectors.append(unstable_eigenvector(lam, alpha, beta, direction))
@@ -193,7 +209,6 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     eigvecs = np.array(vectors) if vectors else np.empty((0, 2 * problem.n))
     return SpectrumClassification(
         pairs=tuple(pairs),
-        labels=tuple(labels),
         stable_dim=stable,
         unstable_dim=unstable,
         unstable_eigenvectors=eigvecs,

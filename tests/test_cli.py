@@ -5,7 +5,16 @@ import math
 
 import pytest
 
-from saddlescape import SCHEDULE_KINDS, NesterovSchedule, cli, rate_sequence
+from saddlescape import (
+    SCHEDULE_KINDS,
+    NesterovSchedule,
+    PerturbedStart,
+    cli,
+    divergence_table,
+    negspace_experiment,
+    rate_sequence,
+    toy_figure,
+)
 from saddlescape.schedules import TkPropertyReport
 
 
@@ -13,6 +22,12 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_writer_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 class TestToyCommand:
@@ -35,6 +50,15 @@ class TestToyCommand:
         assert code == 0
         data = json.loads(out)
         assert set(data) >= {"descent", "heavy_ball", "thin"}
+
+    def test_csv_matches_csv_writer(self, capsys):
+        code, out, _ = run_cli(capsys, "toy", "--iters", "800", "--thin", "3")
+        assert code == 0
+        fig = toy_figure(0.02, 0.75, 0.985, [0.25, 0.01], 800, 3)
+        rows = [["method", "iter", "x1", "x2"]]
+        for name, block in (("steepest_descent", fig.descent), ("heavy_ball", fig.heavy_ball)):
+            rows += [[name, str(3 * j), f"{a:.12g}", f"{b:.12g}"] for j, (a, b) in enumerate(block)]
+        assert out == csv_writer_text(rows)
 
     def test_bad_x0_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "toy", "--x0", "1,2,3")
@@ -88,6 +112,19 @@ class TestSpectrumCommand:
                 + [block["class"]]
             )
         assert out == buffer.getvalue()
+
+    @pytest.mark.parametrize("lam", ["-0.02", "0", "0.5"])
+    def test_single_block_csv_matches_its_json(self, capsys, lam):
+        argv = ["spectrum", f"--lambda={lam}", "--alpha", "3", "--beta", "0.94"]
+        _, report, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        (block,) = json.loads(report)["blocks"]
+        assert block["class"] == {"-0.02": "unstable", "0": "unit", "0.5": "stable"}[lam]
+        hi, lo = block["mu_hi"], block["mu_lo"]
+        row = [f"{v:.12g}" for v in (block["lambda"], hi["re"], hi["im"], lo["re"], lo["im"])]
+        expected = [["lambda", "mu_hi_re", "mu_hi_im", "mu_lo_re", "mu_lo_im", "class"], row + [block["class"]]]
+        assert out == csv_writer_text(expected)
 
     def test_missing_mode_flags(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--beta", "0.9")
@@ -283,6 +320,28 @@ class TestSimulateCommand:
         assert len(lines) == 52
         assert "seed" in err
 
+    @pytest.mark.parametrize(
+        "argv, kwargs",
+        [
+            # a run that stops at the divergence cutoff leaves empty cells
+            (["--n", "30", "--delta", "0.05", "--seed", "5", "--iters", "2500"],
+             {"n": 30, "delta": 0.05, "seed": 5, "iterations": 2500}),
+            (["--n", "40", "--p", "3", "--iters", "200", "--eps-perturb", "1e-6"],
+             {"n": 40, "p": 3, "iterations": 200, "start_policy": PerturbedStart(1e-6, 0)}),
+        ],
+    )
+    def test_csv_matches_csv_writer(self, capsys, argv, kwargs):
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert code == 0
+        series = negspace_experiment(**kwargs)
+        blocks = [series.descent, series.heavy_ball, series.accelerated, series.predicted]
+        rows = [["iter", "steepest_descent", "heavy_ball", "accelerated", "predicted"]]
+        for k in range(max(block.size for block in blocks)):
+            rows.append([str(k)] + [f"{b[k]:.12g}" if k < b.size else "" for b in blocks])
+        assert out == csv_writer_text(rows)
+        if kwargs["n"] == 30:
+            assert rows[-1][2:4] == ["", ""]
+
     def test_perturbed_predecessor(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--n", "30", "--iters", "50", "--eps-perturb", "1e-6",
@@ -301,6 +360,26 @@ class TestTableCommand:
         lines = out.splitlines()
         assert lines[0].startswith("n,delta,row_type")
         assert len([l for l in lines if ",trial," in l]) == 3
+
+    def test_csv_matches_csv_writer(self, capsys):
+        # a cap of 60 censors some trials, so not every average is a whole number
+        argv = ["--n", "30", "50", "--delta", "0.02", "0.001", "--trials", "4", "--seed", "1", "--iters", "60"]
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            code, out, _ = run_cli(capsys, "table", *argv)
+        assert code == 0
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            result = divergence_table(ns=[30, 50], deltas=[0.02, 0.001], trials=4, seed=1, iteration_cap=60)
+        methods = ["steepest_descent", "accelerated_gradient", "rate_predictor"]
+        rows = [["n", "delta", "row_type", "trial_or_method", *methods]]
+        for rec in result.trials:
+            rows.append([rec.n, f"{rec.delta:.12g}", "trial", rec.trial, *(getattr(rec, m) for m in methods)])
+        for n, delta in [(30, 0.001), (30, 0.02), (50, 0.001), (50, 0.02)]:
+            summary = [result.row(n, delta, m) for m in methods]
+            rows.append([n, f"{delta:.12g}", "average", ""] + [f"{r.avg_iters:.12g}" for r in summary])
+            rows.append([n, f"{delta:.12g}", "max", ""] + [r.max_iters for r in summary])
+        assert any(row.censored for row in result.rows)
+        assert any(not row.avg_iters.is_integer() for row in result.rows)
+        assert out == csv_writer_text(rows)
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -370,6 +449,39 @@ class TestNonFiniteInput:
         assert out == ""
         assert err.startswith("saddlescape: error:") and err.count("\n") == 1
         assert "NaN" not in err and "Infinity" not in err
+
+
+class TestOutOfDomainInput:
+    """Inputs that used to exit 0 with NaN output, or fail with numpy's own message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["toy", "--threshold", "nan"], "threshold must be positive and finite"),
+            (["toy", "--threshold", "inf", "--json"], "threshold must be positive and finite"),
+            (["toy", "--beta", "1"], "beta must lie in [0, 1)"),
+            (["rates", "--lambda=-0.01", "--alpha", "0.5", "--format", "csv",
+              "--threshold", "nan", "--projection", "inf"], "--projection must be positive and finite"),
+            (["rates", "--lambda=-0.01", "--alpha", "0.5", "--format", "csv", "--projection", "-1"],
+             "--projection must be positive and finite"),
+            (["rates", "--lambda=-0.01", "--alpha", "0.5", "--format", "csv", "--threshold", "inf"],
+             "--threshold must be positive and finite"),
+            (["rates", "--lambda=-0.01", "--alpha", "0.5", "--threshold", "0"],
+             "--threshold must be positive and finite"),
+            (["simulate", "--p", "10", "--n", "10"], "1 <= p < n, got p=10, n=10"),
+            (["simulate", "--p", "11", "--n", "10"], "1 <= p < n, got p=11, n=10"),
+            (["simulate", "--n", "0"], "1 <= p < n, got p=1, n=0"),
+            (["simulate", "--p", "0"], "1 <= p < n, got p=0, n=100"),
+            (["verify-tk", "--K", "1"], "count must be at least 2"),
+        ],
+    )
+    def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 1
+        assert out == "" and not path.exists()
+        assert err.startswith("saddlescape: error:") and err.count("\n") == 1
+        assert message in err
 
 
 class TestCliContract:

@@ -1,9 +1,10 @@
-import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     ConstantSchedule,
@@ -18,8 +19,10 @@ from saddlescape import (
     rng_from,
     run_accelerated,
     run_gradient_descent,
+    run_heavy_ball,
     sample_unit_ball,
     toy_figure,
+    toy_problem,
 )
 from saddlescape.experiments import TABLE_METHODS
 from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, iterate
@@ -57,14 +60,47 @@ class TestToyFigure:
 
     def test_csv_blocks(self):
         fig = toy_figure(0.02, 0.75, 0.985, [0.25, 0.01], iterations=20, thin=5)
-        buffer = io.StringIO()
-        fig.to_csv(buffer)
-        lines = buffer.getvalue().splitlines()
+        lines = "".join(fig.to_csv()).splitlines()
         assert lines[0] == "method,iter,x1,x2"
         methods = {line.split(",")[0] for line in lines[1:]}
         assert methods == {"steepest_descent", "heavy_ball"}
         iters = [line.split(",")[1] for line in lines[1:6]]
         assert iters == ["0", "5", "10", "15", "20"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        delta=st.floats(1e-3, 0.5),
+        alpha=st.floats(0.05, 1.9),
+        beta=st.floats(0.0, 0.99),
+        x0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        threshold=st.floats(1e-3, 10.0),
+    )
+    def test_escapes_match_escape_time(self, delta, alpha, beta, x0, threshold):
+        fig = toy_figure(delta, alpha, beta, x0, iterations=400, thin=3, threshold=threshold)
+        problem, start = toy_problem(delta), np.array(x0)
+        projector = problem.negative_projector()
+        descent = run_gradient_descent(problem, alpha, start, 400)
+        heavy = run_heavy_ball(problem, alpha, beta, start, EqualStart(), 400)
+        assert fig.descent_escape == escape_time(descent, projector, threshold)
+        assert fig.heavy_ball_escape == escape_time(heavy, projector, threshold)
+        assert np.array_equal(fig.descent, descent.points[::3])
+        assert np.array_equal(fig.heavy_ball, heavy.points[::3])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"threshold": float("nan")},
+            {"threshold": float("inf")},
+            {"threshold": 0.0},
+            {"beta": 1.0},
+            {"beta": -0.1},
+            {"x0": [0.25, 0.01, 0.0]},
+        ],
+    )
+    def test_domain(self, kwargs):
+        args = {"delta": 0.02, "alpha": 0.75, "beta": 0.985, "x0": [0.25, 0.01], "iterations": 5, **kwargs}
+        with pytest.raises(ValueError):
+            toy_figure(**args)
 
 
 class TestNegspaceExperiment:
@@ -101,21 +137,22 @@ class TestNegspaceExperiment:
         out = []
         for _ in range(2):
             series = negspace_experiment(n=40, p=1, delta=1e-2, seed=9, iterations=120)
-            buffer = io.StringIO()
-            series.to_csv(buffer)
-            out.append(buffer.getvalue())
+            out.append("".join(series.to_csv()))
         assert out[0] == out[1]
 
     def test_csv_pads_truncated_series(self):
         # long enough that the momentum runs hit the divergence cutoff first
         series = negspace_experiment(n=30, p=1, delta=5e-2, seed=5, iterations=2500)
         assert series.accelerated.size < series.descent.size
-        buffer = io.StringIO()
-        series.to_csv(buffer)
-        lines = buffer.getvalue().splitlines()
+        lines = "".join(series.to_csv()).splitlines()
         assert len(lines) == 1 + series.descent.size
         tail = lines[-1].split(",")
         assert tail[2] == "" and tail[3] == ""  # heavy-ball and accelerated padded
+
+    @pytest.mark.parametrize("n, p", [(10, 10), (10, 11), (0, 1), (10, 0)])
+    def test_p_and_n_domain(self, n, p):
+        with pytest.raises(ValueError, match=f"1 <= p < n, got p={p}, n={n}"):
+            negspace_experiment(n=n, p=p, iterations=5)
 
     def test_json_shape(self):
         series = negspace_experiment(n=30, p=1, delta=1e-2, seed=6, iterations=40)
@@ -239,9 +276,7 @@ class TestDivergenceTable:
 
     def test_csv_has_trial_and_summary_rows(self):
         result = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=2)
-        buffer = io.StringIO()
-        result.to_csv(buffer)
-        lines = buffer.getvalue().splitlines()
+        lines = "".join(result.to_csv()).splitlines()
         assert lines[0] == "n,delta,row_type,trial_or_method," + ",".join(TABLE_METHODS)
         kinds = [line.split(",")[2] for line in lines[1:]]
         assert kinds.count("trial") == 3

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,16 +8,13 @@ from saddlescape import (
     NesterovSchedule,
     PerturbedStart,
     QuadraticProblem,
-    RunConfig,
     escape_time,
     random_problem,
     rng_from,
-    run,
     run_accelerated,
     run_gradient_descent,
     run_heavy_ball,
     toy_problem,
-    write_trace_csv,
 )
 from saddlescape.schedules import params_array
 
@@ -134,13 +129,6 @@ class TestAccelerated:
             )
             assert np.array_equal(full.coordinate(i), single.coordinate(0))
 
-    def test_run_config_delegates(self):
-        prob = toy_problem(0.1)
-        config = RunConfig(alpha=0.5, schedule=ConstantSchedule(0.5), x0=np.array([1.0, 0.1]),
-                           iterations=20)
-        direct = run_accelerated(prob, 0.5, ConstantSchedule(0.5), config.x0, EqualStart(), 20)
-        assert np.array_equal(run(prob, config).points, direct.points)
-
 
 class TestHeavyBall:
     def test_critical_pair_is_fixed(self):
@@ -218,6 +206,14 @@ class TestEscapeTime:
         with pytest.raises(ValueError):
             escape_time(trace, prob.negative_projector(), 0.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # NaN used to pass the positivity check and report no escape
+        prob = toy_problem(0.1)
+        trace = run_gradient_descent(prob, 0.5, np.array([1.0, 0.1]), 5)
+        with pytest.raises(ValueError, match="finite"):
+            escape_time(trace, prob.negative_projector(), threshold)
+
     def test_accepts_vector_projector(self):
         prob = toy_problem(0.02)
         trace = run_gradient_descent(prob, 1.0, np.array([1.0, 0.01]), 300)
@@ -239,30 +235,3 @@ class TestSaddleAvoidance:
                 converged += 1
         assert converged == 0
 
-
-class TestTraceCsv:
-    def test_columns_thinning_and_line_endings(self):
-        prob = toy_problem(0.02)
-        trace = run_gradient_descent(prob, 0.75, np.array([1.0, 0.01]), 20)
-        buffer = io.StringIO()
-        write_trace_csv(trace, buffer, thin=5)
-        text = buffer.getvalue()
-        lines = text.split("\n")
-        assert lines[0] == "iter,x1,x2,f,grad_norm"
-        assert [line.split(",")[0] for line in lines[1:6]] == ["0", "5", "10", "15", "20"]
-        assert "\r" not in text
-
-    def test_projection_column(self):
-        prob = toy_problem(0.02)
-        trace = run_gradient_descent(prob, 0.75, np.array([1.0, 0.01]), 5)
-        buffer = io.StringIO()
-        write_trace_csv(trace, buffer, projector=prob.negative_projector())
-        assert buffer.getvalue().splitlines()[0] == "iter,proj_norm,f,grad_norm"
-
-    def test_deterministic_bytes(self):
-        prob = toy_problem(0.02)
-        trace = run_gradient_descent(prob, 0.75, np.array([1.0, 0.01]), 50)
-        a, b = io.StringIO(), io.StringIO()
-        write_trace_csv(trace, a, thin=2)
-        write_trace_csv(trace, b, thin=2)
-        assert a.getvalue() == b.getvalue()

@@ -6,7 +6,6 @@ import pytest
 from saddlescape import (
     FunctionOracle,
     QuadraticProblem,
-    gradient,
     random_orthogonal,
     random_problem,
     rng_from,
@@ -76,17 +75,17 @@ class TestRandomProblem:
 class TestGradient:
     def test_zero_point(self):
         prob = random_problem(12, 2, 0.1, seed=3)
-        assert np.array_equal(gradient(prob, np.zeros(12)), np.zeros(12))
+        assert np.array_equal(prob.gradient(np.zeros(12)), np.zeros(12))
 
     def test_diagonal_componentwise(self):
         prob = QuadraticProblem(np.array([1.0, -0.02]))
         eps = 1e-3
-        assert np.allclose(gradient(prob, np.array([1.0, eps])), [1.0, -0.02 * eps], rtol=1e-15)
+        assert np.allclose(prob.gradient(np.array([1.0, eps])), [1.0, -0.02 * eps], rtol=1e-15)
 
     def test_dimension_mismatch(self):
         prob = toy_problem(0.1)
         with pytest.raises(ValueError):
-            gradient(prob, np.zeros(3))
+            prob.gradient(np.zeros(3))
 
     def test_matches_finite_differences(self):
         # central differences are exact for quadratics up to rounding
@@ -113,7 +112,7 @@ class TestGradient:
     def test_batched_evaluation(self):
         prob = random_problem(6, 2, 0.1, seed=9).rotated(basis_seed=4)
         xs = rng_from(5).standard_normal((7, 6))
-        values, grads = prob.evaluate(xs)
+        values, grads = prob.value(xs), prob.gradient(xs)
         for i in range(7):
             assert values[i] == pytest.approx(prob.value(xs[i]), rel=1e-14)
             assert np.allclose(grads[i], prob.gradient(xs[i]), rtol=1e-14)

@@ -45,12 +45,13 @@ def params_at(schedule, k):
 class TestNesterovT:
     def test_first_terms(self):
         seq = nesterov_t(2)
+        assert not seq.flags.writeable
         assert seq[0] == 1.0
         assert seq[1] == pytest.approx((math.sqrt(5.0) + 1.0) / 2.0, rel=1e-15)
         assert seq[2] == pytest.approx(2.1935271, rel=1e-6)
 
     def test_lower_bound_holds_everywhere(self):
-        t = nesterov_t(10**4).values
+        t = nesterov_t(10**4)
         k = np.arange(10**4 + 1)
         assert np.all(t >= (k + 1) / 2.0)
 
@@ -140,13 +141,13 @@ class TestTkProperties:
 
     def test_ratio_inside_bounds_at_end(self):
         report = verify_tk_properties(1000)
-        t = nesterov_t(1000).values
+        t = nesterov_t(1000)
         assert 1.0 - 2.0 / (t[999] + 1.0) <= report.final_ratio <= 1.0
 
     def test_small_count_ratios_nondecreasing(self):
         report = verify_tk_properties(2)
         assert report.ratio_monotone
-        t = nesterov_t(2).values
+        t = nesterov_t(2)
         assert (t[0] - 1.0) / t[1] == 0.0
 
     def test_count_domain(self):
@@ -233,6 +234,19 @@ class TestScheduleKinds:
         ],
     )
     def test_extra_missing_or_unknown_keys(self, data):
+        with pytest.raises(ValueError):
+            schedule_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": ["x"]},
+            {"kind": {"nested": 1}},
+            {"kind": "attouch", "eta": None},
+            {"kind": "constant", "beta": [1]},
+        ],
+    )
+    def test_malformed_kind_or_value_raises_value_error(self, data):
         with pytest.raises(ValueError):
             schedule_from_json_dict(data)
 
