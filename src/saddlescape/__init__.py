@@ -8,8 +8,6 @@ experiments.
 __version__ = "0.1.0"
 
 from .problems import (
-    FunctionOracle,
-    GradientOracle,
     QuadraticProblem,
     random_orthogonal,
     random_problem,

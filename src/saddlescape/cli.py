@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from collections.abc import Iterable
 from dataclasses import MISSING, fields
 
@@ -59,6 +60,10 @@ def _parse_schedule_spec(text: str, alpha: float, delta: float, gamma_hat: float
     return cls(*values)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"saddlescape: warning: {message}\n"
+
+
 def _echo_config(command: str, config: dict) -> None:
     print(f"saddlescape {command} config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
 
@@ -97,17 +102,14 @@ def _resolve_format(args, default: str) -> str:
 
 def _cmd_toy(args) -> int:
     fmt = _resolve_format(args, "csv")
-    x0 = args.x0
-    if x0.size != 2:
-        raise ValueError("--x0 must have exactly two components")
-    figure = toy_figure(args.delta, args.alpha, args.beta, x0, args.iters, args.thin, args.threshold)
+    figure = toy_figure(args.delta, args.alpha, args.beta, args.x0, args.iters, args.thin, args.threshold)
     _echo_config(
         "toy",
         {
             "delta": args.delta,
             "alpha": args.alpha,
             "beta": args.beta,
-            "x0": list(map(float, x0)),
+            "x0": list(map(float, args.x0)),
             "iters": args.iters,
             "thin": args.thin,
             "threshold": args.threshold,
@@ -336,14 +338,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help/usage errors itself
         return int(exc.code or 0)
+    # Warnings still reach whatever records or filters them; only their
+    # printed form becomes one line without a source location.
+    previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
-    except (ValueError, ScheduleError, ConditionError) as exc:
+    except (ValueError, ScheduleError, ConditionError, OSError) as exc:
         print(f"saddlescape: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"saddlescape: error: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        warnings.formatwarning = previous
 
 
 def console_entry() -> None:

@@ -111,16 +111,15 @@ def toy_figure(
     problem = toy_problem(delta)
     start = np.asarray(x0, dtype=float)[None]
     if start.shape != (1, 2):
-        raise ValueError(f"x0 must have two components, got {x0!r}")
+        raise ValueError(f"x0 must have two components, got {start.size}")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
-    gradient = lambda y, rows: problem.gradient(y)  # noqa: E731
 
     def points_and_escape(schedule):
         trace = Trace()
-        batch = iterate(gradient, alpha, schedule, start, start, iterations, trace)
+        batch = iterate(problem.eigenvalues, alpha, schedule, start, start, iterations, trace)
         points = trace.values[: batch.steps[0] + 1, 0]
         hits = np.flatnonzero(np.abs(points[:, 1]) >= threshold)
         return points[::thin].copy(), int(hits[0]) if hits.size else None
@@ -211,16 +210,17 @@ def negspace_experiment(
     lam_n = float(eigenvalues[-1])
     beta_hb = 1.0 - alpha * abs(lam_n)
     alpha_ag = 0.99 / lipschitz
+    # The coordinates decouple and only the negative block's norms are
+    # written; with these step sizes and schedules the positive coordinates
+    # contract, so they cannot stop a run at the divergence cutoff either.
     mask = eigenvalues < 0
-
-    start = x0[None]
-    previous = start_policy.resolve(x0)[None]
+    start = x0[mask][None]
+    previous = start_policy.resolve(x0)[mask][None]
 
     def proj_norms(step_size, schedule, x_prev):
-        projection = Trace(mask)
-        gradient = lambda y, rows: problem.gradient(y)  # noqa: E731
-        batch = iterate(gradient, step_size, schedule, start, x_prev, iterations, projection)
-        return projection.norms(0, batch.steps[0])
+        trace = Trace()
+        batch = iterate(eigenvalues[mask], step_size, schedule, start, x_prev, iterations, trace)
+        return trace.norms(0, batch.steps[0])
 
     descent = proj_norms(alpha, GRADIENT_DESCENT, start)
     heavy = proj_norms(alpha, ConstantSchedule(beta_hb, 0.0), previous)
@@ -388,15 +388,8 @@ def divergence_table(
         neg_values, neg_start, lipschitz = np.array(neg_values), np.array(neg_start), np.array(lipschitz)
 
         def escape_steps(step_sizes, momentum):
-            active = [neg_values]  # curvatures of the active rows, re-indexed when rows leave
-
-            def gradient(y, rows):
-                if active[0].shape[0] != rows.size:
-                    active[0] = neg_values[rows]
-                return active[0] * y
-
             crossing = FirstCrossing(cell_threshold)
-            iterate(gradient, step_sizes, momentum, neg_start, neg_start, cap, crossing)
+            iterate(neg_values, step_sizes, momentum, neg_start, neg_start, cap, crossing)
             return [(int(k), False) if k >= 0 else (cap, True) for k in crossing.crossing]
 
         def predicted_count(curvature, start, alpha):

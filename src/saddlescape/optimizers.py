@@ -6,10 +6,11 @@ All three methods run the same two-term recurrence
     x^{k+1} = x^k - alpha * grad f(y^k) + beta_k (x^k - x^{k-1})
 
 with gradient descent as (beta, gamma) = (0, 0) and heavy-ball as
-(beta, 0).  One kernel, :func:`iterate`, runs it over a batch of starts and
-hands every iterate to a reducer: :class:`Trace` keeps all of them or only
-the columns of a subspace, and :class:`FirstCrossing` only the step at which
-the state's norm reaches a threshold.
+(beta, 0).  One kernel, :func:`iterate`, runs it over a batch of starts on a
+quadratic in its Hessian's eigenbasis, where ``grad f(y) = h * y`` for the
+diagonal curvatures ``h``, and hands every iterate to a reducer:
+:class:`Trace` keeps all of them, and :class:`FirstCrossing` only the step at
+which the state's norm reaches a threshold.
 Traces index iterates by the number of update steps applied: ``points[0]``
 is the starting point and ``points[k]`` the k-th iterate.
 """
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problems import GradientOracle
+from .problems import QuadraticProblem
 from .schedules import ConstantSchedule, MomentumSchedule, params_array
 from .seeding import rng_from
 
@@ -65,8 +66,8 @@ class PerturbedStart:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
     def resolve(self, x0: np.ndarray) -> np.ndarray:
         x0 = np.asarray(x0, dtype=float)
@@ -118,19 +119,16 @@ class BatchRun(NamedTuple):
 
 
 class Trace:
-    """Reducer storing the columns ``x[:, mask]`` of every iterate (all columns when ``mask`` is None).
+    """Reducer storing every iterate.
 
     Row ``i`` of a run that took ``steps`` steps is ``values[: steps + 1, i]``.
     """
 
-    def __init__(self, mask: np.ndarray | None = None):
-        self.columns = slice(None) if mask is None else np.flatnonzero(mask)
-
     def start(self, x0: np.ndarray, iterations: int) -> None:
-        self.values = np.empty((iterations + 1, *x0[:, self.columns].shape))
+        self.values = np.empty((iterations + 1, *x0.shape))
 
     def step(self, k: int, x: np.ndarray, rows: np.ndarray) -> None:
-        self.values[k, rows] = x[:, self.columns]
+        self.values[k, rows] = x
 
     def norms(self, i: int, steps: int) -> np.ndarray:
         """Row ``i``'s norms, summed column by column as ``norm(points[:, mask], axis=1)`` sums."""
@@ -158,7 +156,7 @@ class FirstCrossing:
 
 
 def iterate(
-    gradient,
+    curvatures,
     alpha,
     schedule: MomentumSchedule,
     x0: np.ndarray,
@@ -169,11 +167,12 @@ def iterate(
     """Run the recurrence from every row of the ``(batch, n)`` array ``x0`` at once.
 
     ``x_prev`` holds the rows' momentum predecessors and ``alpha`` one step
-    size or one per row.  ``gradient(y, rows)`` returns the gradients at the
-    active rows ``y``, whose indices in the batch are ``rows``.  The reducer
-    sees every iterate of the active rows, the start included.  A row leaves
-    the active set at the first step where a coordinate is non-finite or past
-    ``DIVERGENCE_CUTOFF`` in magnitude, or where ``reducer.step`` marks it.
+    size or one per row.  ``curvatures`` is the Hessian's diagonal, one row
+    of ``n`` for every start or one per start, so the gradient at ``y`` is
+    ``curvatures * y``.  The reducer sees every iterate of the active rows,
+    the start included.  A row leaves the active set at the first step where
+    a coordinate is non-finite or past ``DIVERGENCE_CUTOFF`` in magnitude, or
+    where ``reducer.step`` marks it.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
@@ -186,6 +185,12 @@ def iterate(
         raise ValueError("starts and predecessors must be nonempty (batch, n) arrays of one shape")
     if not (np.isfinite(x).all() and np.isfinite(xp).all()):
         raise ValueError("starts and predecessors must be finite")
+    h = np.asarray(curvatures, dtype=float)
+    if h.shape not in (x.shape[1:], (1, x.shape[1]), x.shape):
+        raise ValueError(f"curvatures must be one row of {x.shape[1]} or one per start, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("curvatures must be finite")
+    h = np.broadcast_to(h, x.shape)
     a = np.broadcast_to(step_sizes, x.shape[:1])[:, None]  # raises unless one step size or one per row
     result = BatchRun(np.zeros(x.shape[0], dtype=int), np.zeros(x.shape[0], dtype=bool), np.empty_like(x))
     rows = np.arange(x.shape[0])
@@ -202,7 +207,7 @@ def iterate(
                     betas, gammas = params_array(schedule, horizon)
                 d = x - xp
                 y = x + gammas[k] * d
-                xn = x - a * gradient(y, rows) + betas[k] * d
+                xn = x - a * (h * y) + betas[k] * d
                 xp, x = x, xn
             hit = None if reducer is None else reducer.step(k, x, rows)
             # One whole-batch reduction per step; rows are told apart only
@@ -214,7 +219,7 @@ def iterate(
             stop = diverging if hit is None else diverging | hit
             out, keep = rows[stop], ~stop
             result.steps[out], result.diverged[out], result.final[out] = k, diverging[stop], x[stop]
-            rows, x, xp, a = rows[keep], x[keep], xp[keep], a[keep]
+            rows, x, xp, a, h = rows[keep], x[keep], xp[keep], a[keep], h[keep]
             if rows.size == 0:
                 break
     if rows.size:  # rows that ran all ``iterations`` steps
@@ -223,18 +228,18 @@ def iterate(
 
 
 def run_gradient_descent(
-    oracle: GradientOracle, alpha: float, x0: np.ndarray, iterations: int
+    problem: QuadraticProblem, alpha: float, x0: np.ndarray, iterations: int
 ) -> IterationTrace:
     """Run ``x^{k+1} = x^k - alpha * grad f(x^k)`` for ``iterations`` steps.
 
     On a diagonal quadratic, coordinate ``i`` of ``points[k]`` equals
     ``(1 - alpha * lambda_i)^k`` times its starting value.
     """
-    return run_accelerated(oracle, alpha, GRADIENT_DESCENT, x0, EqualStart(), iterations)
+    return run_accelerated(problem, alpha, GRADIENT_DESCENT, x0, EqualStart(), iterations)
 
 
 def run_heavy_ball(
-    oracle: GradientOracle,
+    problem: QuadraticProblem,
     alpha: float,
     beta: float,
     x0: np.ndarray,
@@ -244,26 +249,33 @@ def run_heavy_ball(
     """Run the heavy-ball method ``x^{k+1} = x^k - alpha*grad f(x^k) + beta*(x^k - x^{k-1})``."""
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
-    return run_accelerated(oracle, alpha, ConstantSchedule(beta, 0.0), x0, start_policy, iterations)
+    return run_accelerated(problem, alpha, ConstantSchedule(beta, 0.0), x0, start_policy, iterations)
 
 
 def run_accelerated(
-    oracle: GradientOracle,
+    problem: QuadraticProblem,
     alpha: float,
     schedule: MomentumSchedule,
     x0: np.ndarray,
     start_policy: StartPolicy = EqualStart(),
     iterations: int = 100,
 ) -> IterationTrace:
-    """Run the general accelerated framework under the given momentum schedule."""
+    """Run the general accelerated framework under the given momentum schedule.
+
+    A rotated problem runs in its eigen-coordinates ``x @ basis``, and the
+    trace is mapped back, so the divergence cutoff applies to those
+    coordinates.
+    """
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.size != oracle.dimension:
-        raise ValueError(f"starting point must have dimension {oracle.dimension}")
+    if x0.ndim != 1 or x0.size != problem.n:
+        raise ValueError(f"starting point must have dimension {problem.n}")
     x_prev = start_policy.resolve(x0)
+    basis = problem.basis
+    z0, z_prev = (x0, x_prev) if basis is None else (x0 @ basis, x_prev @ basis)
     trace = Trace()
-    gradient = lambda y, rows: oracle.gradient(y)  # noqa: E731
-    batch = iterate(gradient, alpha, schedule, x0[None], x_prev[None], iterations, trace)
-    return IterationTrace(trace.values[: batch.steps[0] + 1, 0], x_prev, bool(batch.diverged[0]))
+    batch = iterate(problem.eigenvalues, alpha, schedule, z0[None], z_prev[None], iterations, trace)
+    points = trace.values[: batch.steps[0] + 1, 0]
+    return IterationTrace(points if basis is None else points @ basis.T, x_prev, bool(batch.diverged[0]))
 
 
 def escape_time(trace: IterationTrace, subspace_projector: np.ndarray, threshold: float) -> int | None:

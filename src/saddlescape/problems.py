@@ -1,9 +1,8 @@
-"""Quadratic test problems with known spectra and a gradient-oracle interface."""
+"""Quadratic test problems with known spectra."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -11,8 +10,6 @@ from .seeding import rng_from
 
 __all__ = [
     "BASIS_TOLERANCE",
-    "GradientOracle",
-    "FunctionOracle",
     "QuadraticProblem",
     "toy_problem",
     "random_problem",
@@ -21,33 +18,6 @@ __all__ = [
 ]
 
 BASIS_TOLERANCE = 1e-10
-
-
-@runtime_checkable
-class GradientOracle(Protocol):
-    """A smooth objective exposing its gradient, the only call the optimizers make.
-
-    ``gradient`` accepts points of shape ``(..., dimension)`` and returns the
-    gradients with matching leading axes.
-    """
-
-    dimension: int
-
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class FunctionOracle:
-    """Wrap a callable ``x -> (value, gradient)`` as a gradient oracle."""
-
-    dimension: int
-    func: Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.func(np.asarray(x, dtype=float))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[1]
 
 
 @dataclass(frozen=True)
@@ -79,6 +49,8 @@ class QuadraticProblem:
         ev = np.array(self.eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-D array")
+        if not np.isfinite(ev).all():
+            raise ValueError("eigenvalues must be finite")
         if np.any(np.diff(ev) > 0):
             raise ValueError("eigenvalues must be sorted nonincreasing")
         ev.setflags(write=False)
@@ -95,11 +67,6 @@ class QuadraticProblem:
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.size
-
-    # alias so problems satisfy the GradientOracle protocol
-    @property
-    def dimension(self) -> int:
         return self.eigenvalues.size
 
     @property

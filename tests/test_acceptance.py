@@ -281,7 +281,7 @@ def test_criterion_8_saddle_avoidance_monte_carlo():
     # One batch of 1000 heavy-ball runs; row i is run_heavy_ball from starts[i]
     # with the PerturbedStart(1e-6, seed=i) predecessor.
     runs = iterate(
-        lambda y, rows: prob.gradient(y), alpha, ConstantSchedule(beta, 0.0),
+        prob.eigenvalues, alpha, ConstantSchedule(beta, 0.0),
         np.array(starts), np.array(predecessors), 10**4,
     )
     converged = int(np.count_nonzero(~runs.diverged & (np.linalg.norm(runs.final, axis=1) <= 1e-8)))

@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from saddlescape import (
     rate_sequence,
     toy_figure,
 )
+from saddlescape.experiments import TABLE_METHODS
 from saddlescape.schedules import TkPropertyReport
 
 
@@ -390,6 +396,31 @@ class TestTableCommand:
         data = json.loads(out)
         assert len(data["cells"]) == 2
 
+    def test_censored_run_prints_one_line_per_warning(self, tmp_path):
+        # Python's default format adds the caller's path and source line to
+        # each warning; run in a child, where warnings are printed, not recorded.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        argv = ["table", "--n", "30", "--delta", "0.02", "--trials", "2", "--iters", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "saddlescape", *argv, "--out", str(tmp_path / "table.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            *(f"saddlescape: warning: 2 of 2 trials (n=30, delta=0.02) hit the iteration cap for {method}"
+              for method in TABLE_METHODS),
+            'saddlescape table config: {"delta": [0.02], "format": "csv", "iters": 5, "n": [30], '
+            '"seed": 0, "threshold": null, "trials": 2}',
+        ]
+
+    def test_warning_format_is_restored(self, capsys):
+        original = warnings.formatwarning
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            code, _, _ = run_cli(capsys, "table", "--n", "30", "--delta", "0.02", "--trials", "2", "--iters", "5")
+        assert code == 0
+        assert warnings.formatwarning is original
+
 
 class TestVerifyTkCommand:
     def test_reports_pass_and_exits_zero(self, capsys):
@@ -473,6 +504,9 @@ class TestOutOfDomainInput:
             (["simulate", "--n", "0"], "1 <= p < n, got p=1, n=0"),
             (["simulate", "--p", "0"], "1 <= p < n, got p=0, n=100"),
             (["verify-tk", "--K", "1"], "count must be at least 2"),
+            (["simulate", "--eps-perturb", "nan"], "epsilon must be positive and finite, got nan"),
+            (["simulate", "--eps-perturb", "inf"], "epsilon must be positive and finite, got inf"),
+            (["toy", "--x0", "1,2,3"], "x0 must have two components, got 3"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):

@@ -31,10 +31,7 @@ from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, iterate
 def _escape_steps(neg_values, neg_start, alpha, schedule, threshold, cap):
     """Escape count of the negative block through the batched kernel, as the table runs it."""
     crossing = FirstCrossing(threshold)
-    iterate(
-        lambda y, rows: neg_values * y, alpha, schedule,
-        neg_start[None], neg_start[None], cap, crossing,
-    )
+    iterate(neg_values, alpha, schedule, neg_start[None], neg_start[None], cap, crossing)
     steps = int(crossing.crossing[0])
     return (cap, True) if steps < 0 else (steps, False)
 

@@ -17,6 +17,7 @@ from saddlescape import (
     random_problem,
     rng_from,
     run_accelerated,
+    run_heavy_ball,
     sample_unit_ball,
     toy_problem,
 )
@@ -74,9 +75,8 @@ def predecessors(setup):
 
 
 def run_batch(setup, reducer=None):
-    problem = setup["problem"]
     return iterate(
-        lambda y, rows: problem.gradient(y),
+        setup["problem"].eigenvalues,
         setup["alphas"],
         setup["schedule"],
         setup["starts"],
@@ -112,7 +112,7 @@ def test_first_crossing_equals_escape_time_on_full_trace(setup, threshold):
     mask = problem.eigenvalues < 0
     crossing = FirstCrossing(threshold)
     batch = iterate(
-        lambda y, rows: problem.eigenvalues[mask] * y,
+        problem.eigenvalues[mask],
         setup["alphas"],
         setup["schedule"],
         setup["starts"][:, mask],
@@ -128,31 +128,63 @@ def test_first_crossing_equals_escape_time_on_full_trace(setup, threshold):
 
 
 @PROPERTY
-@given(setups(batch=3))
-def test_projection_norms_equal_full_trace_norms(setup):
-    mask = setup["problem"].eigenvalues < 0
-    projection = Trace(mask)
-    batch = run_batch(setup, projection)
-    for i, trace in enumerate(serial_traces(setup)):
-        norms = projection.norms(i, batch.steps[i])
-        assert np.array_equal(norms, np.linalg.norm(trace.points[:, mask], axis=1))
+@given(
+    st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    st.floats(1e-3, 0.5),
+    st.integers(0, 2**16),
+    st.sampled_from([None, 1e-6, 1e-2]),
+    st.integers(0, 2000),
+)
+def test_negative_block_run_equals_full_width_run(shape, delta, seed, epsilon, iterations):
+    # negspace_experiment iterates only the negative block: with its step
+    # sizes and schedules the positive coordinates contract, so the full run
+    # gives the same projection norms and stops at the cutoff at the same step.
+    n, p = shape
+    problem = random_problem(n, p, delta, seed)
+    eigenvalues, mask = problem.eigenvalues, problem.eigenvalues < 0
+    x0 = sample_unit_ball(n, rng_from(seed, 1))
+    policy = EqualStart() if epsilon is None else PerturbedStart(epsilon, seed)
+    alpha = 1.0 / problem.lipschitz
+    runs = [
+        (alpha, GRADIENT_DESCENT, EqualStart()),
+        (alpha, ConstantSchedule(1.0 - alpha * abs(eigenvalues[-1]), 0.0), policy),
+        (0.99 / problem.lipschitz, NesterovSchedule(), policy),
+    ]
+    for step_size, schedule, start_policy in runs:
+        x_prev = start_policy.resolve(x0)
+        full, block = Trace(), Trace()
+        full_run = iterate(eigenvalues, step_size, schedule, x0[None], x_prev[None], iterations, full)
+        block_run = iterate(
+            eigenvalues[mask], step_size, schedule, x0[mask][None], x_prev[mask][None], iterations, block
+        )
+        steps = block_run.steps[0]
+        assert full_run.steps[0] == steps and full_run.diverged[0] == block_run.diverged[0]
+        full_norms = np.linalg.norm(full.values[: steps + 1, 0][:, mask], axis=1)
+        assert np.array_equal(block.norms(0, steps), full_norms)
 
 
-def test_projection_covers_diverged_runs():
-    # alpha = 2.5 makes the positive curvature's factor -1.5: the run diverges
-    prob = toy_problem(0.1)
-    x0 = np.array([0.3, 0.2])
-    trace = run_accelerated(prob, 2.5, GRADIENT_DESCENT, x0, EqualStart(), 1000)
-    assert trace.diverged and trace.steps < 1000
-    mask = prob.eigenvalues < 0
-    projection = Trace(mask)
-    batch = iterate(
-        lambda y, rows: prob.gradient(y), 2.5, GRADIENT_DESCENT,
-        x0[None], x0[None], 1000, projection,
-    )
-    assert batch.diverged[0] and batch.steps[0] == trace.steps
-    norms = projection.norms(0, trace.steps)
-    assert np.array_equal(norms, np.linalg.norm(trace.points[:, mask], axis=1))
+@PROPERTY
+@given(setups(max_step=1.0, schedule=stable_schedules), st.integers(0, 2**16))
+def test_rotated_runs_equal_diagonal_runs_mapped_through_the_basis(setup, basis_seed):
+    # A rotated problem runs in eigen-coordinates.  The runs stay far below
+    # the cutoff, where a rounding difference could stop them a step apart,
+    # and start at rest, since a perturbation is drawn in the given basis.
+    diagonal = setup["problem"]
+    rotated = diagonal.rotated(basis_seed)
+    v = rotated.basis
+    alpha, z0 = setup["alphas"][0], setup["starts"][0]
+    iterations = min(setup["iterations"], 100)
+    runs = [
+        lambda prob, x0: run_accelerated(prob, alpha, setup["schedule"], x0, EqualStart(), iterations),
+        lambda prob, x0: run_heavy_ball(prob, alpha, 0.5, x0, EqualStart(), iterations),
+    ]
+    for run in runs:
+        trace_diag, trace_rot = run(diagonal, z0), run(rotated, v @ z0)
+        assert not trace_diag.diverged and not trace_rot.diverged
+        assert trace_rot.steps == trace_diag.steps == iterations
+        expected = trace_diag.points @ v.T
+        scale = np.abs(expected).max(axis=1, keepdims=True) + 1e-300
+        assert np.max(np.abs(trace_rot.points - expected) / scale) < 1e-10
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 1024, 1025, 2500])
@@ -161,7 +193,7 @@ def test_schedule_terms_extended_past_1024_match_one_array(iterations):
     # the run must equal the recurrence driven by one array of all the terms
     lam = np.array([-1e-4, 0.5])
     x = xp = np.array([0.3, 0.2])
-    batch = iterate(lambda y, rows: lam * y, 0.9, NesterovSchedule(), x[None], xp[None], iterations)
+    batch = iterate(lam, 0.9, NesterovSchedule(), x[None], xp[None], iterations)
     betas, gammas = params_array(NesterovSchedule(), iterations)
     for k in range(1, iterations + 1):
         d = x - xp
@@ -171,12 +203,8 @@ def test_schedule_terms_extended_past_1024_match_one_array(iterations):
 
 
 class TestKernelDomain:
-    def call(self, alpha=0.5, iterations=5, starts=np.zeros((2, 2))):
-        prob = toy_problem(0.1)
-        return iterate(
-            lambda y, rows: prob.gradient(y), alpha, GRADIENT_DESCENT,
-            starts, starts, iterations,
-        )
+    def call(self, alpha=0.5, iterations=5, starts=np.zeros((2, 2)), curvatures=toy_problem(0.1).eigenvalues):
+        return iterate(curvatures, alpha, GRADIENT_DESCENT, starts, starts, iterations)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), np.array([0.5, np.nan])])
     def test_step_size_must_be_positive_and_finite(self, alpha):
@@ -203,7 +231,25 @@ class TestKernelDomain:
         broken[1, 0] = bad
         for starts, predecessors in ((broken, good), (good, broken)):
             with pytest.raises(ValueError, match="finite"):
-                iterate(lambda y, rows: prob.gradient(y), 0.5, GRADIENT_DESCENT, starts, predecessors, 5)
+                iterate(prob.eigenvalues, 0.5, GRADIENT_DESCENT, starts, predecessors, 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_curvatures_must_be_finite(self, bad):
+        for curvatures in (np.array([1.0, bad]), np.array([[1.0, -0.1], [bad, -0.1]])):
+            with pytest.raises(ValueError, match="curvatures must be finite"):
+                self.call(curvatures=curvatures)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (3, 2), (1, 2, 2), ()])
+    def test_curvatures_must_fit_the_state(self, shape):
+        # the (2, 2) state takes one row of 2 curvatures or one row per start
+        with pytest.raises(ValueError, match="curvatures must be one row"):
+            self.call(curvatures=np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 2)])
+    def test_curvature_rows_broadcast(self, shape):
+        starts = np.array([[0.5, 0.1], [0.2, 0.3]])
+        batch = iterate(np.full(shape, 0.5), 0.5, GRADIENT_DESCENT, starts, starts, 3)
+        assert np.array_equal(batch.final, starts * 0.75**3)
 
     def test_threshold_positive(self):
         for threshold in (0.0, -1.0, float("nan")):

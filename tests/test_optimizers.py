@@ -4,7 +4,6 @@ import pytest
 from saddlescape import (
     ConstantSchedule,
     EqualStart,
-    FunctionOracle,
     NesterovSchedule,
     PerturbedStart,
     QuadraticProblem,
@@ -41,13 +40,9 @@ class TestGradientDescent:
         assert np.max(np.abs(trace.coordinate(1) - expected) / expected) < 1e-13
 
     def test_critical_point_is_fixed(self):
-        def quartic(x):
-            s = np.sum(x * x, axis=-1)
-            return s * s, 4.0 * s[..., None] * x
-
-        oracle = FunctionOracle(2, quartic)
-        trace = run_gradient_descent(oracle, 0.1, np.zeros(2), 10)
-        assert np.array_equal(trace.points, np.zeros((11, 2)))
+        prob = random_problem(4, 1, 0.1, seed=6).rotated(basis_seed=2)
+        trace = run_gradient_descent(prob, 0.1, np.zeros(4), 10)
+        assert np.array_equal(trace.points, np.zeros((11, 4)))
 
     def test_matches_closed_form_on_diagonal(self):
         # alpha = 0.9/L keeps every factor 1 - alpha*lambda away from zero, so
@@ -167,6 +162,12 @@ class TestHeavyBall:
         assert not np.array_equal(policy.resolve(x0), x0)
         with pytest.raises(ValueError):
             PerturbedStart(0.0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_perturbation_must_be_finite(self, epsilon):
+        # NaN used to pass the positivity check and fail later in the kernel
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            PerturbedStart(epsilon)
 
 
 class TestEscapeTime:

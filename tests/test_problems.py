@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from saddlescape import (
-    FunctionOracle,
     QuadraticProblem,
     random_orthogonal,
     random_problem,
@@ -36,6 +35,14 @@ class TestToyProblem:
     def test_delta_domain(self, delta):
         with pytest.raises(ValueError):
             toy_problem(delta)
+
+
+class TestQuadraticProblem:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_eigenvalues_rejected(self, bad):
+        # [1, nan, -1] used to pass the sorting check, with lipschitz 1.0
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            QuadraticProblem(np.array([1.0, bad, -1.0]))
 
 
 class TestRandomProblem:
@@ -172,9 +179,3 @@ class TestSampling:
         b = sample_unit_ball(4, rng_from(3, 1))
         assert np.array_equal(a, b)
 
-
-def test_function_oracle_wraps_callables():
-    oracle = FunctionOracle(2, lambda x: (float(x @ x), 2.0 * x))
-    value, grad = oracle.evaluate(np.array([1.0, 2.0]))
-    assert value == 5.0
-    assert np.array_equal(grad, [2.0, 4.0])
