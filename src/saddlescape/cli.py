@@ -64,8 +64,15 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"saddlescape: warning: {message}\n"
 
 
-def _echo_config(command: str, config: dict) -> None:
-    print(f"saddlescape {command} config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
+# Parsed names that pick the command or where its output goes, not how it runs.
+_NOT_ECHOED = ("command", "func", "out", "json")
+
+
+def _echo_config(args, **resolved) -> None:
+    """Echo the run's settings: the parsed arguments, with the values the command resolved in their place."""
+    config = {name: value for name, value in vars(args).items() if name not in _NOT_ECHOED}
+    config.update(resolved)
+    print(f"saddlescape {args.command} config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -90,9 +97,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _resolve_format(args, default: str) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    return args.format or default
+    return "json" if args.json else args.format or default
 
 
 # ---------------------------------------------------------------------------
@@ -103,83 +108,53 @@ def _resolve_format(args, default: str) -> str:
 def _cmd_toy(args) -> int:
     fmt = _resolve_format(args, "csv")
     figure = toy_figure(args.delta, args.alpha, args.beta, args.x0, args.iters, args.thin, args.threshold)
-    _echo_config(
-        "toy",
-        {
-            "delta": args.delta,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "x0": list(map(float, args.x0)),
-            "iters": args.iters,
-            "thin": args.thin,
-            "threshold": args.threshold,
-            "format": fmt,
-        },
-    )
+    _echo_config(args, format=fmt, x0=args.x0.tolist())
     _emit_result(figure, fmt, args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     fmt = _resolve_format(args, "json")
-    if args.lam is not None:
-        if args.alpha is None or args.beta is None:
+    lam, alpha = getattr(args, "lambda"), args.alpha  # ``lambda`` is a keyword, so it is read by name
+    if lam is not None:
+        if alpha is None or args.beta is None:
             raise ValueError("single-eigenvalue mode needs --lambda, --alpha and --beta")
-        payload = {"blocks": [block_eigenvalues(args.lam, args.alpha, args.beta).to_json_dict()]}
-        config = {"lambda": args.lam, "alpha": args.alpha, "beta": args.beta, "format": fmt}
+        payload = {"blocks": [block_eigenvalues(lam, alpha, args.beta).to_json_dict()]}
     else:
         if args.n is None or args.p is None or args.delta is None:
             raise ValueError("problem mode needs --n, --p and --delta (or use --lambda)")
         if args.beta is None:
             raise ValueError("--beta is required")
         problem = random_problem(args.n, args.p, args.delta, args.seed)
-        alpha = args.alpha if args.alpha is not None else 1.0 / problem.lipschitz
+        if alpha is None:
+            alpha = 1.0 / problem.lipschitz
         # Only the blocks are written; the unstable eigenvectors are freed here,
         # before the text is built.
         payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
-        config = {
-            "n": args.n,
-            "p": args.p,
-            "delta": args.delta,
-            "seed": args.seed,
-            "alpha": alpha,
-            "beta": args.beta,
-            "format": fmt,
-        }
-    _echo_config("spectrum", config)
+    _echo_config(args, format=fmt, alpha=alpha)
     _emit(_json_text(payload) if fmt == "json" else blocks_csv(payload["blocks"]), args.out)
     return 0
 
 
 def _cmd_rates(args) -> int:
     fmt = _resolve_format(args, "json")
-    schedule = _parse_schedule_spec(args.schedule, args.alpha, abs(args.lam), args.gamma)
+    lam = getattr(args, "lambda")
+    schedule = _parse_schedule_spec(args.schedule, args.alpha, abs(lam), args.gamma)
     # The sequence, the limit and the prediction check their inputs before
     # anything is echoed or written; the CSV reads neither the limit nor the
     # prediction, but the echo shows --projection and --threshold either way.
-    sequence = rate_sequence(args.lam, args.alpha, schedule, args.iters)
+    sequence = rate_sequence(lam, args.alpha, schedule, args.iters)
     for name in ("projection", "threshold"):
         value = getattr(args, name)
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"--{name} must be positive and finite, got {value!r}")
     if fmt == "json":
-        limit = rate_limit(args.lam, args.alpha, *schedule.limit())
+        limit = rate_limit(lam, args.alpha, *schedule.limit())
         predicted = predicted_escape_iters(limit.value, args.projection, args.threshold)
-    _echo_config(
-        "rates",
-        {
-            "lambda": args.lam,
-            "alpha": args.alpha,
-            "schedule": schedule.to_json_dict(),
-            "iters": args.iters,
-            "projection": args.projection,
-            "threshold": args.threshold,
-            "format": fmt,
-        },
-    )
+    _echo_config(args, format=fmt, schedule=schedule.to_json_dict())
     if fmt == "json":
         payload = {
-            "lambda": args.lam,
+            "lambda": lam,
             "alpha": args.alpha,
             "schedule": schedule.to_json_dict(),
             "b_final": sequence.final,
@@ -196,18 +171,7 @@ def _cmd_simulate(args) -> int:
     fmt = _resolve_format(args, "csv")
     policy = EqualStart() if args.eps_perturb == 0 else PerturbedStart(args.eps_perturb, args.seed)
     series = negspace_experiment(args.n, args.p, args.delta, args.seed, args.iters, policy)
-    _echo_config(
-        "simulate",
-        {
-            "n": args.n,
-            "p": args.p,
-            "delta": args.delta,
-            "seed": args.seed,
-            "iters": args.iters,
-            "eps_perturb": args.eps_perturb,
-            "format": fmt,
-        },
-    )
+    _echo_config(args, format=fmt)
     _emit_result(series, fmt, args.out)
     return 0
 
@@ -222,25 +186,14 @@ def _cmd_table(args) -> int:
         iteration_cap=args.iters,
         threshold=args.threshold,
     )
-    _echo_config(
-        "table",
-        {
-            "n": args.n,
-            "delta": args.delta,
-            "trials": args.trials,
-            "seed": args.seed,
-            "iters": args.iters,
-            "threshold": args.threshold,
-            "format": fmt,
-        },
-    )
+    _echo_config(args, format=fmt)
     _emit_result(result, fmt, args.out)
     return 0
 
 
 def _cmd_verify_tk(args) -> int:
     report = verify_tk_properties(args.K)
-    _echo_config("verify-tk", {"K": args.K})
+    _echo_config(args)
     _emit(_json_text(report.to_json_dict()), args.out)
     return 0 if report.passed else 2
 
@@ -274,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy.set_defaults(func=_cmd_toy)
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues of the linearized iteration map")
-    spectrum.add_argument("--lambda", dest="lam", type=float, default=None,
+    spectrum.add_argument("--lambda", type=float, default=None,
                           help="single Hessian eigenvalue to analyze")
     spectrum.add_argument("--alpha", type=float, default=None, help="step size")
     spectrum.add_argument("--beta", type=float, default=None, help="momentum")
@@ -286,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.set_defaults(func=_cmd_spectrum)
 
     rates = sub.add_parser("rates", help="divergence-rate recurrence and its limit")
-    rates.add_argument("--lambda", dest="lam", type=float, required=True,
+    rates.add_argument("--lambda", type=float, required=True,
                        help="negative Hessian eigenvalue")
     rates.add_argument("--alpha", type=float, required=True, help="step size")
     rates.add_argument("--gamma", type=float, default=0.0,

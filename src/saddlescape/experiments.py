@@ -33,7 +33,7 @@ from .optimizers import (
     Trace,
     iterate,
 )
-from .problems import QuadraticProblem, random_problem, sample_unit_ball, toy_problem
+from .problems import random_problem, sample_unit_ball, toy_problem
 from .rates import predicted_escape_iters, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 from .seeding import rng_from
@@ -179,30 +179,18 @@ def negspace_experiment(
 ) -> NegspaceSeries:
     """Compare escape speeds along the negative eigenspace of a random quadratic.
 
-    The problem is diagonal with ``n - p`` nonnegative eigenvalues i.i.d.
-    uniform on [0, 1]; with ``p = 1`` the negative eigenvalue is exactly
-    ``-delta``, otherwise the ``p`` negative ones are uniform on
-    ``[-2*delta, -delta]``.  The start is uniform on the unit ball.  Gradient
+    The problem is :func:`random_problem`'s, drawn from stream ``(seed, 0)``,
+    so with ``p = 1`` the negative eigenvalue is exactly ``-delta``; the start,
+    drawn next from that stream, is uniform on the unit ball.  Gradient
     descent and heavy-ball use ``alpha = 1/L`` with the heavy-ball momentum
     tuned to the most negative eigenvalue (``beta = 1 - alpha*|lambda_n|``);
     accelerated gradient uses ``alpha = 0.99/L`` with the t-sequence
     schedule.  The predictor series grows the starting projection by the
     limiting rate at every step.
     """
-    if not 1 <= p < n:
-        raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     rng = rng_from(seed, 0)
-    nonneg = rng.uniform(0.0, 1.0, size=n - p)
-    if nonneg.max() < delta:
-        nonneg[np.argmax(nonneg)] = delta
-    if p == 1:
-        negative = np.array([-float(delta)])
-    else:
-        negative = rng.uniform(-2.0 * delta, -delta, size=p)
-    eigenvalues = np.sort(np.concatenate([nonneg, negative]))[::-1]
-    problem = QuadraticProblem(eigenvalues)
+    problem = random_problem(n, p, delta, rng)
+    eigenvalues = problem.eigenvalues
     x0 = sample_unit_ball(n, rng)
 
     lipschitz = problem.lipschitz
@@ -362,16 +350,23 @@ def divergence_table(
     a threshold at or below the start's projection gives 0.  A given
     ``threshold`` must lie in ``(0, DIVERGENCE_CUTOFF]``, since a run stops
     at the divergence cutoff before it could cross a larger one.
+
+    A cell is named by its ``(n, delta)`` pair, so a value repeated in
+    ``ns`` or ``deltas`` (after ``int``/``float`` conversion) is rejected.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    ns, deltas = [int(n) for n in ns], [float(d) for d in deltas]
+    for name, values in (("n", ns), ("delta", deltas)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"each {name} must be listed once, got {values}")
     if threshold is not None and not 0.0 < threshold <= DIVERGENCE_CUTOFF:
         raise ValueError(f"threshold must lie in (0, {DIVERGENCE_CUTOFF:g}], got {threshold!r}")
     cap = iteration_cap
     limits = schedule.limit()
     rows: list[TableRow] = []
     records: list[TrialRecord] = []
-    for cell_index, (n, delta) in enumerate((int(n), float(d)) for n in ns for d in deltas):
+    for cell_index, (n, delta) in enumerate((n, d) for n in ns for d in deltas):
         cell_threshold = float(n) if threshold is None else float(threshold)
         # On a diagonal quadratic the coordinates decouple, so only the
         # negative-eigenvalue block can drive the projection norm; iterating

@@ -84,14 +84,12 @@ class IterationTrace:
 
     ``points[k]`` is the iterate after ``k`` update steps (``points[0]`` is
     the start).  On a diagonal quadratic, column ``i`` of ``points`` is the
-    per-coordinate series for eigenvalue ``i``.  ``predecessor`` records the
-    momentum predecessor used for the first step.  ``diverged`` is set when
+    per-coordinate series for eigenvalue ``i``.  ``diverged`` is set when
     the run stopped early at the divergence cutoff, in which case ``points``
     is truncated at the offending iterate.
     """
 
     points: np.ndarray
-    predecessor: np.ndarray
     diverged: bool
 
     @property
@@ -275,7 +273,7 @@ def run_accelerated(
     trace = Trace()
     batch = iterate(problem.eigenvalues, alpha, schedule, z0[None], z_prev[None], iterations, trace)
     points = trace.values[: batch.steps[0] + 1, 0]
-    return IterationTrace(points if basis is None else points @ basis.T, x_prev, bool(batch.diverged[0]))
+    return IterationTrace(points if basis is None else points @ basis.T, bool(batch.diverged[0]))
 
 
 def escape_time(trace: IterationTrace, subspace_projector: np.ndarray, threshold: float) -> int | None:

@@ -155,8 +155,9 @@ def random_problem(
     largest is bumped up to ``delta`` in the measure-zero event that every
     draw lands below it, so the Lipschitz constant comes from the positive
     side); the ``p`` negative eigenvalues are i.i.d. uniform on
-    ``[-2*delta, -delta]``.  Deterministic given the seed.  ``seed`` may also
-    be a Generator when the caller manages its own streams.
+    ``[-2*delta, -delta]``, except that a single one (``p = 1``) is exactly
+    ``-delta`` and draws nothing.  Deterministic given the seed.  ``seed``
+    may also be a Generator when the caller manages its own streams.
     """
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
@@ -169,7 +170,7 @@ def random_problem(
     nonneg = rng.uniform(0.0, 1.0, size=n - p)
     if nonneg.max() < delta:
         nonneg[np.argmax(nonneg)] = delta
-    negative = rng.uniform(-2.0 * delta, -delta, size=p)
+    negative = [-float(delta)] if p == 1 else rng.uniform(-2.0 * delta, -delta, size=p)
     ev = np.sort(np.concatenate([nonneg, negative]))[::-1]
     return QuadraticProblem(ev, seed=recorded)
 

@@ -39,9 +39,6 @@ __all__ = [
 class RateSequence:
     """Growth factors ``b_0..b_K`` for one negative eigenvalue and schedule."""
 
-    lam: float
-    alpha: float
-    schedule: MomentumSchedule
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -123,7 +120,7 @@ def rate_sequence(lam: float, alpha: float, schedule: MomentumSchedule, count: i
             b = c * (1.0 - 1.0 / (1.0 + b)) + a
             block[j] = b
         values[start : start + len(block)] = block
-    return RateSequence(lam=float(lam), alpha=float(alpha), schedule=schedule, values=values)
+    return RateSequence(values)
 
 
 def product_reconstruction(x0_i: float, rate: RateSequence, k: int) -> float:

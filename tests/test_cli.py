@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -507,6 +508,10 @@ class TestOutOfDomainInput:
             (["simulate", "--eps-perturb", "nan"], "epsilon must be positive and finite, got nan"),
             (["simulate", "--eps-perturb", "inf"], "epsilon must be positive and finite, got inf"),
             (["toy", "--x0", "1,2,3"], "x0 must have two components, got 3"),
+            (["table", "--n", "30", "30", "--delta", "0.02", "--trials", "2", "--iters", "50"],
+             "each n must be listed once, got [30, 30]"),
+            (["table", "--n", "30", "--delta", "0.02", "0.020", "--trials", "2", "--iters", "50"],
+             "each delta must be listed once, got [0.02, 0.02]"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
@@ -516,6 +521,69 @@ class TestOutOfDomainInput:
         assert out == "" and not path.exists()
         assert err.startswith("saddlescape: error:") and err.count("\n") == 1
         assert message in err
+
+
+def echoed_config(err: str) -> dict:
+    (line,) = [line for line in err.splitlines() if " config: " in line]
+    return json.loads(line.partition(" config: ")[2])
+
+
+def subparsers() -> dict:
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+ECHO_ARGV = [
+    ["toy", "--iters", "5"],
+    ["spectrum", "--lambda=-0.02", "--alpha", "3", "--beta", "0.94"],
+    ["spectrum", "--n", "20", "--p", "2", "--delta", "0.01", "--beta", "0.9"],
+    ["rates", "--lambda=-0.01", "--alpha", "0.5", "--iters", "100"],
+    ["simulate", "--n", "30", "--iters", "10"],
+    ["table", "--n", "30", "--delta", "0.02", "--trials", "2", "--iters", "5000"],
+    ["verify-tk", "--K", "100"],
+]
+
+
+class TestConfigEcho:
+    """The echo is the parsed arguments, with the values a command resolves in their place."""
+
+    def test_every_subcommand_is_covered(self):
+        assert {argv[0] for argv in ECHO_ARGV} == set(subparsers())
+
+    @pytest.mark.parametrize("argv", ECHO_ARGV, ids=lambda argv: " ".join(argv[:2]))
+    def test_keys_are_the_subparsers_dests(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0
+        # a command with output flags has the dest ``format``, which it echoes resolved
+        dests = {action.dest for action in subparsers()[argv[0]]._actions}
+        assert set(echoed_config(err)) == dests - {"help", "out", "json"}
+
+    def test_rates_echo(self, capsys):
+        code, _, err = run_cli(capsys, "rates", "--lambda=-0.01", "--alpha", "0.5", "--iters", "100",
+                               "--schedule", "toy", "--gamma", "0.1", "--format", "csv")
+        assert code == 0
+        assert err == (
+            'saddlescape rates config: {"alpha": 0.5, "format": "csv", "gamma": 0.1, "iters": 100, '
+            '"lambda": -0.01, "projection": 0.01, "schedule": {"alpha": 0.5, "delta": 0.01, '
+            '"gamma_hat": 0.1, "kind": "toy"}, "threshold": 1.0}\n'
+        )
+
+    def test_spectrum_single_block_echo(self, capsys):
+        code, _, err = run_cli(capsys, "spectrum", "--lambda=-0.02", "--alpha", "3", "--beta", "0.94")
+        assert code == 0
+        assert err == (
+            'saddlescape spectrum config: {"alpha": 3.0, "beta": 0.94, "delta": null, "format": "json", '
+            '"lambda": -0.02, "n": null, "p": null, "seed": 0}\n'
+        )
+
+    def test_spectrum_problem_echo_shows_the_computed_alpha(self, capsys):
+        code, _, err = run_cli(capsys, "spectrum", "--n", "20", "--p", "2", "--delta", "0.01",
+                               "--beta", "0.9", "--json")
+        assert code == 0
+        assert err == (
+            'saddlescape spectrum config: {"alpha": 1.0213101468012853, "beta": 0.9, "delta": 0.01, '
+            '"format": "json", "lambda": null, "n": 20, "p": 2, "seed": 0}\n'
+        )
 
 
 class TestCliContract:

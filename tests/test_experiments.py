@@ -151,6 +151,16 @@ class TestNegspaceExperiment:
         with pytest.raises(ValueError, match=f"1 <= p < n, got p={p}, n={n}"):
             negspace_experiment(n=n, p=p, iterations=5)
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_problem_is_random_problems_draw(self, p):
+        rng = rng_from(8, 0)
+        problem = random_problem(40, p, 3e-2, rng)
+        x0 = sample_unit_ball(40, rng)
+        series = negspace_experiment(n=40, p=p, delta=3e-2, seed=8, iterations=5)
+        assert series.params["lambda_n"] == problem.eigenvalues[-1]
+        assert series.params["lipschitz"] == problem.lipschitz
+        assert series.params["start_projection"] == float(np.linalg.norm(x0[problem.eigenvalues < 0]))
+
     def test_json_shape(self):
         series = negspace_experiment(n=30, p=1, delta=1e-2, seed=6, iterations=40)
         data = json.loads(json.dumps(series.to_json_dict()))
@@ -290,3 +300,17 @@ class TestDivergenceTable:
     def test_trials_domain(self):
         with pytest.raises(ValueError):
             divergence_table(ns=[30], deltas=[1e-2], trials=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "ns, deltas, name",
+        [
+            ([30, 30], [2e-2], "n"),
+            ([30, 40, 30.0], [2e-2], "n"),
+            ([30], [2e-2, 1e-2, 0.020], "delta"),
+            ([30], ["0.02", "0.020"], "delta"),
+        ],
+    )
+    def test_repeated_cell_rejected(self, ns, deltas, name):
+        # a repeated cell used to add its trials while its summary rows were dropped
+        with pytest.raises(ValueError, match=f"each {name} must be listed once"):
+            divergence_table(ns=ns, deltas=deltas, trials=2, seed=0, iteration_cap=50)

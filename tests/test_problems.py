@@ -78,6 +78,21 @@ class TestRandomProblem:
             assert prob.negative_count == 4
             assert prob.lipschitz == max(ev[0], -ev[-1])
 
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.3, 7.0])
+    def test_single_negative_eigenvalue_is_exactly_minus_delta(self, delta):
+        for seed in range(5):
+            ev = random_problem(20, 1, delta, seed=seed).eigenvalues
+            assert ev[-1] == -delta
+            assert np.count_nonzero(ev < 0) == 1
+
+    def test_single_negative_eigenvalue_draws_nothing(self):
+        # with p = 1 the stream holds only the n - 1 nonnegative draws
+        rng = rng_from(4)
+        random_problem(20, 1, 1e-2, rng)
+        expected = rng_from(4)
+        expected.uniform(0.0, 1.0, size=19)
+        assert rng.random() == expected.random()
+
 
 class TestGradient:
     def test_zero_point(self):
