@@ -115,8 +115,10 @@ def _cmd_toy(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     fmt = _resolve_format(args, "json")
-    lam, alpha = getattr(args, "lambda"), args.alpha  # ``lambda`` is a keyword, so it is read by name
+    lam, alpha, seed = getattr(args, "lambda"), args.alpha, args.seed  # ``lambda`` is a keyword
     if lam is not None:
+        if mixed := [f"--{name}" for name in ("n", "p", "delta", "seed") if getattr(args, name) is not None]:
+            raise ValueError(f"single-eigenvalue mode (--lambda) takes no {', '.join(mixed)}")
         if alpha is None or args.beta is None:
             raise ValueError("single-eigenvalue mode needs --lambda, --alpha and --beta")
         payload = {"blocks": [block_eigenvalues(lam, alpha, args.beta).to_json_dict()]}
@@ -125,13 +127,14 @@ def _cmd_spectrum(args) -> int:
             raise ValueError("problem mode needs --n, --p and --delta (or use --lambda)")
         if args.beta is None:
             raise ValueError("--beta is required")
-        problem = random_problem(args.n, args.p, args.delta, args.seed)
+        seed = 0 if seed is None else seed
+        problem = random_problem(args.n, args.p, args.delta, seed)
         if alpha is None:
             alpha = 1.0 / problem.lipschitz
         # Only the blocks are written; the unstable eigenvectors are freed here,
         # before the text is built.
         payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
-    _echo_config(args, format=fmt, alpha=alpha)
+    _echo_config(args, format=fmt, alpha=alpha, seed=seed)
     _emit(_json_text(payload) if fmt == "json" else blocks_csv(payload["blocks"]), args.out)
     return 0
 
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--n", type=int, default=None, help="problem dimension (problem mode)")
     spectrum.add_argument("--p", type=int, default=None, help="negative eigenvalue count")
     spectrum.add_argument("--delta", type=float, default=None, help="negative eigenvalue scale")
-    spectrum.add_argument("--seed", type=int, default=0, help="problem seed")
+    spectrum.add_argument("--seed", type=int, default=None, help="problem seed (default: 0)")
     add_output_flags(spectrum, "json")
     spectrum.set_defaults(func=_cmd_spectrum)
 

@@ -323,6 +323,29 @@ class TableResult:
         }
 
 
+def _descent_crossings(curvatures, step_sizes, starts, threshold: float, cap: int) -> np.ndarray:
+    """Each row's first step ``k <= cap`` at which gradient descent's norm reaches ``threshold``, or -1.
+
+    On a diagonal quadratic with ``curvatures < 0``, step ``k`` is ``starts * (1 + alpha|h|)^k``, a
+    norm nondecreasing in ``k``: all rows are bisected at once, on :class:`FirstCrossing`'s norm.
+    """
+    growth = 1.0 + step_sizes[:, None] * np.abs(curvatures)
+
+    def reached(k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.where(starts == 0, 0.0, starts * growth ** k[:, None])  # a zero stays 0, not 0 * inf
+        return np.sqrt(np.einsum("ij,ij->i", x, x)) >= threshold
+
+    # lo never reaches (-1 is before the start); at 2**62 the power of any factor above 1 (>= 1 + 2**-52) is inf
+    lo, hi = np.full(len(starts), -1), np.full(len(starts), min(cap, 2**62))
+    crossed = reached(hi)
+    while (gap := crossed & (hi - lo > 1)).any():
+        mid = (lo + hi) // 2
+        hit = reached(mid)
+        hi, lo = np.where(gap & hit, mid, hi), np.where(gap & ~hit, mid, lo)
+    return np.where(crossed, hi, -1)
+
+
 def divergence_table(
     ns=(100,),
     deltas=(1e-2, 1e-3),
@@ -338,7 +361,10 @@ def divergence_table(
     drawn with 5 negative eigenvalues uniform on ``[-2*delta, -delta]`` and a
     start uniform on the unit ball; steepest descent (``alpha = 1/L``) and
     accelerated gradient (``alpha = 0.99/L``, ``schedule``) run until the
-    projection norm reaches the threshold (``n`` by default).  The
+    projection norm reaches the threshold (``n`` by default); steepest
+    descent is bisected on its closed form ``x0 (1 + alpha|lambda|)^k``, not
+    iterated, which can put a crossing one step from the kernel's when the
+    norm lands within rounding of the threshold.  The
     rate-predictor column converts the limiting growth rate of the most
     negative eigenvalue under ``schedule.limit()`` and the realized starting
     projection into a predicted count.  Trials that hit ``iteration_cap`` are recorded at the cap and
@@ -382,11 +408,6 @@ def divergence_table(
             lipschitz.append(problem.lipschitz)
         neg_values, neg_start, lipschitz = np.array(neg_values), np.array(neg_start), np.array(lipschitz)
 
-        def escape_steps(step_sizes, momentum):
-            crossing = FirstCrossing(cell_threshold)
-            iterate(neg_values, step_sizes, momentum, neg_start, neg_start, cap, crossing)
-            return [(int(k), False) if k >= 0 else (cap, True) for k in crossing.crossing]
-
         def predicted_count(curvature, start, alpha):
             norm = float(np.linalg.norm(start))
             if not norm > 0:
@@ -395,14 +416,17 @@ def divergence_table(
             return min(k, cap), k > cap
 
         alpha_ag = 0.99 / lipschitz
-        # per method, one (escape count, censored) pair per trial
-        outcomes = {
-            "steepest_descent": escape_steps(1.0 / lipschitz, GRADIENT_DESCENT),
-            "accelerated_gradient": escape_steps(alpha_ag, schedule),
-            "rate_predictor": [
-                predicted_count(float(v[-1]), x, float(a)) for v, x, a in zip(neg_values, neg_start, alpha_ag)
-            ],
+        accelerated = FirstCrossing(cell_threshold)
+        iterate(neg_values, alpha_ag, schedule, neg_start, neg_start, cap, accelerated)
+        crossings = {
+            "steepest_descent": _descent_crossings(neg_values, 1.0 / lipschitz, neg_start, cell_threshold, cap),
+            "accelerated_gradient": accelerated.crossing,
         }
+        # per method, one (escape count, censored) pair per trial
+        outcomes = {m: [(int(k), False) if k >= 0 else (cap, True) for k in ks] for m, ks in crossings.items()}
+        outcomes["rate_predictor"] = [
+            predicted_count(float(v[-1]), x, float(a)) for v, x, a in zip(neg_values, neg_start, alpha_ag)
+        ]
         for trial in range(trials):
             escapes = (outcomes[m][trial][0] for m in TABLE_METHODS)
             censored = tuple(m for m in TABLE_METHODS if outcomes[m][trial][1])

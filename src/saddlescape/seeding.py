@@ -15,5 +15,7 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
     Trial-level streams can therefore be created in any order, or in
     parallel, without changing the numbers any of them produce.
     """
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     key = np.random.SeedSequence(int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(key))

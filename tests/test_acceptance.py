@@ -9,7 +9,6 @@ and the growth recurrence approaches its limit at rate O(1/K), which puts the
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -229,10 +228,6 @@ def test_criterion_6_divergence_table_intervals():
     )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SADDLESCAPE_FULL_TABLE"),
-    reason="optional n=1000 cells; set SADDLESCAPE_FULL_TABLE=1 to run",
-)
 def test_criterion_6_optional_large_dimension_cells():
     result = divergence_table(ns=[1000], deltas=[1e-2, 1e-3], trials=100, seed=0)
     sd2 = result.row(1000, 1e-2, "steepest_descent").avg_iters

@@ -512,6 +512,19 @@ class TestOutOfDomainInput:
              "each n must be listed once, got [30, 30]"),
             (["table", "--n", "30", "--delta", "0.02", "0.020", "--trials", "2", "--iters", "50"],
              "each delta must be listed once, got [0.02, 0.02]"),
+            (["spectrum", "--lambda=-0.01", "--alpha", "1", "--beta", "0.5",
+              "--n", "5", "--p", "2", "--seed", "3"],
+             "single-eigenvalue mode (--lambda) takes no --n, --p, --seed"),
+            (["spectrum", "--lambda=-0.01", "--alpha", "1", "--beta", "0.5", "--delta", "0.01"],
+             "single-eigenvalue mode (--lambda) takes no --delta"),
+            (["spectrum", "--lambda=-0.01", "--alpha", "1", "--beta", "0.5", "--seed", "0"],
+             "single-eigenvalue mode (--lambda) takes no --seed"),
+            (["simulate", "--n", "10", "--iters", "5", "--seed", "-1"],
+             "seed must be a nonnegative integer, got -1"),
+            (["table", "--n", "10", "--trials", "2", "--iters", "5", "--seed", "-1"],
+             "seed must be a nonnegative integer, got -1"),
+            (["spectrum", "--n", "10", "--p", "2", "--delta", "0.01", "--beta", "0.9", "--seed", "-1"],
+             "seed must be a nonnegative integer, got -1"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
@@ -573,7 +586,7 @@ class TestConfigEcho:
         assert code == 0
         assert err == (
             'saddlescape spectrum config: {"alpha": 3.0, "beta": 0.94, "delta": null, "format": "json", '
-            '"lambda": -0.02, "n": null, "p": null, "seed": 0}\n'
+            '"lambda": -0.02, "n": null, "p": null, "seed": null}\n'
         )
 
     def test_spectrum_problem_echo_shows_the_computed_alpha(self, capsys):

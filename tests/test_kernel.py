@@ -1,5 +1,7 @@
 """Properties of the batched iteration kernel against the serial, full-trace runs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from saddlescape import (
     EqualStart,
     NesterovSchedule,
     PerturbedStart,
+    divergence_table,
     escape_time,
     iterate,
     params_array,
@@ -21,6 +24,7 @@ from saddlescape import (
     sample_unit_ball,
     toy_problem,
 )
+from saddlescape.experiments import _descent_crossings
 from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, Trace
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -185,6 +189,64 @@ def test_rotated_runs_equal_diagonal_runs_mapped_through_the_basis(setup, basis_
         expected = trace_diag.points @ v.T
         scale = np.abs(expected).max(axis=1, keepdims=True) + 1e-300
         assert np.max(np.abs(trace_rot.points - expected) / scale) < 1e-10
+
+
+def kernel_descent_crossings(curvatures, step_sizes, starts, threshold, cap):
+    crossing = FirstCrossing(threshold)
+    iterate(curvatures, step_sizes, GRADIENT_DESCENT, starts, starts, cap, crossing)
+    return crossing.crossing
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**16), st.floats(1e-3, 5e-2), st.floats(0.3, 1.0), st.floats(0.05, 50.0), st.integers(0, 3000)
+)
+def test_descent_closed_form_within_one_step_of_the_kernel(seed, delta, step, threshold, cap):
+    # The table counts steepest descent from x0 * (1 + alpha|h|)^k.  It and the
+    # iterated recurrence round differently, so a norm that lands within
+    # rounding of the threshold may cross one step apart; no more is allowed.
+    # A row that never crosses counts as crossing one step past the cap.
+    rng = rng_from(seed, 1)
+    curvatures = rng.uniform(-2 * delta, -delta, size=(8, 5))
+    starts = np.array([sample_unit_ball(5, rng) for _ in range(8)])
+    starts[rng.random(starts.shape) < 0.2] = 0.0
+    step_sizes = step * rng.uniform(0.5, 1.0, size=8)
+    counts = [
+        np.where(k < 0, cap + 1, k)
+        for k in (
+            _descent_crossings(curvatures, step_sizes, starts, threshold, cap),
+            kernel_descent_crossings(curvatures, step_sizes, starts, threshold, cap),
+        )
+    ]
+    assert np.abs(counts[0] - counts[1]).max() <= 1
+
+
+def test_table_descent_column_equals_the_kernel_on_the_seed_0_cells():
+    result = divergence_table(ns=[100], deltas=[1e-2, 1e-3], trials=100, seed=0)
+    for cell, delta in enumerate((1e-2, 1e-3)):
+        curvatures, starts, lipschitz = [], [], []
+        for trial in range(100):
+            rng = rng_from(0, cell, trial)
+            problem = random_problem(100, 5, delta, rng)
+            mask = problem.eigenvalues < 0
+            curvatures.append(problem.eigenvalues[mask])
+            starts.append(sample_unit_ball(100, rng)[mask])
+            lipschitz.append(problem.lipschitz)
+        step_sizes = 1 / np.array(lipschitz)
+        expected = kernel_descent_crossings(np.array(curvatures), step_sizes, np.array(starts), 100.0, 10**6)
+        assert [rec.steepest_descent for rec in result.trials if rec.delta == delta] == expected.tolist()
+
+
+def test_descent_closed_form_edge_cases():
+    # a zero start, a start past the threshold, a tiny start (the first probe,
+    # at 2**62 steps, overflows the power), and a step too small to change a float
+    curvatures = np.array([[-0.01, -0.01], [-0.01, -0.01], [-0.01, -0.01], [-1e-20, -1e-20]])
+    starts = np.array([[0.0, 0.0], [0.0, 3.0], [1e-300, 0.0], [0.5, 0.5]])
+    counts = _descent_crossings(curvatures, np.ones(4), starts, 2.0, 10**23)
+    assert counts[[0, 1, 3]].tolist() == [-1, 0, -1]
+    assert abs(counts[2] - math.log(2e300) / math.log(1.01)) <= 1
+    assert _descent_crossings(curvatures, np.ones(4), starts, 2.0, 0).tolist() == [-1, 0, -1, -1]
+    assert _descent_crossings(curvatures, np.ones(4), starts, 2.0, 1000).tolist() == [-1, 0, -1, -1]
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 1024, 1025, 2500])
