@@ -213,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_output_flags(p, default_format):
         p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help=f"output format (default: {default_format})")
-        p.add_argument("--json", action="store_true", help="shorthand for --format json")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--format", choices=("csv", "json"), default=None,
+                         help=f"output format (default: {default_format})")
+        fmt.add_argument("--json", action="store_true", help="shorthand for --format json")
 
     toy = sub.add_parser("toy", help="trace both methods on the 2-D toy saddle")
     toy.add_argument("--delta", type=float, default=0.02, help="negative curvature magnitude")

@@ -34,7 +34,7 @@ from .optimizers import (
     iterate,
 )
 from .problems import random_problem, sample_unit_ball, toy_problem
-from .rates import predicted_escape_iters, rate_limit
+from .rates import rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 from .seeding import rng_from
 
@@ -324,17 +324,18 @@ class TableResult:
 
 
 def _descent_crossings(curvatures, step_sizes, starts, threshold: float, cap: int) -> np.ndarray:
-    """Each row's first step ``k <= cap`` at which gradient descent's norm reaches ``threshold``, or -1.
+    """Each row's first step ``k <= cap`` at which ``||starts * (1 + alpha|h|)^k||`` reaches ``threshold``, or -1.
 
-    On a diagonal quadratic with ``curvatures < 0``, step ``k`` is ``starts * (1 + alpha|h|)^k``, a
-    norm nondecreasing in ``k``: all rows are bisected at once, on :class:`FirstCrossing`'s norm.
+    With ``curvatures`` ``h < 0`` and ``step_sizes`` ``alpha``, step ``k`` is gradient descent's iterate
+    on a diagonal quadratic; with ``alpha = 1`` and ``h = -b``, the rate predictor's.  The norm is
+    nondecreasing in ``k``: all rows are bisected at once, on :meth:`FirstCrossing.row_norms`.
     """
     growth = 1.0 + step_sizes[:, None] * np.abs(curvatures)
 
     def reached(k):
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.where(starts == 0, 0.0, starts * growth ** k[:, None])  # a zero stays 0, not 0 * inf
-        return np.sqrt(np.einsum("ij,ij->i", x, x)) >= threshold
+        return FirstCrossing.row_norms(x) >= threshold
 
     # lo never reaches (-1 is before the start); at 2**62 the power of any factor above 1 (>= 1 + 2**-52) is inf
     lo, hi = np.full(len(starts), -1), np.full(len(starts), min(cap, 2**62))
@@ -364,12 +365,13 @@ def divergence_table(
     projection norm reaches the threshold (``n`` by default); steepest
     descent is bisected on its closed form ``x0 (1 + alpha|lambda|)^k``, not
     iterated, which can put a crossing one step from the kernel's when the
-    norm lands within rounding of the threshold.  The
-    rate-predictor column converts the limiting growth rate of the most
-    negative eigenvalue under ``schedule.limit()`` and the realized starting
-    projection into a predicted count.  Trials that hit ``iteration_cap`` are recorded at the cap and
-    counted as censored, with one warning per cell and method.  All trials of
-    a cell run as one batch.
+    norm lands within rounding of the threshold.  The rate-predictor column
+    grows the realized starting projection norm by ``1 + b`` per step, for
+    ``b`` the limiting growth rate of the most negative eigenvalue under
+    ``schedule.limit()``, and is bisected on that closed form the same way.
+    Trials that hit ``iteration_cap`` are recorded at the cap and counted as
+    censored, with one warning per cell and method.  All trials of a cell run
+    as one batch.
 
     A count is the first step at which the projection norm reaches the
     threshold, the start (step 0) included, as :func:`escape_time` counts it:
@@ -408,32 +410,27 @@ def divergence_table(
             lipschitz.append(problem.lipschitz)
         neg_values, neg_start, lipschitz = np.array(neg_values), np.array(neg_start), np.array(lipschitz)
 
-        def predicted_count(curvature, start, alpha):
-            norm = float(np.linalg.norm(start))
-            if not norm > 0:
-                return cap, True
-            k = predicted_escape_iters(rate_limit(curvature, alpha, *limits).value, norm, cell_threshold)
-            return min(k, cap), k > cap
-
         alpha_ag = 0.99 / lipschitz
         accelerated = FirstCrossing(cell_threshold)
         iterate(neg_values, alpha_ag, schedule, neg_start, neg_start, cap, accelerated)
+        rates = np.array([rate_limit(float(v[-1]), float(a), *limits).value for v, a in zip(neg_values, alpha_ag)])
+        norms = np.array([float(np.linalg.norm(x)) for x in neg_start])  # norm(axis=1) sums in another order
         crossings = {
             "steepest_descent": _descent_crossings(neg_values, 1.0 / lipschitz, neg_start, cell_threshold, cap),
             "accelerated_gradient": accelerated.crossing,
+            "rate_predictor": _descent_crossings(
+                -rates[:, None], np.ones(trials), norms[:, None], cell_threshold, cap
+            ),
         }
-        # per method, one (escape count, censored) pair per trial
-        outcomes = {m: [(int(k), False) if k >= 0 else (cap, True) for k in ks] for m, ks in crossings.items()}
-        outcomes["rate_predictor"] = [
-            predicted_count(float(v[-1]), x, float(a)) for v, x, a in zip(neg_values, neg_start, alpha_ag)
-        ]
+        # a crossing of -1 never came: the trial is recorded at the cap, as censored
+        counts = {m: [int(k) if k >= 0 else cap for k in ks] for m, ks in crossings.items()}
         for trial in range(trials):
-            escapes = (outcomes[m][trial][0] for m in TABLE_METHODS)
-            censored = tuple(m for m in TABLE_METHODS if outcomes[m][trial][1])
+            censored = tuple(m for m in TABLE_METHODS if crossings[m][trial] < 0)
+            escapes = (counts[m][trial] for m in TABLE_METHODS)
             records.append(TrialRecord(n, delta, trial, *escapes, censored=censored))
         for method in TABLE_METHODS:
-            values = [count for count, _ in outcomes[method]]
-            censored = sum(hit for _, hit in outcomes[method])
+            values = counts[method]
+            censored = int(np.count_nonzero(crossings[method] < 0))
             if censored:
                 warnings.warn(
                     f"{censored} of {trials} trials (n={n}, delta={delta:g}) "

@@ -147,8 +147,13 @@ class FirstCrossing:
     def start(self, x0: np.ndarray, iterations: int) -> None:
         self.crossing = np.full(x0.shape[0], -1)
 
+    @staticmethod
+    def row_norms(x: np.ndarray) -> np.ndarray:
+        """The Euclidean norm of each row of the 2-D array ``x``."""
+        return np.sqrt(np.einsum("ij,ij->i", x, x))
+
     def step(self, k: int, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        hit = np.sqrt(np.einsum("ij,ij->i", x, x)) >= self.threshold
+        hit = self.row_norms(x) >= self.threshold
         self.crossing[rows[hit]] = k
         return hit
 
@@ -168,8 +173,9 @@ def iterate(
     size or one per row.  ``curvatures`` is the Hessian's diagonal, one row
     of ``n`` for every start or one per start, so the gradient at ``y`` is
     ``curvatures * y``.  The reducer sees every iterate of the active rows,
-    the start included.  A row leaves the active set at the first step where
-    a coordinate is non-finite or past ``DIVERGENCE_CUTOFF`` in magnitude, or
+    the start included.  Every start and predecessor coordinate must be at
+    most ``DIVERGENCE_CUTOFF`` in magnitude.  A row leaves the active set at
+    the first step where a coordinate is non-finite or past the cutoff, or
     where ``reducer.step`` marks it.
     """
     if iterations < 0:
@@ -181,8 +187,10 @@ def iterate(
     xp = np.array(x_prev, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0 or xp.shape != x.shape:
         raise ValueError("starts and predecessors must be nonempty (batch, n) arrays of one shape")
-    if not (np.isfinite(x).all() and np.isfinite(xp).all()):
-        raise ValueError("starts and predecessors must be finite")
+    # A run stops at the cutoff, so a pair already past it has diverged before
+    # the first step (and its norms overflow).
+    if not (np.abs(x).max() <= DIVERGENCE_CUTOFF and np.abs(xp).max() <= DIVERGENCE_CUTOFF):
+        raise ValueError(f"starts and predecessors must be finite and at most {DIVERGENCE_CUTOFF:g} in magnitude")
     h = np.asarray(curvatures, dtype=float)
     if h.shape not in (x.shape[1:], (1, x.shape[1]), x.shape):
         raise ValueError(f"curvatures must be one row of {x.shape[1]} or one per start, got shape {h.shape}")

@@ -61,8 +61,6 @@ class EigenPair:
     mu_lo: complex
     is_real: bool
     lam: float
-    alpha: float
-    beta: float
 
     @property
     def label(self) -> str:
@@ -112,9 +110,9 @@ def block_eigenvalues(lam: float, alpha: float, beta: float) -> EigenPair:
             hi, lo = plus, minus
         else:
             hi, lo = minus, plus
-        return EigenPair(complex(hi), complex(lo), True, lam, alpha, beta)
+        return EigenPair(complex(hi), complex(lo), True, lam)
     imag = 0.5 * math.sqrt(-disc)
-    return EigenPair(complex(0.5 * s, imag), complex(0.5 * s, -imag), False, lam, alpha, beta)
+    return EigenPair(complex(0.5 * s, imag), complex(0.5 * s, -imag), False, lam)
 
 
 @dataclass(frozen=True)
@@ -186,32 +184,23 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     check = param_conditions(alpha, beta, lambda1)
     if not check:
         raise ConditionError("; ".join(check.failures))
-    pairs = []
-    stable = 0
-    vectors = []
+    pairs = tuple(block_eigenvalues(lam, alpha, beta) for lam in problem.eigenvalues)
+    # beta < 1 keeps a zero eigenvalue's roots {1, beta} distinct, so its block
+    # is diagonalizable; guard the assumption at runtime.
+    if any(pair.lam == 0 and pair.mu_hi == pair.mu_lo for pair in pairs):
+        raise ArithmeticError("zero-eigenvalue block produced a repeated root")
     basis = problem.basis
-    for i, lam in enumerate(problem.eigenvalues):
-        pair = block_eigenvalues(lam, alpha, beta)
-        pairs.append(pair)
-        if lam > 0:
-            stable += 2
-        elif lam == 0:
-            # beta < 1 keeps the roots {1, beta} distinct, so the block is
-            # diagonalizable; guard the assumption at runtime.
-            if pair.mu_hi == pair.mu_lo:
-                raise ArithmeticError("zero-eigenvalue block produced a repeated root")
-            stable += 2
-        else:
-            stable += 1
-            direction = basis[:, i] if basis is not None else np.eye(1, problem.n, i)[0]
-            vectors.append(unstable_eigenvector(lam, alpha, beta, direction))
-    unstable = 2 * problem.n - stable
-    eigvecs = np.array(vectors) if vectors else np.empty((0, 2 * problem.n))
+    vectors = [
+        unstable_eigenvector(lam, alpha, beta, np.eye(1, problem.n, i)[0] if basis is None else basis[:, i])
+        for i, lam in enumerate(problem.eigenvalues)
+        if lam < 0
+    ]
+    unstable = problem.negative_count
     return SpectrumClassification(
-        pairs=tuple(pairs),
-        stable_dim=stable,
+        pairs=pairs,
+        stable_dim=2 * problem.n - unstable,
         unstable_dim=unstable,
-        unstable_eigenvectors=eigvecs,
+        unstable_eigenvectors=np.array(vectors) if vectors else np.empty((0, 2 * problem.n)),
     )
 
 

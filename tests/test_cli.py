@@ -525,6 +525,9 @@ class TestOutOfDomainInput:
              "seed must be a nonnegative integer, got -1"),
             (["spectrum", "--n", "10", "--p", "2", "--delta", "0.01", "--beta", "0.9", "--seed", "-1"],
              "seed must be a nonnegative integer, got -1"),
+            (["simulate", "--eps-perturb", "1e200"],
+             "starts and predecessors must be finite and at most 1e+100 in magnitude"),
+            (["toy", "--x0", "1e101,0"], "starts and predecessors must be finite and at most 1e+100 in magnitude"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
@@ -608,6 +611,17 @@ class TestCliContract:
         code, out, _ = run_cli(capsys, *command, "--help")
         assert code == 0
         assert "usage" in out
+
+    @pytest.mark.parametrize(
+        "command",
+        [["toy"], ["spectrum"], ["rates", "--lambda=-0.01", "--alpha", "1"], ["simulate"], ["table"]],
+    )
+    def test_format_with_json_is_a_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *command, "--format", "csv", "--json", "--out", str(path))
+        assert code == 1
+        assert out == "" and not path.exists()
+        assert "error: argument --json: not allowed with argument --format" in err
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "toy", "--bogus", "1")

@@ -17,6 +17,7 @@ from saddlescape import (
     escape_time,
     iterate,
     params_array,
+    predicted_escape_iters,
     random_problem,
     rng_from,
     run_accelerated,
@@ -235,6 +236,17 @@ def test_table_descent_column_equals_the_kernel_on_the_seed_0_cells():
         step_sizes = 1 / np.array(lipschitz)
         expected = kernel_descent_crossings(np.array(curvatures), step_sizes, np.array(starts), 100.0, 10**6)
         assert [rec.steepest_descent for rec in result.trials if rec.delta == delta] == expected.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-9, math.log10(3)), st.floats(-4, 0), st.floats(-1, 8), st.floats(0, 11))
+def test_one_coordinate_crossing_is_the_predicted_count_within_the_cap(log_b, log_start, log_threshold, log_cap):
+    # The table's rate-predictor column bisects start * (1 + b)^k; on one
+    # coordinate that is the uncapped predictor's count, or -1 past the cap.
+    b, start, threshold, cap = 10.0**log_b, 10.0**log_start, 10.0**log_threshold, int(10.0**log_cap)
+    expected = predicted_escape_iters(b, start, threshold)
+    got = _descent_crossings(-np.array([[b]]), np.ones(1), np.array([[start]]), threshold, cap)
+    assert got.tolist() == [expected if expected <= cap else -1]
 
 
 def test_descent_closed_form_edge_cases():

@@ -1,7 +1,11 @@
 import tracemalloc
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     ConditionError,
@@ -13,6 +17,7 @@ from saddlescape import (
     param_conditions,
     polyak_params,
     random_problem,
+    rate_limit,
     rng_from,
     toy_problem,
     unstable_eigenvector,
@@ -96,6 +101,31 @@ class TestBlockEigenvalues:
     def test_non_finite_input_rejected(self, lam, alpha, beta):
         with pytest.raises(ValueError):
             block_eigenvalues(lam, alpha, beta)
+
+    # Magnitudes are drawn log-uniformly: alpha*|lambda| over 18 decades, |lambda| over 9.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-12, 6), st.floats(-6, 3), st.floats(0.0, 1.0, exclude_max=True))
+    def test_heavy_ball_rate_limit_is_the_unstable_root_less_one(self, log_a, log_lam, beta):
+        # Heavy-ball limits (beta, 0) make the rate's fixed-point quadratic the
+        # block's characteristic one shifted by mu = 1 + b.  The two functions
+        # find that root by different formulas, so they may differ by rounding.
+        lam = -(10.0**log_lam)
+        alpha = 10.0**log_a / abs(lam)
+        mu_hi = block_eigenvalues(lam, alpha, beta).mu_hi.real
+        assert abs(rate_limit(lam, alpha, beta, 0.0).value - (mu_hi - 1.0)) <= 4 * math.ulp(mu_hi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-6, 6), st.floats(-6, 3), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 1.0, exclude_max=True))
+    def test_vieta_relations(self, log_a, log_lam, sign, beta):
+        # mu_hi + mu_lo = 1 + beta - alpha*lambda and mu_hi * mu_lo = beta, to
+        # rounding at the scale of the roots (the product at their square).
+        lam = sign * 10.0**log_lam
+        alpha = 10.0**log_a / abs(lam)
+        pair = block_eigenvalues(lam, alpha, beta)
+        total = 1.0 + beta - alpha * lam
+        scale = max(1.0, abs(pair.mu_hi), abs(total))
+        assert abs(pair.mu_hi + pair.mu_lo - total) <= 4 * math.ulp(scale)
+        assert abs(pair.mu_hi * pair.mu_lo - beta) <= 4 * math.ulp(scale**2)
 
 
 class TestParamConditions:
