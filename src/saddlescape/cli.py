@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from collections.abc import Iterable
@@ -21,7 +22,7 @@ from . import __version__
 from .experiments import divergence_table, negspace_experiment, toy_figure
 from .optimizers import EqualStart, PerturbedStart
 from .problems import random_problem
-from .rates import predicted_escape_iters, rate_limit, rate_sequence
+from .rates import MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
 from .schedules import SCHEDULE_KINDS, ScheduleError, ToySchedule, verify_tk_properties
 from .spectral import ConditionError, block_eigenvalues, blocks_csv, classify_saddle_map
 
@@ -78,14 +79,22 @@ def _echo_config(args, **resolved) -> None:
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write ``text``, a string or an iterable of string chunks, to ``out`` (stdout when None).
 
-    The only function that writes a command's output.
+    The only function that writes a command's output.  Output is computed
+    as it is written, so a chunk may raise after others were written; the
+    partly written ``out`` is then deleted.
     """
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
         sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        return
+    handle = open(out, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
             handle.writelines(chunks)
+    except BaseException:
+        if os.path.isfile(out) and not os.path.islink(out):  # never a device such as /dev/null
+            os.remove(out)
+        raise
 
 
 def _emit_result(result, fmt: str, out: str | None) -> None:
@@ -142,10 +151,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_rates(args) -> int:
     fmt = _resolve_format(args, "json")
     lam = getattr(args, "lambda")
+    # Only the toy schedule reads --gamma, but every schedule's echo shows it.
+    if not (args.gamma >= 0 and math.isfinite(args.gamma)):
+        raise ValueError(f"--gamma must be nonnegative and finite, got {args.gamma!r}")
     schedule = _parse_schedule_spec(args.schedule, args.alpha, abs(lam), args.gamma)
     # The sequence, the limit and the prediction check their inputs before
-    # anything is echoed or written; the CSV reads neither the limit nor the
-    # prediction, but the echo shows --projection and --threshold either way.
+    # anything is echoed; the sequence itself runs as it is written.  The CSV
+    # reads neither the limit nor the prediction, but the echo shows
+    # --projection and --threshold either way.
     sequence = rate_sequence(lam, args.alpha, schedule, args.iters)
     for name in ("projection", "threshold"):
         value = getattr(args, name)
@@ -247,9 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="negative Hessian eigenvalue")
     rates.add_argument("--alpha", type=float, required=True, help="step size")
     rates.add_argument("--gamma", type=float, default=0.0,
-                       help="slack term for the toy schedule")
+                       help="slack term for the toy schedule (nonnegative and finite)")
     rates.add_argument("--schedule", default="nesterov", help=_SCHEDULE_SPECS)
-    rates.add_argument("--iters", type=int, default=10000, help="recurrence length")
+    rates.add_argument("--iters", type=int, default=10000,
+                       help=f"recurrence length, from 1 to {MAX_STEPS} (10^9)")
     rates.add_argument("--projection", type=float, default=1e-2,
                        help="starting projection norm for the prediction")
     rates.add_argument("--threshold", type=float, default=1.0,
@@ -302,6 +316,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ScheduleError, ConditionError, OSError) as exc:
         print(f"saddlescape: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a last resort: sizes no run can hold should be rejected before this
+        print(f"saddlescape: error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = previous

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .problems import QuadraticProblem
-from .schedules import ConstantSchedule, MomentumSchedule, params_array
+from .schedules import ConstantSchedule, MomentumSchedule
 from .seeding import rng_from
 
 # The reducers Trace and FirstCrossing are called once per step from inside
@@ -48,6 +48,8 @@ __all__ = [
 # flagged as diverged once any coordinate magnitude passes this cutoff.
 DIVERGENCE_CUTOFF = 1e100
 GRADIENT_DESCENT = ConstantSchedule(0.0, 0.0)
+# Schedule terms :func:`iterate` holds at a time; most escape runs end within one window.
+_TERMS_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -200,20 +202,20 @@ def iterate(
     a = np.broadcast_to(step_sizes, x.shape[:1])[:, None]  # raises unless one step size or one per row
     result = BatchRun(np.zeros(x.shape[0], dtype=int), np.zeros(x.shape[0], dtype=bool), np.empty_like(x))
     rows = np.arange(x.shape[0])
-    # the schedule's terms, extended by doubling as the run goes on
-    horizon = min(iterations, 1024)
-    betas, gammas = params_array(schedule, horizon)
+    # the schedule's terms, one window at a time: betas[k - first] is beta_k
+    windows = schedule.windows(iterations, _TERMS_WINDOW)
+    first = last = 0
     if reducer is not None:
         reducer.start(x, iterations)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iterations + 1):
             if k:
-                if k > horizon:
-                    horizon = min(iterations, 2 * horizon)
-                    betas, gammas = params_array(schedule, horizon)
+                if k > last:
+                    betas, gammas = next(windows)
+                    first, last = k, k + betas.size - 1
                 d = x - xp
-                y = x + gammas[k] * d
-                xn = x - a * (h * y) + betas[k] * d
+                y = x + gammas[k - first] * d
+                xn = x - a * (h * y) + betas[k - first] * d
                 xp, x = x, xn
             hit = None if reducer is None else reducer.step(k, x, rows)
             # One whole-batch reduction per step; rows are told apart only

@@ -17,14 +17,17 @@ asymptotic per-iteration growth factor of the escaping coordinate.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .schedules import MomentumSchedule, params_array
+from .schedules import MomentumSchedule
 
 __all__ = [
+    "MAX_STEPS",
     "RateSequence",
     "RateLimit",
     "rate_sequence",
@@ -37,25 +40,57 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateSequence:
-    """Growth factors ``b_0..b_K`` for one negative eigenvalue and schedule."""
+    """Growth factors ``b_0..b_count`` for ``a = alpha*|lambda|`` under one schedule.
 
-    values: np.ndarray
+    The recurrence runs one ``_CHUNK``-step window at a time each time the
+    sequence is read: ``final`` and ``to_csv`` hold one window, and
+    ``values`` builds the whole array on first use.
+    """
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+    a: float
+    schedule: MomentumSchedule
+    count: int
+
+    def _windows(self) -> Iterator[tuple[int, array]]:
+        """``(start, b_start..)`` for consecutive windows covering ``b_1..b_count``.
+
+        Each window is an ``array("d")``, which keeps no float object per value.
+        """
+        a, b, start = self.a, 0.0, 1
+        for betas, gammas in self.schedule.windows(self.count, _CHUNK):
+            block = array("d")
+            append = block.append
+            for c in array("d", (betas + gammas * a).tobytes()):  # c_k = beta_k + gamma_k*a
+                b = c * (1.0 - 1.0 / (1.0 + b)) + a
+                append(b)
+            yield start, block
+            start += len(block)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Read-only ``b_0..b_count``, ``b_0 = 0``."""
+        values = np.empty(self.count + 1)
+        values[0] = 0.0
+        for start, block in self._windows():
+            values[start : start + len(block)] = block
+        values.setflags(write=False)
+        return values
 
     @property
     def final(self) -> float:
-        return float(self.values[-1])
+        """``b_count``, from a pass that holds one window at a time."""
+        for _, block in self._windows():
+            pass
+        return block[-1]
 
     def to_csv(self) -> Iterator[str]:
-        """CSV rows ``iter,b``, yielded as text chunks of ``_CHUNK`` rows each."""
-        yield "iter,b\n"
-        for start in range(0, self.values.size, _CHUNK):
-            chunk = self.values[start : start + _CHUNK].tolist()
-            yield "".join([f"{k},{v:.12g}\n" for k, v in enumerate(chunk, start)])
+        """CSV rows ``iter,b``, yielded as text chunks of at most ``_CHUNK`` rows each."""
+        yield "iter,b\n" + _ROW % (0, 0.0)
+        for start, block in self._windows():
+            cells = [None] * (2 * len(block))
+            cells[0::2] = range(start, start + len(block))
+            cells[1::2] = block
+            yield (_ROW * len(block)) % tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -80,10 +115,15 @@ class RateLimit:
         return abs(lhs - (2.0 * b + b * b))
 
 
-# Values converted with ``tolist`` per block, both for the growth recurrence
-# and for the rows of the CSV; bounds the memory of the copies and of the
-# formatted text for long sequences.
+# Steps per window of the growth recurrence, which is also the rows per chunk
+# of its CSV: bounds the memory of the schedule's terms, of the values and of
+# the formatted text.
 _CHUNK = 1 << 16
+# One CSV row ``iter,b``; ``%.12g`` formats as ``f"{b:.12g}"`` does.
+_ROW = "%d,%.12g\n"
+# The longest recurrence ``rate_sequence`` accepts: a billion steps take about
+# ten minutes, and the sequence kept whole (``values``) then needs 8 GB.
+MAX_STEPS = 10**9
 
 
 def _positive(name: str, value: float) -> None:
@@ -103,24 +143,13 @@ def _step_curvature(lam: float, alpha: float) -> float:
 
 
 def rate_sequence(lam: float, alpha: float, schedule: MomentumSchedule, count: int) -> RateSequence:
-    """Iterate the growth recurrence for ``count`` steps (``b_0`` through ``b_count``)."""
+    """The growth recurrence for ``count`` steps (``b_0`` through ``b_count``), run as it is read."""
     a = _step_curvature(lam, alpha)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count!r}")
-    betas, gammas = params_array(schedule, count)
-    # c_k = beta_k + gamma_k*a, built in place (params_array returns new
-    # arrays); gammas is freed before the values are allocated.
-    coeffs = np.add(betas, np.multiply(gammas, a, out=gammas), out=betas)
-    del betas, gammas
-    values = np.empty(count + 1)
-    values[0] = b = 0.0
-    for start in range(1, count + 1, _CHUNK):
-        block = coeffs[start : start + _CHUNK].tolist()
-        for j, c in enumerate(block):
-            b = c * (1.0 - 1.0 / (1.0 + b)) + a
-            block[j] = b
-        values[start : start + len(block)] = block
-    return RateSequence(values)
+    if count > MAX_STEPS:
+        raise ValueError(f"count must be at most {MAX_STEPS}, got {count!r}")
+    return RateSequence(a, schedule, count)
 
 
 def product_reconstruction(x0_i: float, rate: RateSequence, k: int) -> float:

@@ -10,7 +10,10 @@ in ``SCHEDULE_KINDS`` under its ``kind`` tag.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -53,7 +56,7 @@ class MomentumSchedule:
     A subclass names its spec, e.g. ``class PolyakSchedule(MomentumSchedule,
     spec="polyak:M,L")``; the kind is the spec up to the colon.  The base rule
     is constant momentum ``(self.beta, self.gamma)``; schedules whose momentum
-    varies with ``k`` override ``_terms`` and ``limit``.
+    varies with ``k`` override ``_windows`` and ``limit``.
     """
 
     kind: ClassVar[str]
@@ -64,9 +67,24 @@ class MomentumSchedule:
         cls.spec, cls.kind = spec, spec.partition(":")[0]
         SCHEDULE_KINDS[cls.kind] = cls
 
-    def _terms(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``betas, gammas`` for iterations ``0..count``; :func:`params_array` fixes index 0."""
-        return np.full(count + 1, self.beta), np.full(count + 1, self.gamma)
+    def windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``betas, gammas`` for iterations ``1..count``, in consecutive windows of at most ``size`` terms.
+
+        Raises :class:`ScheduleError` at the first window with a term outside [0, 1].
+        """
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count!r}")
+        if size < 1:
+            raise ValueError(f"size must be positive, got {size!r}")
+        for betas, gammas in self._windows(count, size):
+            for terms in (betas, gammas):
+                if not (terms.min() >= 0.0 and terms.max() <= 1.0):  # NaN fails both
+                    raise ScheduleError("schedule emitted parameters outside [0, 1]")
+            yield betas, gammas
+
+    def _windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for _, n in _spans(count, size):
+            yield np.full(n, self.beta), np.full(n, self.gamma)
 
     def limit(self) -> tuple[float, float]:
         """Limits ``(beta, gamma)`` of the emitted sequences as ``k`` grows."""
@@ -113,11 +131,10 @@ class PolyakSchedule(MomentumSchedule, spec="polyak:M,L"):
 class NesterovSchedule(MomentumSchedule, spec="nesterov"):
     """``beta_k = gamma_k = (t_{k-1} - 1) / t_k`` driven by the t-sequence."""
 
-    def _terms(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        t = nesterov_t(count)
-        betas = np.empty(count + 1)
-        betas[1:] = (t[:-1] - 1.0) / t[1:]
-        return betas, betas
+    def _windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for t in _t_windows(count, size):
+            betas = (t[:-1] - 1.0) / t[1:]
+            yield betas, betas
 
     def limit(self) -> tuple[float, float]:
         return 1.0, 1.0
@@ -133,10 +150,11 @@ class AttouchSchedule(MomentumSchedule, spec="attouch:ETA"):
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be nonnegative and finite, got {self.eta!r}")
 
-    def _terms(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        k = np.arange(count + 1, dtype=float)
-        betas = (k - 1.0) / (k + self.eta + 1.0)
-        return betas, betas
+    def _windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start, n in _spans(count, size):
+            k = np.arange(start, start + n, dtype=float)
+            betas = (k - 1.0) / (k + self.eta + 1.0)
+            yield betas, betas
 
     def limit(self) -> tuple[float, float]:
         return 1.0, 1.0
@@ -167,31 +185,56 @@ class ToySchedule(MomentumSchedule, spec="toy"):
         return 1.0 - self.alpha * self.delta - self.gamma_hat
 
 
+# Terms per window when a whole array is filled: bounds the temporary arrays
+# of :func:`nesterov_t` and :func:`params_array`.
+_FILL_WINDOW = 1 << 16
+
+
+def _spans(count: int, size: int) -> Iterator[tuple[int, int]]:
+    """``(start, n)`` of consecutive windows ``[start, start + n)`` covering ``1..count``, ``n <= size``."""
+    for start in range(1, count + 1, size):
+        yield start, min(size, count + 1 - start)
+
+
+def _t_windows(count: int, size: int) -> Iterator[np.ndarray]:
+    """``t_{start-1}..t_{start+n-1}`` for each window of :func:`_spans`; ``t_{start-1}`` is carried over.
+
+    The terms are appended to an ``array("d")``, which keeps no float object
+    per term.
+    """
+    sqrt, prev = math.sqrt, 1.0
+    for _, n in _spans(count, size):
+        t = array("d", (prev,))
+        append = t.append
+        for _ in repeat(None, n):
+            prev = (sqrt(4.0 * prev * prev + 1.0) + 1.0) / 2.0
+            append(prev)
+        yield np.frombuffer(t)
+
+
 def nesterov_t(count: int) -> np.ndarray:
     """Read-only ``t_0..t_count`` of ``t_0 = 1``, ``t_k = (sqrt(4 t_{k-1}^2 + 1) + 1)/2``."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
     t = np.empty(count + 1)
-    t[0] = 1.0
-    prev = 1.0
-    for k in range(1, count + 1):
-        prev = (math.sqrt(4.0 * prev * prev + 1.0) + 1.0) / 2.0
-        t[k] = prev
+    t[0], start = 1.0, 1
+    for window in _t_windows(count, _FILL_WINDOW):
+        t[start : start + window.size - 1] = window[1:]
+        start += window.size - 1
     t.setflags(write=False)
     return t
 
 
 def params_array(schedule: MomentumSchedule, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays ``betas, gammas`` indexed by iteration ``1..count`` (index 0 unused)."""
+    """Arrays ``betas, gammas`` indexed by iteration ``1..count`` (index 0 is unused and holds 0)."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count!r}")
-    betas, gammas = schedule._terms(count)
-    betas[0] = 0.0
-    gammas = gammas.copy() if gammas is betas else gammas
-    gammas[0] = 0.0
-    body = betas[1:]
-    if count and not (body.min() >= 0.0 and body.max() <= 1.0):
-        raise ScheduleError("schedule emitted parameters outside [0, 1]")
+    betas, gammas = np.zeros(count + 1), np.zeros(count + 1)
+    start = 1
+    for window_betas, window_gammas in schedule.windows(count, _FILL_WINDOW):
+        stop = start + window_betas.size
+        betas[start:stop], gammas[start:stop] = window_betas, window_gammas
+        start = stop
     return betas, gammas
 
 

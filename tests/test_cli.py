@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 
 from saddlescape import (
     SCHEDULE_KINDS,
-    NesterovSchedule,
     PerturbedStart,
+    RateSequence,
     cli,
     divergence_table,
     negspace_experiment,
@@ -22,6 +23,7 @@ from saddlescape import (
     toy_figure,
 )
 from saddlescape.experiments import TABLE_METHODS
+from saddlescape.rates import MAX_STEPS
 from saddlescape.schedules import TkPropertyReport
 
 
@@ -35,6 +37,28 @@ def csv_writer_text(rows) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def assert_rates_csv_matches_csv_writer(capsys, tmp_path, spec):
+    # b_k ~ 1e-9 prints in exponent form; 70000 rows cross a window of the streamed recurrence
+    argv = ["rates", "--lambda=-1e-9", "--alpha", "0.99", "--iters", "70000", "--format", "csv",
+            "--schedule", spec]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "rates.csv"
+    assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+    written = path.read_bytes()
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["iter", "b"])
+    schedule = cli._parse_schedule_spec(spec, None, None, None)
+    for k, value in enumerate(rate_sequence(-1e-9, 0.99, schedule, 70000).values):
+        writer.writerow([str(k), f"{value:.12g}"])
+    lines = out.split("\n")
+    assert "e-" in lines[2]
+    # line lists, not whole texts: pytest's diff of two 1.6 MB strings takes minutes
+    assert lines == buffer.getvalue().split("\n")
+    assert written == out.encode("utf-8")
 
 
 class TestToyCommand:
@@ -184,23 +208,42 @@ class TestRatesCommand:
         )
 
     def test_csv_bytes_on_stdout_and_file_match_csv_writer(self, capsys, tmp_path):
-        # b_k ~ 1e-9 prints in exponent form; 70000 rows cross a chunk of formatted text
-        argv = ["rates", "--lambda=-1e-9", "--alpha", "0.99", "--iters", "70000", "--format", "csv"]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
+        assert_rates_csv_matches_csv_writer(capsys, tmp_path, "nesterov")
+
+    @pytest.mark.parametrize("spec", ["attouch:2", "constant:0.5,0.5"])
+    def test_streamed_csv_of_other_schedules_matches_csv_writer(self, capsys, tmp_path, spec):
+        assert_rates_csv_matches_csv_writer(capsys, tmp_path, spec)
+
+    def test_json_memory_does_not_grow_with_the_length(self, capsys):
+        # the recurrence streams one window at a time: the whole sequence alone
+        # is 16 MB at 2M steps, and the peak was 46 MiB when it was held
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "rates", "--lambda=-0.004", "--alpha", "0.99", "--json",
+                                   "--iters", "2000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["b_final"] > 0
+        assert peak < 16 * 2**20
+
+    def test_help_states_the_length_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "rates", "--help")
+        assert code == 0 and f"from 1 to {MAX_STEPS}" in " ".join(out.split())
+
+    def test_failing_chunk_removes_the_partial_file(self, capsys, tmp_path, monkeypatch):
+        def failing_rows(self):
+            yield "iter,b\n"
+            raise ValueError("the second chunk failed")
+
+        monkeypatch.setattr(RateSequence, "to_csv", failing_rows)
         path = tmp_path / "rates.csv"
-        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
-        written = path.read_bytes()
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["iter", "b"])
-        for k, value in enumerate(rate_sequence(-1e-9, 0.99, NesterovSchedule(), 70000).values):
-            writer.writerow([str(k), f"{value:.12g}"])
-        lines = out.split("\n")
-        assert "e-" in lines[2]
-        # line lists, not whole texts: pytest's diff of two 1.6 MB strings takes minutes
-        assert lines == buffer.getvalue().split("\n")
-        assert written == out.encode("utf-8")
+        code, _, err = run_cli(capsys, "rates", "--lambda=-0.01", "--alpha", "0.5", "--format", "csv",
+                               "--out", str(path))
+        assert code == 1 and not path.exists()
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "saddlescape: error: the second chunk failed"
+        ]
 
     def test_csv_needs_no_limit(self, capsys):
         # a = 1e160: the closed form of the limit overflows, but the CSV never reads it
@@ -528,6 +571,15 @@ class TestOutOfDomainInput:
             (["simulate", "--eps-perturb", "1e200"],
              "starts and predecessors must be finite and at most 1e+100 in magnitude"),
             (["toy", "--x0", "1e101,0"], "starts and predecessors must be finite and at most 1e+100 in magnitude"),
+            (["rates", "--lambda=-0.01", "--alpha", "0.5", "--iters", "100000000000000"],
+             "count must be at most 1000000000, got 100000000000000"),
+            (["rates", "--gamma", "nan", "--lambda=-1", "--alpha", "0.5", "--json"],
+             "--gamma must be nonnegative and finite, got nan"),
+            (["rates", "--gamma", "-1", "--lambda=-1", "--alpha", "0.5", "--schedule", "toy"],
+             "--gamma must be nonnegative and finite, got -1.0"),
+            (["simulate", "--iters", "100000000000000"], "out of memory"),
+            (["toy", "--iters", "100000000000000"], "out of memory"),
+            (["verify-tk", "--K", "100000000000000"], "out of memory"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
@@ -537,6 +589,23 @@ class TestOutOfDomainInput:
         assert out == "" and not path.exists()
         assert err.startswith("saddlescape: error:") and err.count("\n") == 1
         assert message in err
+
+
+class TestEmit:
+    def test_failing_chunk_removes_the_partial_file(self, tmp_path):
+        def chunks():
+            yield "first\n"
+            raise ValueError("second")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="second"):
+            cli._emit(chunks(), str(path))
+        assert not path.exists()
+
+    def test_unopenable_path_is_left_alone(self, tmp_path):
+        with pytest.raises(OSError):
+            cli._emit("text", str(tmp_path))
+        assert tmp_path.is_dir()
 
 
 def echoed_config(err: str) -> dict:

@@ -263,8 +263,8 @@ def test_descent_closed_form_edge_cases():
 
 @pytest.mark.parametrize("iterations", [0, 1, 1024, 1025, 2500])
 def test_schedule_terms_extended_past_1024_match_one_array(iterations):
-    # the kernel builds the schedule's terms 1024 at a time and doubles them;
-    # the run must equal the recurrence driven by one array of all the terms
+    # the kernel pulls the schedule's terms in windows of 1024; the run must
+    # equal the recurrence driven by one array of all the terms
     lam = np.array([-1e-4, 0.5])
     x = xp = np.array([0.3, 0.2])
     batch = iterate(lam, 0.9, NesterovSchedule(), x[None], xp[None], iterations)

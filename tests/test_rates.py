@@ -25,7 +25,7 @@ from saddlescape import (
     run_accelerated,
     sample_unit_ball,
 )
-from saddlescape.rates import _CHUNK
+from saddlescape.rates import _CHUNK, MAX_STEPS
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
 NON_FINITE_CURVATURES = [
@@ -80,6 +80,20 @@ class TestRateSequence:
             rate_sequence(0.1, 0.5, NesterovSchedule(), 10)
         with pytest.raises(ValueError):
             rate_sequence(-0.1, 0.5, NesterovSchedule(), 0)
+
+    def test_count_bound(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_STEPS}"):
+            rate_sequence(-0.1, 0.5, NesterovSchedule(), MAX_STEPS + 1)
+        # nothing runs until the sequence is read
+        assert rate_sequence(-0.1, 0.5, NesterovSchedule(), MAX_STEPS).count == MAX_STEPS
+
+    def test_final_values_and_rows_agree_past_a_window(self):
+        seq = rate_sequence(-0.01, 0.99, NesterovSchedule(), _CHUNK + 3)
+        final = seq.final
+        assert final == seq.values[-1] and not seq.values.flags.writeable
+        rows = "".join(seq.to_csv()).splitlines()
+        assert rows[:2] == ["iter,b", "0,0"] and len(rows) == _CHUNK + 5
+        assert rows[-1] == f"{_CHUNK + 3},{final:.12g}"
 
     @pytest.mark.parametrize("lam, alpha", NON_FINITE_CURVATURES)
     def test_non_finite_curvature_rejected(self, lam, alpha):

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saddlescape import (
@@ -21,6 +21,7 @@ from saddlescape import (
     verify_tk_properties,
 )
 from saddlescape.cli import _parse_schedule_spec
+from saddlescape.rates import _CHUNK
 
 NAN, INF = float("nan"), float("inf")
 
@@ -58,6 +59,56 @@ class TestNesterovT:
     def test_count_domain(self):
         with pytest.raises(ValueError):
             nesterov_t(-1)
+
+    def test_terms_past_a_window_match_the_scalar_loop(self):
+        t = nesterov_t(_CHUNK + 5)
+        prev = 1.0
+        for k in range(1, _CHUNK + 6):
+            prev = (math.sqrt(4.0 * prev * prev + 1.0) + 1.0) / 2.0
+            assert t[k] == prev
+
+
+# Small windows at small counts, and counts at the kernel's (1024) and the
+# recurrence's (_CHUNK) window boundaries.
+COUNT_AND_SIZE = st.one_of(
+    st.tuples(st.integers(0, 40), st.integers(1, 5)),
+    st.tuples(
+        st.sampled_from([1023, 1024, 1025, 2049, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+        st.sampled_from([1000, 1024, _CHUNK]),
+    ),
+)
+
+
+class TestWindows:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.one_of(*KIND_STRATEGIES.values()), COUNT_AND_SIZE)
+    @example(NesterovSchedule(), (_CHUNK + 1, 1024))
+    @example(AttouchSchedule(2.0), (1025, 1024))
+    @example(ConstantSchedule(0.5, 0.5), (_CHUNK, _CHUNK))
+    def test_concatenated_windows_equal_params_array(self, schedule, count_and_size):
+        count, size = count_and_size
+        windows = list(schedule.windows(count, size))
+        assert [b.size for b, _ in windows] == [min(size, count + 1 - s) for s in range(1, count + 1, size)]
+        assert all(b.size == g.size for b, g in windows)
+        betas, gammas = params_array(schedule, count)
+        assert betas[0] == gammas[0] == 0.0
+        assert np.array_equal(np.concatenate([[0.0], *(b for b, _ in windows)]), betas)
+        assert np.array_equal(np.concatenate([[0.0], *(g for _, g in windows)]), gammas)
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="count"):
+            next(NesterovSchedule().windows(-1, 10))
+        with pytest.raises(ValueError, match="size"):
+            next(NesterovSchedule().windows(10, 0))
+
+    def test_range_checked_window_by_window(self):
+        # a rule that leaves [0, 1] only after its first window raises there, not before
+        schedule = object.__new__(AttouchSchedule)  # skips the constructor's check of eta
+        object.__setattr__(schedule, "eta", -2.5)  # beta_1 = 0/(-0.5), beta_2 = 1/0.5
+        windows = schedule.windows(10, 1)
+        assert next(windows)[0].tolist() == [0.0]
+        with pytest.raises(ScheduleError):
+            next(windows)
 
 
 class TestScheduleParams:
