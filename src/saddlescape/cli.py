@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify-tk", help="check the t-sequence identities and bounds")
-    verify.add_argument("--K", type=int, default=100000, help="sequence length to check")
+    verify.add_argument("--K", type=int, default=100000,
+                        help=f"sequence length to check, from 2 to {MAX_STEPS} (10^9)")
     verify.add_argument("--out", help="output file path (default: stdout)")
     verify.set_defaults(func=_cmd_verify_tk)
 

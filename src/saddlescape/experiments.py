@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,10 @@ __all__ = [
 TABLE_METHODS = ("steepest_descent", "accelerated_gradient", "rate_predictor")
 
 
+# Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.
+_CSV_CHUNK = 2048
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -61,6 +66,30 @@ def _csv_line(fields) -> str:
     # Fields are names, numbers and empty cells of rows with several cells,
     # which csv.writer would write unquoted too.
     return ",".join(map(str, fields)) + "\n"
+
+
+def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
+    """CSV rows ``<lead><iters[k]>,<columns[0][k]>,...``, yielded in chunks of at most ``_CSV_CHUNK`` rows.
+
+    ``lead`` holds no ``%``.  A column shorter than ``iters`` leaves its cells
+    empty from its end on.  Each run of rows with the same filled columns is
+    formatted with one ``%`` operation per chunk; ``%.12g`` formats a float as
+    :func:`_fmt` does.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    start = 0
+    for end in sorted({len(iters), *(c.size for c in columns if c.size < len(iters))}):
+        live = [c for c in columns if c.size >= end]
+        row = lead + "%d" + "".join(",%.12g" if c.size >= end else "," for c in columns) + "\n"
+        width = 1 + len(live)
+        for lo in range(start, end, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, end)
+            cells = [None] * ((hi - lo) * width)
+            cells[0::width] = iters[lo:hi]
+            for i, column in enumerate(live, 1):
+                cells[i::width] = column[lo:hi].tolist()
+            yield (row * (hi - lo)) % tuple(cells)
+        start = end
 
 
 @dataclass(frozen=True)
@@ -74,11 +103,11 @@ class ToyFigure:
     heavy_ball_escape: int | None
 
     def to_csv(self) -> list[str]:
-        """CSV rows ``method,iter,x1,x2``, one text chunk per row."""
+        """CSV rows ``method,iter,x1,x2``, in text chunks of many rows."""
         lines = [_csv_line(["method", "iter", "x1", "x2"])]
         for name, block in (("steepest_descent", self.descent), ("heavy_ball", self.heavy_ball)):
-            for j, (x1, x2) in enumerate(block.tolist()):
-                lines.append(_csv_line([name, j * self.thin, _fmt(x1), _fmt(x2)]))
+            iters = range(0, len(block) * self.thin, self.thin)
+            lines.extend(_series_rows(name + ",", iters, block.T))
         return lines
 
     def to_json_dict(self) -> dict:
@@ -153,14 +182,13 @@ class NegspaceSeries:
         )
 
     def to_csv(self) -> list[str]:
-        """CSV rows ``iter`` and one column per series, one text chunk per row.
+        """CSV rows ``iter`` and one column per series, in text chunks of many rows.
 
         A series that stopped early leaves its cells empty.
         """
         names, series = zip(*self._blocks())
         lines = [_csv_line(["iter", *names])]
-        for k in range(max(block.size for block in series)):
-            lines.append(_csv_line([k, *(_fmt(block[k]) if k < block.size else "" for block in series)]))
+        lines.extend(_series_rows("", range(max(block.size for block in series)), series))
         return lines
 
     def to_json_dict(self) -> dict:
@@ -438,7 +466,7 @@ def divergence_table(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            rows.append(TableRow(n, delta, method, float(np.mean(values)), max(values), censored))
+            rows.append(TableRow(n, delta, method, sum(values) / trials, max(values), censored))
     return TableResult(
         rows=tuple(rows),
         trials=tuple(records),

@@ -8,9 +8,10 @@ All three methods run the same two-term recurrence
 with gradient descent as (beta, gamma) = (0, 0) and heavy-ball as
 (beta, 0).  One kernel, :func:`iterate`, runs it over a batch of starts on a
 quadratic in its Hessian's eigenbasis, where ``grad f(y) = h * y`` for the
-diagonal curvatures ``h``, and hands every iterate to a reducer:
-:class:`Trace` keeps all of them, and :class:`FirstCrossing` only the step at
-which the state's norm reaches a threshold.
+diagonal curvatures ``h``.  It runs blocks of steps and hands each block of
+iterates to a reducer at once: :class:`Trace` keeps all of them, and
+:class:`FirstCrossing` only the step at which the state's norm reaches a
+threshold.  The divergence cutoff is checked once per block too.
 Traces index iterates by the number of update steps applied: ``points[0]``
 is the starting point and ``points[k]`` the k-th iterate.
 """
@@ -27,8 +28,8 @@ from .problems import QuadraticProblem
 from .schedules import ConstantSchedule, MomentumSchedule
 from .seeding import rng_from
 
-# The reducers Trace and FirstCrossing are called once per step from inside
-# iterate; they are importable from here but not part of the exported surface.
+# The reducers Trace and FirstCrossing are called once per block of steps from
+# inside iterate; they are importable from here but not part of the exported surface.
 __all__ = [
     "DIVERGENCE_CUTOFF",
     "EqualStart",
@@ -50,6 +51,11 @@ DIVERGENCE_CUTOFF = 1e100
 GRADIENT_DESCENT = ConstantSchedule(0.0, 0.0)
 # Schedule terms :func:`iterate` holds at a time; most escape runs end within one window.
 _TERMS_WINDOW = 1024
+# Steps :func:`iterate` runs between checks of the cutoff and the reducer, and
+# the coordinates a block holds at most, which bounds its buffer (at 4096 the
+# table's 500-coordinate batches raised its peak RSS by about 0.1 MiB).
+_BLOCK_STEPS = 64
+_BLOCK_COORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -127,8 +133,8 @@ class Trace:
     def start(self, x0: np.ndarray, iterations: int) -> None:
         self.values = np.empty((iterations + 1, *x0.shape))
 
-    def step(self, k: int, x: np.ndarray, rows: np.ndarray) -> None:
-        self.values[k, rows] = x
+    def block(self, k: int, states: np.ndarray, rows: np.ndarray) -> None:
+        self.values[k : k + len(states), rows] = states
 
     def norms(self, i: int, steps: int) -> np.ndarray:
         """Row ``i``'s norms, summed column by column as ``norm(points[:, mask], axis=1)`` sums."""
@@ -154,9 +160,11 @@ class FirstCrossing:
         """The Euclidean norm of each row of the 2-D array ``x``."""
         return np.sqrt(np.einsum("ij,ij->i", x, x))
 
-    def step(self, k: int, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        hit = self.row_norms(x) >= self.threshold
-        self.crossing[rows[hit]] = k
+    def block(self, k: int, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # A row stops at its first hit, and no state of a block but its last is past the cutoff.
+        hit = (self.row_norms(states.reshape(-1, states.shape[2])) >= self.threshold).reshape(states.shape[:2])
+        crossed = hit.any(axis=0)
+        self.crossing[rows[crossed]] = k + hit.argmax(axis=0)[crossed]
         return hit
 
 
@@ -174,11 +182,18 @@ def iterate(
     ``x_prev`` holds the rows' momentum predecessors and ``alpha`` one step
     size or one per row.  ``curvatures`` is the Hessian's diagonal, one row
     of ``n`` for every start or one per start, so the gradient at ``y`` is
-    ``curvatures * y``.  The reducer sees every iterate of the active rows,
-    the start included.  Every start and predecessor coordinate must be at
-    most ``DIVERGENCE_CUTOFF`` in magnitude.  A row leaves the active set at
-    the first step where a coordinate is non-finite or past the cutoff, or
-    where ``reducer.step`` marks it.
+    ``curvatures * y``.  Every start and predecessor coordinate must be at
+    most ``DIVERGENCE_CUTOFF`` in magnitude.
+
+    The steps run in blocks of at most ``_BLOCK_STEPS``.  The reducer sees
+    the start, then each block of iterates of the active rows, as
+    ``reducer.block(k, states, rows)`` with ``states[j]`` iterate ``k + j``.
+    A row leaves the active set at the first step where a coordinate is
+    non-finite or past the cutoff, or that ``reducer.block`` marks; a block
+    ends at its first such cutoff step, and the rows that go on run its
+    later steps again.  Under a reducer that marks steps, a row also stops
+    at a block's end once it is a fixed point of every later step (``x ==
+    x_prev`` and ``x - alpha * (h * x) == x``): no later step can mark it.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
@@ -202,37 +217,88 @@ def iterate(
     a = np.broadcast_to(step_sizes, x.shape[:1])[:, None]  # raises unless one step size or one per row
     result = BatchRun(np.zeros(x.shape[0], dtype=int), np.zeros(x.shape[0], dtype=bool), np.empty_like(x))
     rows = np.arange(x.shape[0])
-    # the schedule's terms, one window at a time: betas[k - first] is beta_k
+    # the schedule's terms, one window at a time: betas[k - first] is beta_k, for k up to last
     windows = schedule.windows(iterations, _TERMS_WINDOW)
     first = last = 0
     if reducer is not None:
         reducer.start(x, iterations)
+
+    def settle(k, states, over):
+        """Record the rows that stop among ``states``, iterates ``k, k + 1, ...``; return the rows that go on.
+
+        ``over`` marks the states past the cutoff, or is None when none is.
+        """
+        hit = None if reducer is None else reducer.block(k, states, rows)
+        stop = hit if over is None else over if hit is None else over | hit
+        stopped = np.zeros(rows.size, bool) if stop is None else stop.any(axis=0)
+        stalled = np.zeros(rows.size, bool)
+        if hit is not None:
+            stalled = ~stopped & (x == xp).all(axis=1) & (x - a * (h * x) == x).all(axis=1)
+        if not (stopped.any() or stalled.any()):
+            return None
+        out = np.flatnonzero(stopped)
+        at = stop.argmax(axis=0)[out] if out.size else out  # each stopped row's first marked state
+        result.steps[rows[out]], result.final[rows[out]] = k + at, states[at, out]
+        if over is not None:
+            result.diverged[rows[out]] = over[at, out]
+        result.steps[rows[stalled]], result.final[rows[stalled]] = k + len(states) - 1, x[stalled]
+        return ~(stopped | stalled)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iterations + 1):
-            if k:
-                if k > last:
-                    betas, gammas = next(windows)
-                    first, last = k, k + betas.size - 1
-                d = x - xp
-                y = x + gammas[k - first] * d
-                xn = x - a * (h * y) + betas[k - first] * d
-                xp, x = x, xn
-            hit = None if reducer is None else reducer.step(k, x, rows)
-            # One whole-batch reduction per step; rows are told apart only
-            # once some coordinate is past the cutoff (or NaN).
-            over = k > 0 and not np.abs(x).max() <= DIVERGENCE_CUTOFF
-            if not over and (hit is None or not hit.any()):
-                continue
-            diverging = ~(np.abs(x).max(axis=1) <= DIVERGENCE_CUTOFF) if over else np.zeros(rows.size, bool)
-            stop = diverging if hit is None else diverging | hit
-            out, keep = rows[stop], ~stop
-            result.steps[out], result.diverged[out], result.final[out] = k, diverging[stop], x[stop]
-            rows, x, xp, a, h = rows[keep], x[keep], xp[keep], a[keep], h[keep]
-            if rows.size == 0:
+        k, buf = 0, None  # x is iterate k
+        go_on = settle(0, x[None], None)
+        while True:
+            if go_on is not None:
+                rows, x, xp, a, h = rows[go_on], x[go_on], xp[go_on], a[go_on], h[go_on]
+                buf = slots = states = None  # the block is freed before a narrower one is allocated
+            if rows.size == 0 or k == iterations:
                 break
+            if buf is None:  # slots 0 and 1 hold the predecessor and the state; a block's steps fill the rest
+                size = min(_BLOCK_STEPS, max(1, _BLOCK_COORDS // x.size))
+                buf = np.empty((size + 2, *x.shape))
+                buf[0], buf[1] = xp, x
+                slots = list(buf)
+                d, u, v = np.empty((3, *x.shape))
+            if k == last:
+                betas, gammas = next(windows)
+                first, last = k + 1, k + betas.size
+            m, j = min(size, last - k), k + 1 - first
+            _steps(slots[: m + 2], betas[j : j + m].tolist(), gammas[j : j + m].tolist(), h, a, d, u, v)
+            states, over = buf[2 : m + 2], None
+            # Two whole-block reductions, with no temporary; steps are told
+            # apart only once some coordinate is past the cutoff (or NaN).
+            if not (states.max() <= DIVERGENCE_CUTOFF and states.min() >= -DIVERGENCE_CUTOFF):
+                over = ~(np.abs(states).max(axis=2) <= DIVERGENCE_CUTOFF)
+                m = int(over.any(axis=1).argmax()) + 1
+                states, over = states[:m], over[:m]
+            xp, x = buf[m], buf[m + 1]
+            go_on = settle(k + 1, states, over)
+            k += m
+            buf[:2] = buf[m : m + 2]  # the last two iterates carry over into slots 0 and 1
+            xp, x = buf[0], buf[1]
     if rows.size:  # rows that ran all ``iterations`` steps
         result.steps[rows], result.final[rows] = iterations, x
     return result
+
+
+def _steps(slots, betas, gammas, h, a, d, u, v) -> None:
+    """Fill ``slots[2:]`` with the iterates after ``slots[1]``, whose predecessor is ``slots[0]``.
+
+    ``d``, ``u`` and ``v`` are scratch arrays of the state's shape.  Each step
+    is ``d = x - xp; y = x + gamma*d; x - a*(h*y) + beta*d``, operation for
+    operation, with no output aliasing an input of its operation, which numpy
+    runs slower.
+    """
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    for x_prev, x, x_next, beta, gamma in zip(slots, slots[1:], slots[2:], betas, gammas):
+        subtract(x, x_prev, d)
+        multiply(d, gamma, u)
+        add(x, u, v)  # y
+        multiply(h, v, u)
+        multiply(a, u, v)  # a*(h*y)
+        subtract(x, v, u)
+        multiply(d, beta, v)
+        add(u, v, x_next)
 
 
 def run_gradient_descent(

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schedules import MomentumSchedule
+from .schedules import MAX_STEPS, MomentumSchedule
 
 __all__ = [
     "MAX_STEPS",
@@ -121,9 +121,6 @@ class RateLimit:
 _CHUNK = 1 << 16
 # One CSV row ``iter,b``; ``%.12g`` formats as ``f"{b:.12g}"`` does.
 _ROW = "%d,%.12g\n"
-# The longest recurrence ``rate_sequence`` accepts: a billion steps take about
-# ten minutes, and the sequence kept whole (``values``) then needs 8 GB.
-MAX_STEPS = 10**9
 
 
 def _positive(name: str, value: float) -> None:

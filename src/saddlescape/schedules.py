@@ -185,6 +185,9 @@ class ToySchedule(MomentumSchedule, spec="toy"):
         return 1.0 - self.alpha * self.delta - self.gamma_hat
 
 
+# The most terms ``rate_sequence`` and :func:`verify_tk_properties` read: a
+# billion take minutes, and the sequence kept whole needs 8 GB.
+MAX_STEPS = 10**9
 # Terms per window when a whole array is filled: bounds the temporary arrays
 # of :func:`nesterov_t` and :func:`params_array`.
 _FILL_WINDOW = 1 << 16
@@ -285,26 +288,33 @@ class TkPropertyReport:
 def verify_tk_properties(count: int) -> TkPropertyReport:
     """Check the t-sequence properties numerically up to ``t_count``.
 
+    The terms are read one window of :func:`_t_windows` at a time, and each
+    window's ratios are compared with the last ratio of the window before.
     Violations are reported, not raised, so callers can surface them as a
     structured result.
     """
     if count < 2:
         raise ValueError(f"count must be at least 2, got {count!r}")
-    t = nesterov_t(count)
-    identity_err = np.abs(t[1:] * t[1:] - t[1:] - t[:-1] * t[:-1]) / (t[1:] * t[1:])
-    k = np.arange(count + 1, dtype=float)
-    bound_ok = bool(np.all(t >= (k + 1.0) / 2.0))
-    ratios = (t[:-1] - 1.0) / t[1:]
-    monotone = bool(np.all(np.diff(ratios) >= 0.0)) and bool(np.all(ratios >= 0.0))
-    lower = 1.0 - 2.0 / (t[:-1] + 1.0)
-    gap = max(float(np.max(lower - ratios)), float(np.max(ratios - 1.0)), 0.0)
+    if count > MAX_STEPS:
+        raise ValueError(f"count must be at most {MAX_STEPS}, got {count!r}")
+    identity_err, bound_ok, monotone, gap, last = 0.0, True, True, 0.0, -math.inf  # no ratio before the first
+    for (start, _), t in zip(_spans(count, _FILL_WINDOW), _t_windows(count, _FILL_WINDOW)):
+        prev, cur = t[:-1], t[1:]  # t_{k-1} and t_k for k = start, start + 1, ...
+        identity_err = max(identity_err, float(np.max(np.abs(cur * cur - cur - prev * prev) / (cur * cur))))
+        k = np.arange(start - 1, start + cur.size, dtype=float)
+        bound_ok = bound_ok and bool(np.all(t >= (k + 1.0) / 2.0))
+        ratios = (prev - 1.0) / cur
+        monotone = monotone and bool(np.all(np.diff(ratios, prepend=last) >= 0.0)) and bool(np.all(ratios >= 0.0))
+        lower = 1.0 - 2.0 / (prev + 1.0)
+        gap = max(gap, float(np.max(lower - ratios)), float(np.max(ratios - 1.0)))
+        last = ratios[-1]
     return TkPropertyReport(
         count=int(count),
-        identity_max_err=float(identity_err.max()),
+        identity_max_err=identity_err,
         bound_ok=bound_ok,
         ratio_monotone=monotone,
         ratio_gap=gap,
-        final_ratio=float(ratios[-1]),
+        final_ratio=float(last),
     )
 
 

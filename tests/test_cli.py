@@ -458,6 +458,18 @@ class TestTableCommand:
             '"seed": 0, "threshold": null, "trials": 2}',
         ]
 
+    def test_stalled_cell_with_a_cap_past_int64_ends(self, tmp_path):
+        # the accelerated state is a fixed point from the start; the run used to loop toward the cap
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        argv = ["table", "--n", "30", "--delta", "1e-300", "--trials", "3", "--iters", "100000000000000000000000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "saddlescape", *argv, "--json"], env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0
+        accelerated = json.loads(proc.stdout)["cells"][0]["methods"]["accelerated_gradient"]
+        assert accelerated == {"avg_iters": 1e23, "max_iters": 10**23, "censored": 3}
+
     def test_warning_format_is_restored(self, capsys):
         original = warnings.formatwarning
         with pytest.warns(RuntimeWarning, match="iteration cap"):
@@ -474,6 +486,18 @@ class TestVerifyTkCommand:
         assert data["identity_max_err"] <= 1e-9
         assert data["passed"] is True
         assert "verify-tk" in err
+
+    def test_memory_does_not_grow_with_the_count(self, capsys):
+        # the terms stream one window at a time: the whole sequence alone is
+        # 16 MB at 2M terms, and its reductions' temporaries several times that
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "verify-tk", "--K", "2000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert peak < 8 * 2**20
 
     def test_violation_exits_two(self, capsys, monkeypatch):
         failing = TkPropertyReport(
@@ -579,7 +603,7 @@ class TestOutOfDomainInput:
              "--gamma must be nonnegative and finite, got -1.0"),
             (["simulate", "--iters", "100000000000000"], "out of memory"),
             (["toy", "--iters", "100000000000000"], "out of memory"),
-            (["verify-tk", "--K", "100000000000000"], "out of memory"),
+            (["verify-tk", "--K", "100000000000000"], "count must be at most 1000000000, got 100000000000000"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from saddlescape import (
     ConstantSchedule,
     EqualStart,
+    NegspaceSeries,
     NesterovSchedule,
+    ToyFigure,
     divergence_table,
     escape_time,
     negspace_experiment,
@@ -199,6 +201,55 @@ class TestStreamingEscape:
         assert censored and steps == 10
 
 
+def per_cell_csv(header, rows):
+    """The CSV text of ``rows``, each cell formatted on its own: None is an empty cell, a float ``f"{v:.12g}"``."""
+    def cell(value):
+        return "" if value is None else f"{value:.12g}" if isinstance(value, float) else str(value)
+
+    return [header] + [",".join(map(cell, row)) for row in rows]
+
+
+def ragged_columns(lengths, seed=0):
+    # magnitudes from 1e-20 to 1e20 in both notations, with inf and nan cells on both sides of a chunk edge
+    rng = np.random.default_rng(seed)
+    columns = [rng.standard_normal(size) * 10.0 ** rng.integers(-20, 21, size) for size in lengths]
+    for column in columns:
+        edges = [k for k in (0, 2047, 2048, 4095) if k < column.size]
+        column[edges] = [np.inf, -np.inf, np.nan, -0.0][: len(edges)]
+    return columns
+
+
+class TestSeriesCsv:
+    """The chunked row formatter against one ``f"{v:.12g}"`` per cell."""
+
+    @pytest.mark.parametrize(
+        "lengths", [(5000, 2048, 2049, 5000), (2047, 1, 4097, 4096), (3, 3, 3, 3), (4100, 0, 2, 4100)]
+    )
+    def test_negspace_csv(self, lengths):
+        columns = ragged_columns(lengths)
+        series = NegspaceSeries(*columns, params={})
+        rows = [
+            [k, *(c[k].item() if k < c.size else None for c in columns)] for k in range(max(lengths))
+        ]
+        expected = per_cell_csv("iter,steepest_descent,heavy_ball,accelerated,predicted", rows)
+        chunks = series.to_csv()
+        assert "".join(chunks).split("\n")[:-1] == expected
+        assert max(chunk.count("\n") for chunk in chunks) <= 2048
+
+    @pytest.mark.parametrize("lengths, thin", [((2049, 2), 1), ((1, 4097), 3), ((2048, 2048), 7)])
+    def test_toy_csv(self, lengths, thin):
+        descent, heavy_ball = (
+            np.stack(ragged_columns((size, size), seed), axis=1) for seed, size in enumerate(lengths)
+        )
+        figure = ToyFigure(descent, heavy_ball, thin, None, None)
+        rows = [
+            [name, j * thin, *block[j].tolist()]
+            for name, block in (("steepest_descent", descent), ("heavy_ball", heavy_ball))
+            for j in range(len(block))
+        ]
+        assert "".join(figure.to_csv()).split("\n")[:-1] == per_cell_csv("method,iter,x1,x2", rows)
+
+
 class TestDivergenceTable:
     def test_structure_and_summaries(self):
         result = divergence_table(ns=[40], deltas=[2e-2], trials=5, seed=1)
@@ -267,6 +318,16 @@ class TestDivergenceTable:
         huge = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1, iteration_cap=10**23)
         small = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1, iteration_cap=10**6)
         assert huge.trials == small.trials and huge.rows == small.rows
+
+    def test_stalled_trials_stop_and_are_censored_at_the_cap(self):
+        # with delta = 1e-300 the accelerated step rounds to nothing from the start:
+        # the rows stop as never crossing instead of running toward the 1e23 cap
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            result = divergence_table(ns=[30], deltas=[1e-300], trials=3, seed=0, iteration_cap=10**23)
+        assert all(rec.accelerated_gradient == 10**23 for rec in result.trials)
+        for method in TABLE_METHODS:
+            row = result.row(30, 1e-300, method)
+            assert row.censored == 3 and row.max_iters == 10**23 and row.avg_iters == 1e23
 
     def test_threshold_at_or_below_start_projection_counts_zero(self):
         # the count includes the start (step 0), as escape_time counts it

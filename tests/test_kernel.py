@@ -26,7 +26,7 @@ from saddlescape import (
     toy_problem,
 )
 from saddlescape.experiments import _descent_crossings
-from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, Trace
+from saddlescape.optimizers import DIVERGENCE_CUTOFF, GRADIENT_DESCENT, FirstCrossing, Trace
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -190,6 +190,109 @@ def test_rotated_runs_equal_diagonal_runs_mapped_through_the_basis(setup, basis_
         expected = trace_diag.points @ v.T
         scale = np.abs(expected).max(axis=1, keepdims=True) + 1e-300
         assert np.max(np.abs(trace_rot.points - expected) / scale) < 1e-10
+
+
+def per_step_run(curvatures, alphas, schedule, starts, x_prevs, iterations, threshold=None):
+    """A plain loop over one row at a time that checks the cutoff and the crossing after every step.
+
+    Returns each row's ``(steps, diverged, final, crossing, points)``.
+    """
+    betas, gammas = params_array(schedule, iterations)
+    runs = []
+    for alpha, x, xp in zip(alphas, starts, x_prevs):
+        points, steps, diverged, crossing = [x], iterations, False, -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(iterations + 1):
+                if k:
+                    d = x - xp
+                    y = x + gammas[k] * d
+                    x, xp = x - alpha * (curvatures * y) + betas[k] * d, x
+                    points.append(x)
+                over = not np.abs(x).max() <= DIVERGENCE_CUTOFF
+                hit = threshold is not None and FirstCrossing.row_norms(x[None])[0] >= threshold
+                if over or hit:
+                    steps, diverged, crossing = k, over, k if hit else -1
+                    break
+        runs.append((steps, diverged, x, crossing, np.array(points)))
+    return runs
+
+
+@PROPERTY
+@given(
+    setups(batch=5),
+    st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 1023, 1024, 1025, 2049]), st.integers(0, 2100)),
+    st.one_of(st.none(), st.floats(0.5, 1e3), st.sampled_from([1e99, 1e150])),
+)
+def test_blocked_kernel_equals_a_per_step_loop(setup, iterations, threshold):
+    # Rows stop mid-block at the cutoff (step sizes up to 2.5/L) or at a crossing,
+    # and a threshold past the cutoff lets a row diverge before it would cross.
+    curvatures, x_prevs = setup["problem"].eigenvalues, predecessors(setup)
+    reducer = Trace() if threshold is None else FirstCrossing(threshold)
+    batch = iterate(curvatures, setup["alphas"], setup["schedule"], setup["starts"], x_prevs, iterations, reducer)
+    expected = per_step_run(
+        curvatures, setup["alphas"], setup["schedule"], setup["starts"], x_prevs, iterations, threshold
+    )
+    for i, (steps, diverged, final, crossing, points) in enumerate(expected):
+        assert batch.steps[i] == steps and batch.diverged[i] == diverged
+        assert batch.final[i].tobytes() == final.tobytes()
+        if threshold is None:
+            assert reducer.values[: steps + 1, i].tobytes() == points.tobytes()
+        else:
+            assert reducer.crossing[i] == crossing
+
+
+@pytest.mark.parametrize("n, batch", [(700, 8), (40, 120)])
+def test_wide_blocks_equal_a_per_step_loop(n, batch):
+    # past 1024 coordinates a block is one step; 40 x 120 rows shrink as rows stop
+    problem = random_problem(n, 3, 0.05, 7)
+    rng = rng_from(7, 1)
+    starts = np.array([sample_unit_ball(n, rng) for _ in range(batch)])
+    alphas = rng.uniform(0.5, 2.3, size=batch) / problem.lipschitz
+    crossing = FirstCrossing(20.0)
+    run = iterate(problem.eigenvalues, alphas, NesterovSchedule(), starts, starts, 300, crossing)
+    expected = per_step_run(problem.eigenvalues, alphas, NesterovSchedule(), starts, starts, 300, 20.0)
+    assert run.steps.tolist() == [e[0] for e in expected]
+    assert run.diverged.tolist() == [e[1] for e in expected]
+    assert crossing.crossing.tolist() == [e[3] for e in expected]
+    assert run.final.tobytes() == np.array([e[2] for e in expected]).tobytes()
+    assert len(set(run.steps.tolist())) > 3
+
+
+def test_a_row_past_the_cutoff_never_crosses_later_in_its_block():
+    # growth of 1e30 per step passes the cutoff at step 4 and the threshold
+    # at step 5, both within the first block
+    curvatures, starts = np.array([-1e30, 0.0]), np.array([[1.0, 0.0]])
+    crossing = FirstCrossing(1e140)
+    run = iterate(curvatures, 1.0, GRADIENT_DESCENT, starts, starts, 20, crossing)
+    assert (run.steps[0], run.diverged[0], crossing.crossing[0]) == (4, True, -1)
+    assert per_step_run(curvatures, [1.0], GRADIENT_DESCENT, starts, starts, 20, 1e140)[0][:2] == (4, True)
+
+
+class TestStall:
+    """A row with ``x == x_prev`` whose gradient step rounds to nothing never moves again."""
+
+    curvatures = np.array([[-1e-300, 0.5], [-0.01, 0.5], [-0.01, 0.5]])
+    starts = np.array([[0.6, 0.0], [0.0, 0.0], [0.6, 0.2]])
+
+    def test_first_crossing_stops_a_stalled_row_as_never_crossing(self):
+        crossing = FirstCrossing(1.0)
+        run = iterate(self.curvatures, 1.0, NesterovSchedule(), self.starts, self.starts, 10**23, crossing)
+        assert crossing.crossing[:2].tolist() == [-1, -1]
+        assert run.steps[:2].tolist() == [0, 0] and not run.diverged[:2].any()
+        assert np.array_equal(run.final[:2], self.starts[:2])
+        assert crossing.crossing[2] == run.steps[2] > 0  # the moving row still crosses
+
+    def test_a_row_that_stalls_mid_run_stops_at_the_block_end(self):
+        # gradient descent with alpha*h = 1 sends the coordinate to 0 at step 1
+        crossing = FirstCrossing(1.0)
+        run = iterate(np.array([1.0]), 1.0, GRADIENT_DESCENT, np.array([[0.5]]), np.array([[0.5]]), 10**6, crossing)
+        assert crossing.crossing[0] == -1 and run.steps[0] == 64 and run.final[0, 0] == 0.0
+
+    @pytest.mark.parametrize("reducer", [None, Trace()])
+    def test_other_reducers_run_every_step(self, reducer):
+        run = iterate(self.curvatures, 1.0, NesterovSchedule(), self.starts, self.starts, 300, reducer)
+        assert run.steps.tolist() == [300, 300, 300]
+        assert np.array_equal(run.final[:2], self.starts[:2])
 
 
 def kernel_descent_crossings(curvatures, step_sizes, starts, threshold, cap):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import asdict
 
@@ -22,6 +23,7 @@ from saddlescape import (
 )
 from saddlescape.cli import _parse_schedule_spec
 from saddlescape.rates import _CHUNK
+from saddlescape.schedules import TkPropertyReport
 
 NAN, INF = float("nan"), float("inf")
 
@@ -184,7 +186,30 @@ class TestPolyakParams:
             assert (beta == 0.0) == (m == L)
 
 
+def whole_array_tk_report(count):
+    """The t-sequence report computed from one array of all the terms."""
+    t = nesterov_t(count)
+    identity_err = np.abs(t[1:] * t[1:] - t[1:] - t[:-1] * t[:-1]) / (t[1:] * t[1:])
+    k = np.arange(count + 1, dtype=float)
+    ratios = (t[:-1] - 1.0) / t[1:]
+    lower = 1.0 - 2.0 / (t[:-1] + 1.0)
+    return TkPropertyReport(
+        count=count,
+        identity_max_err=float(identity_err.max()),
+        bound_ok=bool(np.all(t >= (k + 1.0) / 2.0)),
+        ratio_monotone=bool(np.all(np.diff(ratios) >= 0.0)) and bool(np.all(ratios >= 0.0)),
+        ratio_gap=max(float(np.max(lower - ratios)), float(np.max(ratios - 1.0)), 0.0),
+        final_ratio=float(ratios[-1]),
+    )
+
+
 class TestTkProperties:
+    @pytest.mark.parametrize("count", [2, 3, 1024, 65536, 65537, 10**5, 10**6])
+    def test_streamed_report_equals_the_whole_array_report(self, count):
+        # windows hold 65536 terms; the ratios compare across each window edge
+        streamed = json.dumps(verify_tk_properties(count).to_json_dict())
+        assert streamed == json.dumps(whole_array_tk_report(count).to_json_dict())
+
     def test_identity_tight_at_thousand(self):
         report = verify_tk_properties(1000)
         assert report.identity_max_err <= 1e-9
