@@ -35,7 +35,7 @@ from .optimizers import (
     iterate,
 )
 from .problems import random_problem, sample_unit_ball, toy_problem
-from .rates import rate_limit
+from .rates import first_crossings, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 from .seeding import rng_from
 
@@ -351,30 +351,6 @@ class TableResult:
         }
 
 
-def _descent_crossings(curvatures, step_sizes, starts, threshold: float, cap: int) -> np.ndarray:
-    """Each row's first step ``k <= cap`` at which ``||starts * (1 + alpha|h|)^k||`` reaches ``threshold``, or -1.
-
-    With ``curvatures`` ``h < 0`` and ``step_sizes`` ``alpha``, step ``k`` is gradient descent's iterate
-    on a diagonal quadratic; with ``alpha = 1`` and ``h = -b``, the rate predictor's.  The norm is
-    nondecreasing in ``k``: all rows are bisected at once, on :meth:`FirstCrossing.row_norms`.
-    """
-    growth = 1.0 + step_sizes[:, None] * np.abs(curvatures)
-
-    def reached(k):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = np.where(starts == 0, 0.0, starts * growth ** k[:, None])  # a zero stays 0, not 0 * inf
-        return FirstCrossing.row_norms(x) >= threshold
-
-    # lo never reaches (-1 is before the start); at 2**62 the power of any factor above 1 (>= 1 + 2**-52) is inf
-    lo, hi = np.full(len(starts), -1), np.full(len(starts), min(cap, 2**62))
-    crossed = reached(hi)
-    while (gap := crossed & (hi - lo > 1)).any():
-        mid = (lo + hi) // 2
-        hit = reached(mid)
-        hi, lo = np.where(gap & hit, mid, hi), np.where(gap & ~hit, mid, lo)
-    return np.where(crossed, hi, -1)
-
-
 def divergence_table(
     ns=(100,),
     deltas=(1e-2, 1e-3),
@@ -391,12 +367,12 @@ def divergence_table(
     start uniform on the unit ball; steepest descent (``alpha = 1/L``) and
     accelerated gradient (``alpha = 0.99/L``, ``schedule``) run until the
     projection norm reaches the threshold (``n`` by default); steepest
-    descent is bisected on its closed form ``x0 (1 + alpha|lambda|)^k``, not
-    iterated, which can put a crossing one step from the kernel's when the
-    norm lands within rounding of the threshold.  The rate-predictor column
-    grows the realized starting projection norm by ``1 + b`` per step, for
-    ``b`` the limiting growth rate of the most negative eigenvalue under
-    ``schedule.limit()``, and is bisected on that closed form the same way.
+    descent is counted by :func:`first_crossings` on its closed form ``x0 (1
+    + alpha|lambda|)^k``, not iterated, which can put a crossing one step
+    from the kernel's when the norm lands within rounding of the threshold.
+    The rate-predictor column grows the realized starting projection norm by
+    ``1 + b`` per step, for ``b`` the limiting growth rate of the most
+    negative eigenvalue under ``schedule.limit()``, counted the same way.
     Trials that hit ``iteration_cap`` are recorded at the cap and counted as
     censored, with one warning per cell and method.  All trials of a cell run
     as one batch.
@@ -443,12 +419,11 @@ def divergence_table(
         iterate(neg_values, alpha_ag, schedule, neg_start, neg_start, cap, accelerated)
         rates = np.array([rate_limit(float(v[-1]), float(a), *limits).value for v, a in zip(neg_values, alpha_ag)])
         norms = np.array([float(np.linalg.norm(x)) for x in neg_start])  # norm(axis=1) sums in another order
+        descent_growth = 1.0 + (1.0 / lipschitz)[:, None] * np.abs(neg_values)
         crossings = {
-            "steepest_descent": _descent_crossings(neg_values, 1.0 / lipschitz, neg_start, cell_threshold, cap),
+            "steepest_descent": first_crossings(descent_growth, neg_start, cell_threshold, cap),
             "accelerated_gradient": accelerated.crossing,
-            "rate_predictor": _descent_crossings(
-                -rates[:, None], np.ones(trials), norms[:, None], cell_threshold, cap
-            ),
+            "rate_predictor": first_crossings(1.0 + rates[:, None], norms[:, None], cell_threshold, cap),
         }
         # a crossing of -1 never came: the trial is recorded at the cap, as censored
         counts = {m: [int(k) if k >= 0 else cap for k in ks] for m, ks in crossings.items()}

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .optimizers import FirstCrossing
 from .schedules import MAX_STEPS, MomentumSchedule
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "product_reconstruction",
     "escape_bounds",
     "predicted_escape_iters",
+    "first_crossings",
 ]
 
 
@@ -121,6 +123,7 @@ class RateLimit:
 _CHUNK = 1 << 16
 # One CSV row ``iter,b``; ``%.12g`` formats as ``f"{b:.12g}"`` does.
 _ROW = "%d,%.12g\n"
+_MAX_COUNT = 2**63 - 2  # the bisection's upper bound: its gap to -1 still fits an int64
 
 
 def _positive(name: str, value: float) -> None:
@@ -204,38 +207,58 @@ def escape_bounds(delta: float, alpha: float, epsilon: float) -> dict:
     return {"gd_bound": int(gd), "hb_bound": int(max(hb, 0))}
 
 
-def _grown(start: float, factor: float, k: int) -> float:
-    """``start * factor**k``, also where ``factor**k`` alone is past the float range."""
-    try:
-        return start * factor**k
-    except OverflowError:
-        half = k // 2
-        return _grown(_grown(start, factor, half), factor, k - half)
+def first_crossings(growth, starts, threshold: float, cap: int) -> np.ndarray:
+    """Each row's first ``k <= cap`` with ``||starts * growth**k|| >= threshold``, or -1; all rows bisected at once.
+
+    ``growth`` (at least 1) and ``starts`` broadcast to one 2-D shape; a zero start stays 0.  Where the start is
+    small enough for the product to fall short of the threshold, a power past the float range is split in integer
+    halves of ``k``, and each half once more (a quarter power cannot overflow then).  The norm is
+    :meth:`FirstCrossing.row_norms`, and a one-column row's is its magnitude, whose square underflows.
+    """
+    growth, starts = np.broadcast_arrays(np.asarray(growth, dtype=float), np.asarray(starts, dtype=float))
+    zero = starts == 0
+    # Only below this start can an overflowed power leave the product short of the threshold (4 covers rounding)
+    small = ~zero & (np.abs(starts) < threshold / np.finfo(float).max * 4)
+    splits = small.any()
+
+    def reached(k):
+        power = growth ** k[:, None]
+        x = np.where(zero, 0.0, starts * power)  # a zero stays 0, not 0 * inf
+        if splits and (split := small & np.isinf(power)).any():
+            g, m = growth[split], np.broadcast_to(k[:, None], split.shape)[split]
+            x[split] = _times_power(_times_power(starts[split], g, m // 2), g, m - m // 2)
+        return (np.abs(x[:, 0]) if x.shape[1] == 1 else FirstCrossing.row_norms(x)) >= threshold
+
+    # -1 is before the start; a start >= 5e-324 with a factor >= 1 + 2**-52 crosses any float before _MAX_COUNT
+    lo, hi = np.full(len(starts), -1), np.full(len(starts), min(cap, _MAX_COUNT))
+    with np.errstate(over="ignore", invalid="ignore"):
+        crossed = reached(hi)
+        while (gap := crossed & (hi - lo > 1)).any():
+            hit = reached(mid := lo + (hi - lo) // 2)
+            hi, lo = np.where(gap & hit, mid, hi), np.where(gap & ~hit, mid, lo)
+    return np.where(crossed, hi, -1)
+
+
+def _times_power(x: np.ndarray, growth: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``x * growth**k``, with a power past the float range split once, in integer halves of ``k``."""
+    power = growth**k
+    return np.where(np.isinf(power), x * growth ** (k // 2) * growth ** (k - k // 2), x * power)
 
 
 def predicted_escape_iters(bar_b: float, initial_projection: float, threshold: float) -> int:
-    """Smallest ``k`` with ``initial_projection * (1 + bar_b)^k >= threshold``."""
+    """Smallest ``k`` with ``initial_projection * (1 + bar_b)^k >= threshold``: :func:`first_crossings` of one row."""
     _positive("bar_b", bar_b)
     _positive("initial_projection", initial_projection)
     _positive("threshold", threshold)
+    if 1.0 + bar_b > 1.0:
+        return int(first_crossings(1.0 + bar_b, [[initial_projection]], threshold, _MAX_COUNT)[0])
+    # (1 + bar_b)**k rounds to 1 for every k: only the log1p estimate means anything, and it can pass int64
     if initial_projection >= threshold:
         return 0
     ratio = math.log(threshold / initial_projection)
     if ratio == math.inf:  # the quotient overflowed
         ratio = math.log(threshold) - math.log(initial_projection)
-    if 1.0 + bar_b == 1.0:
-        # (1 + bar_b)**k rounds to 1 for every k: only the log1p estimate is meaningful
-        estimate = ratio / math.log1p(bar_b)
-        if estimate == math.inf:
-            raise ValueError(f"bar_b = {bar_b!r} is too small: the escape count overflows")
-        return max(0, math.ceil(estimate))
-    # Estimate with the factor 1 + bar_b as rounded (log1p can be off by
-    # billions of steps when bar_b is near machine epsilon), then polish the
-    # rounding so the returned k is exactly the first crossing.
-    factor = 1.0 + bar_b
-    k = max(0, math.ceil(ratio / math.log(factor)))
-    while k > 0 and _grown(initial_projection, factor, k - 1) >= threshold:
-        k -= 1
-    while _grown(initial_projection, factor, k) < threshold:
-        k += 1
-    return int(k)
+    estimate = ratio / math.log1p(bar_b)
+    if estimate == math.inf:
+        raise ValueError(f"bar_b = {bar_b!r} is too small: the escape count overflows")
+    return math.ceil(estimate)

@@ -15,9 +15,9 @@ from saddlescape import (
     PerturbedStart,
     divergence_table,
     escape_time,
+    first_crossings,
     iterate,
     params_array,
-    predicted_escape_iters,
     random_problem,
     rng_from,
     run_accelerated,
@@ -25,7 +25,6 @@ from saddlescape import (
     sample_unit_ball,
     toy_problem,
 )
-from saddlescape.experiments import _descent_crossings
 from saddlescape.optimizers import DIVERGENCE_CUTOFF, GRADIENT_DESCENT, FirstCrossing, Trace
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -318,7 +317,7 @@ def test_descent_closed_form_within_one_step_of_the_kernel(seed, delta, step, th
     counts = [
         np.where(k < 0, cap + 1, k)
         for k in (
-            _descent_crossings(curvatures, step_sizes, starts, threshold, cap),
+            first_crossings(1.0 + step_sizes[:, None] * np.abs(curvatures), starts, threshold, cap),
             kernel_descent_crossings(curvatures, step_sizes, starts, threshold, cap),
         )
     ]
@@ -341,27 +340,16 @@ def test_table_descent_column_equals_the_kernel_on_the_seed_0_cells():
         assert [rec.steepest_descent for rec in result.trials if rec.delta == delta] == expected.tolist()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.floats(-9, math.log10(3)), st.floats(-4, 0), st.floats(-1, 8), st.floats(0, 11))
-def test_one_coordinate_crossing_is_the_predicted_count_within_the_cap(log_b, log_start, log_threshold, log_cap):
-    # The table's rate-predictor column bisects start * (1 + b)^k; on one
-    # coordinate that is the uncapped predictor's count, or -1 past the cap.
-    b, start, threshold, cap = 10.0**log_b, 10.0**log_start, 10.0**log_threshold, int(10.0**log_cap)
-    expected = predicted_escape_iters(b, start, threshold)
-    got = _descent_crossings(-np.array([[b]]), np.ones(1), np.array([[start]]), threshold, cap)
-    assert got.tolist() == [expected if expected <= cap else -1]
-
-
 def test_descent_closed_form_edge_cases():
     # a zero start, a start past the threshold, a tiny start (the first probe,
-    # at 2**62 steps, overflows the power), and a step too small to change a float
-    curvatures = np.array([[-0.01, -0.01], [-0.01, -0.01], [-0.01, -0.01], [-1e-20, -1e-20]])
+    # at 2**63 - 2 steps, overflows the power), and a step too small to change a float
+    growth = 1.0 + np.array([[0.01, 0.01], [0.01, 0.01], [0.01, 0.01], [1e-20, 1e-20]])
     starts = np.array([[0.0, 0.0], [0.0, 3.0], [1e-300, 0.0], [0.5, 0.5]])
-    counts = _descent_crossings(curvatures, np.ones(4), starts, 2.0, 10**23)
+    counts = first_crossings(growth, starts, 2.0, 10**23)
     assert counts[[0, 1, 3]].tolist() == [-1, 0, -1]
     assert abs(counts[2] - math.log(2e300) / math.log(1.01)) <= 1
-    assert _descent_crossings(curvatures, np.ones(4), starts, 2.0, 0).tolist() == [-1, 0, -1, -1]
-    assert _descent_crossings(curvatures, np.ones(4), starts, 2.0, 1000).tolist() == [-1, 0, -1, -1]
+    assert first_crossings(growth, starts, 2.0, 0).tolist() == [-1, 0, -1, -1]
+    assert first_crossings(growth, starts, 2.0, 1000).tolist() == [-1, 0, -1, -1]
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 1024, 1025, 2500])

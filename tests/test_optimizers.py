@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     ConstantSchedule,
@@ -55,6 +57,36 @@ class TestGradientDescent:
             ks = np.arange(101)[:, None]
             expected = (1.0 - alpha * prob.eigenvalues) ** ks * x0
             assert np.max(np.abs(trace.points - expected) / np.abs(expected)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        st.floats(1e-3, 0.5),
+        st.integers(0, 2**16),
+        st.floats(0.01, 0.9),
+        st.booleans(),
+        st.integers(0, 150),
+    )
+    def test_is_its_closed_form_on_random_problems(self, shape, delta, seed, step, rotate, iterations):
+        # Criterion 1 over random parameters: with alpha <= 0.9/L every factor
+        # 1 - alpha*lambda lies in [0.1, 1.9], so no coordinate is annihilated
+        n, p = shape
+        prob = random_problem(n, p, delta, seed=seed)
+        x0 = rng_from(seed, 9).standard_normal(n)
+        alpha = step / prob.lipschitz
+        factors = (1.0 - alpha * prob.eigenvalues) ** np.arange(iterations + 1)[:, None]
+        if not rotate:
+            trace = run_gradient_descent(prob, alpha, x0, iterations)
+            assert np.max(np.abs(trace.points - factors * x0) / np.abs(factors * x0)) <= 1e-12
+            return
+        prob = prob.rotated(basis_seed=seed)
+        basis = prob.basis
+        trace = run_gradient_descent(prob, alpha, x0, iterations)
+        # in the eigenbasis each coordinate is its own closed form; the error
+        # scale of the mapped-back point is |coordinates| @ |basis|^T
+        coords = factors * (x0 @ basis)
+        scale = np.abs(coords) @ np.abs(basis).T
+        assert np.max(np.abs(trace.points - coords @ basis.T) / scale) <= 1e-12
 
     def test_divergence_flag_and_truncation(self):
         prob = QuadraticProblem(np.array([1.0]))

@@ -15,6 +15,7 @@ from saddlescape import (
     QuadraticProblem,
     ToySchedule,
     escape_bounds,
+    first_crossings,
     predicted_escape_iters,
     product_reconstruction,
     random_problem,
@@ -62,6 +63,17 @@ def crosses(bar_b, projection, threshold, k):
     with localcontext() as ctx:
         ctx.prec = 60
         return Decimal(projection) * Decimal(1.0 + bar_b) ** k >= Decimal(threshold)
+
+
+def grown(start, factor, k):
+    """``start * factor**k`` in Python floats, the power split in integer halves wherever it alone overflows."""
+    if math.isinf(start):  # it stays inf: no need to split the rest of the power
+        return start
+    try:
+        return start * factor**k
+    except OverflowError:
+        half = k // 2
+        return grown(grown(start, factor, half), factor, k - half)
 
 
 class TestRateSequence:
@@ -162,6 +174,25 @@ class TestProductReconstruction:
         seq = rate_sequence(-0.05, 0.5, NesterovSchedule(), 5)
         with pytest.raises(ValueError):
             product_reconstruction(1.0, seq, 6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.floats(-4, 0),
+        st.floats(0.01, 1.0),
+        all_schedules,
+        st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3),
+        st.integers(0, 300),
+    )
+    def test_simulated_coordinate_is_the_product_formula(self, log_curvature, alpha, schedule, start, steps):
+        # Criterion 2 over random parameters: with alpha <= 1/L the positive
+        # coordinate stays bounded, and the negative one is x0 * prod(1 + b_m)
+        lam = -(10.0**log_curvature)
+        trace = run_accelerated(
+            QuadraticProblem(np.array([1.0, lam])), alpha, schedule, np.array([0.7, start]), EqualStart(), steps
+        )
+        seq = rate_sequence(lam, alpha, schedule, max(steps, 1))
+        expected = [product_reconstruction(start, seq, k) for k in range(len(trace.points))]
+        assert trace.points[:, 1] == pytest.approx(expected, rel=1e-10)
 
 
 class TestRateLimit:
@@ -297,6 +328,10 @@ class TestPredictedEscape:
         assert crosses(bar_b, projection, threshold, k)
         assert not crosses(bar_b, projection, threshold, k - 1)
 
+    def test_smallest_start_to_largest_threshold(self):
+        # the power overflows from about 1024 steps on, long before the product crosses
+        assert predicted_escape_iters(1.0, 5e-324, 1e308) == 2098
+
     def test_domains(self):
         with pytest.raises(ValueError):
             predicted_escape_iters(0.0, 0.1, 1.0)
@@ -308,3 +343,41 @@ class TestPredictedEscape:
             for args in ((bad, 0.1, 1.0), (0.1, bad, 1.0), (0.1, 0.1, bad)):
                 with pytest.raises(ValueError):
                     predicted_escape_iters(*args)
+
+
+class TestFirstCrossings:
+    @pytest.mark.parametrize(
+        "growth, start, threshold, count",
+        [
+            (2.0, 1e-10, 1e300, 1030),  # the power overflows long before the product crosses
+            (2.0, 1e-200, 1e-190, 34),  # the square of a lone coordinate underflows
+            (1.0 + 2**-52, 5e-324, 1e300, 6463636440543851012),  # a count past 2**62
+        ],
+    )
+    def test_exact_count_past_the_float_range(self, growth, start, threshold, count):
+        assert first_crossings([[growth]], [[start]], threshold, 2**63 - 2).tolist() == [count]
+        assert grown(start, growth, count) >= threshold > grown(start, growth, count - 1)
+
+    def test_a_crossing_past_the_cap_is_minus_one(self):
+        assert first_crossings([[2.0]], [[1e-10]], 1e300, 1029).tolist() == [-1]
+        assert first_crossings([[2.0]], [[1e-10]], 1e300, 1030).tolist() == [1030]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.floats(-52, math.log2(10)),
+        st.floats(-324, 0),
+        st.floats(-320, 308),
+        st.integers(0, 2**63 - 2),
+    )
+    @example(log_b=-52.0, log_start=-324.0, log_threshold=308.0, cap=2**63 - 2)  # the largest count
+    def test_one_coordinate_crossing_is_minimal_over_the_float_range(self, log_b, log_start, log_threshold, cap):
+        # The returned k crosses and k - 1 does not, in the scalar reference;
+        # -1 means the reference has not crossed at the cap.
+        factor = 1.0 + 2.0**log_b
+        start, threshold = max(10.0**log_start, 5e-324), max(10.0**log_threshold, 5e-324)
+        [k] = first_crossings([[factor]], [[start]], threshold, cap).tolist()
+        if k < 0:
+            assert grown(start, factor, cap) < threshold
+        else:
+            assert k <= cap and grown(start, factor, k) >= threshold
+            assert k == 0 or grown(start, factor, k - 1) < threshold
