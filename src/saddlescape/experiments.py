@@ -33,6 +33,9 @@ from .optimizers import (
     StartPolicy,
     Trace,
     iterate,
+    row_norms,
+    run_gradient_descent,
+    run_heavy_ball,
 )
 from .problems import random_problem, sample_unit_ball, toy_problem
 from .rates import first_crossings, rate_limit
@@ -138,23 +141,19 @@ def toy_figure(
     if thin < 1:
         raise ValueError("thin must be at least 1")
     problem = toy_problem(delta)
-    start = np.asarray(x0, dtype=float)[None]
-    if start.shape != (1, 2):
+    start = np.asarray(x0, dtype=float)
+    if start.shape != (2,):
         raise ValueError(f"x0 must have two components, got {start.size}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
 
-    def points_and_escape(schedule):
-        trace = Trace()
-        batch = iterate(problem.eigenvalues, alpha, schedule, start, start, iterations, trace)
-        points = trace.values[: batch.steps[0] + 1, 0]
-        hits = np.flatnonzero(np.abs(points[:, 1]) >= threshold)
-        return points[::thin].copy(), int(hits[0]) if hits.size else None
+    def thinned(trace):
+        hits = np.flatnonzero(row_norms(trace.points[:, 1:]) >= threshold)
+        return trace.points[::thin].copy(), int(hits[0]) if hits.size else None
 
-    descent, descent_escape = points_and_escape(GRADIENT_DESCENT)
-    heavy_ball, heavy_ball_escape = points_and_escape(ConstantSchedule(beta, 0.0))
+    # heavy ball runs first: it checks beta, and every other input is checked before either run
+    heavy_ball, heavy_ball_escape = thinned(run_heavy_ball(problem, alpha, beta, start, iterations=iterations))
+    descent, descent_escape = thinned(run_gradient_descent(problem, alpha, start, iterations))
     return ToyFigure(descent, heavy_ball, int(thin), descent_escape, heavy_ball_escape)
 
 
@@ -236,14 +235,14 @@ def negspace_experiment(
     def proj_norms(step_size, schedule, x_prev):
         trace = Trace()
         batch = iterate(eigenvalues[mask], step_size, schedule, start, x_prev, iterations, trace)
-        return trace.norms(0, batch.steps[0])
+        return row_norms(trace.values[: batch.steps[0] + 1, 0])
 
     descent = proj_norms(alpha, GRADIENT_DESCENT, start)
     heavy = proj_norms(alpha, ConstantSchedule(beta_hb, 0.0), previous)
     accel = proj_norms(alpha_ag, NesterovSchedule(), previous)
 
     limit = rate_limit(lam_n, alpha_ag, 1.0, 1.0)
-    start_norm = float(np.linalg.norm(x0[mask]))
+    start_norm = float(row_norms(start)[0])
     with np.errstate(over="ignore"):
         predicted = start_norm * (1.0 + limit.value) ** np.arange(iterations + 1, dtype=float)
 
@@ -418,12 +417,11 @@ def divergence_table(
         accelerated = FirstCrossing(cell_threshold)
         iterate(neg_values, alpha_ag, schedule, neg_start, neg_start, cap, accelerated)
         rates = np.array([rate_limit(float(v[-1]), float(a), *limits).value for v, a in zip(neg_values, alpha_ag)])
-        norms = np.array([float(np.linalg.norm(x)) for x in neg_start])  # norm(axis=1) sums in another order
         descent_growth = 1.0 + (1.0 / lipschitz)[:, None] * np.abs(neg_values)
         crossings = {
             "steepest_descent": first_crossings(descent_growth, neg_start, cell_threshold, cap),
             "accelerated_gradient": accelerated.crossing,
-            "rate_predictor": first_crossings(1.0 + rates[:, None], norms[:, None], cell_threshold, cap),
+            "rate_predictor": first_crossings(1.0 + rates[:, None], row_norms(neg_start)[:, None], cell_threshold, cap),
         }
         # a crossing of -1 never came: the trial is recorded at the cap, as censored
         counts = {m: [int(k) if k >= 0 else cap for k in ks] for m, ks in crossings.items()}

@@ -12,6 +12,7 @@ diagonal curvatures ``h``.  It runs blocks of steps and hands each block of
 iterates to a reducer at once: :class:`Trace` keeps all of them, and
 :class:`FirstCrossing` only the step at which the state's norm reaches a
 threshold.  The divergence cutoff is checked once per block too.
+:func:`row_norms` is the one norm every run's iterates are read by.
 Traces index iterates by the number of update steps applied: ``points[0]``
 is the starting point and ``points[k]`` the k-th iterate.
 """
@@ -42,6 +43,7 @@ __all__ = [
     "run_heavy_ball",
     "run_accelerated",
     "escape_time",
+    "row_norms",
 ]
 
 # The objectives of interest are unbounded below, so runaway iterates are an
@@ -111,10 +113,6 @@ class IterationTrace:
     def coordinate(self, i: int) -> np.ndarray:
         return self.points[:, i]
 
-    def projection_norms(self, projector: np.ndarray) -> np.ndarray:
-        projector = np.atleast_2d(np.asarray(projector, dtype=float))
-        return np.linalg.norm(self.points @ projector.T, axis=1)
-
 
 class BatchRun(NamedTuple):
     """Per row of a batch: update steps taken, whether the run stopped at the cutoff, last iterate."""
@@ -136,33 +134,25 @@ class Trace:
     def block(self, k: int, states: np.ndarray, rows: np.ndarray) -> None:
         self.values[k : k + len(states), rows] = states
 
-    def norms(self, i: int, steps: int) -> np.ndarray:
-        """Row ``i``'s norms, summed column by column as ``norm(points[:, mask], axis=1)`` sums."""
-        return np.linalg.norm(np.asfortranarray(self.values[: steps + 1, i]), axis=1)
-
 
 class FirstCrossing:
     """Reducer stopping each row at its first step with ``||x|| >= threshold``, step 0 included.
 
-    ``crossing[i]`` is that step for row ``i``, or -1 if the row never got there.
+    ``crossing[i]`` is that step for row ``i``, or -1 if the row never got there.  ``threshold`` is at most the cutoff.
     """
 
     def __init__(self, threshold: float):
-        if not threshold > 0:
-            raise ValueError(f"threshold must be positive, got {threshold!r}")
+        if not 0 < threshold <= DIVERGENCE_CUTOFF:
+            raise ValueError(f"threshold must lie in (0, {DIVERGENCE_CUTOFF:g}], got {threshold!r}")
         self.threshold = threshold
 
     def start(self, x0: np.ndarray, iterations: int) -> None:
         self.crossing = np.full(x0.shape[0], -1)
 
-    @staticmethod
-    def row_norms(x: np.ndarray) -> np.ndarray:
-        """The Euclidean norm of each row of the 2-D array ``x``."""
-        return np.sqrt(np.einsum("ij,ij->i", x, x))
-
     def block(self, k: int, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # A row stops at its first hit, and no state of a block but its last is past the cutoff.
-        hit = (self.row_norms(states.reshape(-1, states.shape[2])) >= self.threshold).reshape(states.shape[:2])
+        # A row's first hit comes by its first step past the cutoff, whose norm is inf or past the
+        # threshold, so the states a row computes after it stopped are never read.
+        hit = (row_norms(states.reshape(-1, states.shape[2])) >= self.threshold).reshape(states.shape[:2])
         crossed = hit.any(axis=0)
         self.crossing[rows[crossed]] = k + hit.argmax(axis=0)[crossed]
         return hit
@@ -189,11 +179,10 @@ def iterate(
     the start, then each block of iterates of the active rows, as
     ``reducer.block(k, states, rows)`` with ``states[j]`` iterate ``k + j``.
     A row leaves the active set at the first step where a coordinate is
-    non-finite or past the cutoff, or that ``reducer.block`` marks; a block
-    ends at its first such cutoff step, and the rows that go on run its
-    later steps again.  Under a reducer that marks steps, a row also stops
-    at a block's end once it is a fixed point of every later step (``x ==
-    x_prev`` and ``x - alpha * (h * x) == x``): no later step can mark it.
+    non-finite or past the cutoff, or that ``reducer.block`` marks.  Under a
+    reducer that marks steps, a row also stops at a block's end once it is a
+    fixed point of every later step (``x == x_prev`` and ``x - alpha * (h *
+    x) == x``): no later step can mark it.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
@@ -269,8 +258,6 @@ def iterate(
             # apart only once some coordinate is past the cutoff (or NaN).
             if not (states.max() <= DIVERGENCE_CUTOFF and states.min() >= -DIVERGENCE_CUTOFF):
                 over = ~(np.abs(states).max(axis=2) <= DIVERGENCE_CUTOFF)
-                m = int(over.any(axis=1).argmax()) + 1
-                states, over = states[:m], over[:m]
             xp, x = buf[m], buf[m + 1]
             go_on = settle(k + 1, states, over)
             k += m
@@ -356,7 +343,14 @@ def escape_time(trace: IterationTrace, subspace_projector: np.ndarray, threshold
     """First step index ``k`` with ``||P x^k|| >= threshold``, or None if never reached."""
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
-    norms = trace.projection_norms(subspace_projector)
-    hits = np.nonzero(norms >= threshold)[0]
+    hits = np.flatnonzero(row_norms(trace.points @ np.atleast_2d(subspace_projector).T) >= threshold)
     return int(hits[0]) if hits.size else None
 
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm: a one-column row's magnitude (whose square underflows), else the root of
+    its squares summed by ``einsum`` in C order, since that sum depends on the layout (C blocks are not copied)."""
+    if x.shape[1] == 1:
+        return np.abs(x[:, 0])
+    x = np.ascontiguousarray(x)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))

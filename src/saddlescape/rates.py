@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .optimizers import FirstCrossing
+from .optimizers import row_norms
 from .schedules import MAX_STEPS, MomentumSchedule
 
 __all__ = [
@@ -210,12 +210,19 @@ def escape_bounds(delta: float, alpha: float, epsilon: float) -> dict:
 def first_crossings(growth, starts, threshold: float, cap: int) -> np.ndarray:
     """Each row's first ``k <= cap`` with ``||starts * growth**k|| >= threshold``, or -1; all rows bisected at once.
 
-    ``growth`` (at least 1) and ``starts`` broadcast to one 2-D shape; a zero start stays 0.  Where the start is
-    small enough for the product to fall short of the threshold, a power past the float range is split in integer
-    halves of ``k``, and each half once more (a quarter power cannot overflow then).  The norm is
-    :meth:`FirstCrossing.row_norms`, and a one-column row's is its magnitude, whose square underflows.
+    ``growth`` (finite, at least 1) and ``starts`` (finite) broadcast to one 2-D shape; a zero start stays 0.  Where
+    the start is small enough for the product to fall short of the threshold, a power past the float range is split
+    in integer halves of ``k``, and each half once more (a quarter power cannot overflow then).  The norm is
+    :func:`row_norms`.
     """
     growth, starts = np.broadcast_arrays(np.asarray(growth, dtype=float), np.asarray(starts, dtype=float))
+    if not (np.all(growth >= 1) and np.all(growth < math.inf)):
+        raise ValueError("growth must be finite and at least 1")
+    if not np.isfinite(starts).all():
+        raise ValueError("starts must be finite")
+    _positive("threshold", threshold)
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap!r}")
     zero = starts == 0
     # Only below this start can an overflowed power leave the product short of the threshold (4 covers rounding)
     small = ~zero & (np.abs(starts) < threshold / np.finfo(float).max * 4)
@@ -227,7 +234,7 @@ def first_crossings(growth, starts, threshold: float, cap: int) -> np.ndarray:
         if splits and (split := small & np.isinf(power)).any():
             g, m = growth[split], np.broadcast_to(k[:, None], split.shape)[split]
             x[split] = _times_power(_times_power(starts[split], g, m // 2), g, m - m // 2)
-        return (np.abs(x[:, 0]) if x.shape[1] == 1 else FirstCrossing.row_norms(x)) >= threshold
+        return row_norms(x) >= threshold
 
     # -1 is before the start; a start >= 5e-324 with a factor >= 1 + 2**-52 crosses any float before _MAX_COUNT
     lo, hi = np.full(len(starts), -1), np.full(len(starts), min(cap, _MAX_COUNT))

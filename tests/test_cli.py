@@ -95,6 +95,23 @@ class TestToyCommand:
         code, _, _ = run_cli(capsys, "toy", "--x0", "1,2,3")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--beta", "1"], "beta must lie in [0, 1)"),
+            (["--x0", "1,2,3"], "x0 must have two components"),
+            (["--threshold", "nan"], "threshold must be positive and finite"),
+            (["--thin", "0"], "thin must be at least 1"),
+            (["--alpha", "0"], "alpha must be positive and finite"),
+            (["--delta", "1.5"], "delta must lie in (0, 1)"),
+            (["--x0", "nan,1"], "starts and predecessors must be finite"),
+        ],
+    )
+    def test_every_input_is_checked_before_a_run(self, capsys, argv, message):
+        # a run of 10**14 steps would fail out of memory before any later check
+        code, _, err = run_cli(capsys, "toy", "--iters", "100000000000000", *argv)
+        assert code == 1 and message in err
+
 
 class TestSpectrumCommand:
     def test_single_eigenvalue_roots(self, capsys):
@@ -391,6 +408,14 @@ class TestSimulateCommand:
         assert out == csv_writer_text(rows)
         if kwargs["n"] == 30:
             assert rows[-1][2:4] == ["", ""]
+
+    def test_one_start_projection_opens_every_series(self, capsys):
+        # the measured series, the predictor and the echoed start are one norm of the start
+        code, out, _ = run_cli(capsys, "simulate", "--p", "3", "--seed", "0", "--iters", "5", "--json")
+        assert code == 0
+        data = json.loads(out)
+        firsts = {data[name][0] for name in ("steepest_descent", "heavy_ball", "accelerated", "predicted")}
+        assert firsts == {data["params"]["start_projection"]}
 
     def test_perturbed_predecessor(self, capsys):
         code, out, _ = run_cli(

@@ -27,7 +27,7 @@ from saddlescape import (
     toy_problem,
 )
 from saddlescape.experiments import TABLE_METHODS
-from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, iterate
+from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, iterate, row_norms
 
 
 def _escape_steps(neg_values, neg_start, alpha, schedule, threshold, cap):
@@ -161,7 +161,7 @@ class TestNegspaceExperiment:
         series = negspace_experiment(n=40, p=p, delta=3e-2, seed=8, iterations=5)
         assert series.params["lambda_n"] == problem.eigenvalues[-1]
         assert series.params["lipschitz"] == problem.lipschitz
-        assert series.params["start_projection"] == float(np.linalg.norm(x0[problem.eigenvalues < 0]))
+        assert series.params["start_projection"] == float(row_norms(x0[problem.eigenvalues < 0][None])[0])
 
     def test_json_shape(self):
         series = negspace_experiment(n=30, p=1, delta=1e-2, seed=6, iterations=40)
@@ -289,7 +289,7 @@ class TestDivergenceTable:
             x0 = sample_unit_ball(30, rng)
             mask = problem.eigenvalues < 0
             limit = rate_limit(problem.eigenvalues[-1], 0.99 / problem.lipschitz, 0.9, 0.0)
-            assert rec.rate_predictor == predicted_escape_iters(limit.value, np.linalg.norm(x0[mask]), 30.0)
+            assert rec.rate_predictor == predicted_escape_iters(limit.value, row_norms(x0[mask][None])[0], 30.0)
             assert rec.rate_predictor > other.rate_predictor
 
     def test_censoring_recorded_with_warning(self):

@@ -25,7 +25,7 @@ from saddlescape import (
     sample_unit_ball,
     toy_problem,
 )
-from saddlescape.optimizers import DIVERGENCE_CUTOFF, GRADIENT_DESCENT, FirstCrossing, Trace
+from saddlescape.optimizers import DIVERGENCE_CUTOFF, GRADIENT_DESCENT, FirstCrossing, Trace, row_norms
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -163,8 +163,23 @@ def test_negative_block_run_equals_full_width_run(shape, delta, seed, epsilon, i
         )
         steps = block_run.steps[0]
         assert full_run.steps[0] == steps and full_run.diverged[0] == block_run.diverged[0]
-        full_norms = np.linalg.norm(full.values[: steps + 1, 0][:, mask], axis=1)
-        assert np.array_equal(block.norms(0, steps), full_norms)
+        full_norms = row_norms(full.values[: steps + 1, 0][:, mask])
+        assert np.array_equal(row_norms(block.values[: steps + 1, 0]), full_norms)
+
+
+@pytest.mark.parametrize("shape", [(300, 7), (300, 2), (300, 1), (1, 5)])
+def test_row_norms_do_not_depend_on_memory_layout(shape):
+    # einsum's sum depends on the layout, so the norm sums a C-ordered copy
+    x = rng_from(11).standard_normal(shape) * 10.0 ** rng_from(12).uniform(-3, 3, size=shape)
+    norms = row_norms(x)
+    for view in (np.asfortranarray(x), np.asfortranarray(x.T).T, x[::-1][::-1], np.repeat(x, 2, axis=1)[:, ::2]):
+        assert row_norms(view).tobytes() == norms.tobytes()
+
+
+def test_a_lone_coordinate_norm_is_its_magnitude():
+    # its square underflows below about 1.5e-154
+    x = np.array([[1e-200], [-3e-170], [0.0], [-2.5]])
+    assert row_norms(x).tolist() == [1e-200, 3e-170, 0.0, 2.5]
 
 
 @PROPERTY
@@ -208,7 +223,7 @@ def per_step_run(curvatures, alphas, schedule, starts, x_prevs, iterations, thre
                     x, xp = x - alpha * (curvatures * y) + betas[k] * d, x
                     points.append(x)
                 over = not np.abs(x).max() <= DIVERGENCE_CUTOFF
-                hit = threshold is not None and FirstCrossing.row_norms(x[None])[0] >= threshold
+                hit = threshold is not None and row_norms(x[None])[0] >= threshold
                 if over or hit:
                     steps, diverged, crossing = k, over, k if hit else -1
                     break
@@ -220,11 +235,11 @@ def per_step_run(curvatures, alphas, schedule, starts, x_prevs, iterations, thre
 @given(
     setups(batch=5),
     st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 1023, 1024, 1025, 2049]), st.integers(0, 2100)),
-    st.one_of(st.none(), st.floats(0.5, 1e3), st.sampled_from([1e99, 1e150])),
+    st.one_of(st.none(), st.floats(0.5, 1e3), st.sampled_from([1e99, 1e100])),
 )
 def test_blocked_kernel_equals_a_per_step_loop(setup, iterations, threshold):
     # Rows stop mid-block at the cutoff (step sizes up to 2.5/L) or at a crossing,
-    # and a threshold past the cutoff lets a row diverge before it would cross.
+    # and a threshold at the cutoff, the edge of its domain, crosses where the row diverges.
     curvatures, x_prevs = setup["problem"].eigenvalues, predecessors(setup)
     reducer = Trace() if threshold is None else FirstCrossing(threshold)
     batch = iterate(curvatures, setup["alphas"], setup["schedule"], setup["starts"], x_prevs, iterations, reducer)
@@ -257,14 +272,23 @@ def test_wide_blocks_equal_a_per_step_loop(n, batch):
     assert len(set(run.steps.tolist())) > 3
 
 
-def test_a_row_past_the_cutoff_never_crosses_later_in_its_block():
-    # growth of 1e30 per step passes the cutoff at step 4 and the threshold
-    # at step 5, both within the first block
+@pytest.mark.parametrize("threshold", [1e100 * (1 + 2**-52), 1e140, float("inf"), float("nan")])
+def test_a_threshold_past_the_cutoff_is_rejected(threshold):
+    # Past the cutoff a row could diverge before it crosses; within it, a row
+    # crosses at or before its first step past the cutoff.
+    with pytest.raises(ValueError, match="threshold must lie in"):
+        FirstCrossing(threshold)
+
+
+def test_a_row_crosses_a_threshold_at_the_cutoff_where_it_diverges():
+    # growth of 1e30 per step passes the cutoff at step 4, mid-block; the
+    # block's later states overflow, and the row still stops at step 4
     curvatures, starts = np.array([-1e30, 0.0]), np.array([[1.0, 0.0]])
-    crossing = FirstCrossing(1e140)
+    crossing = FirstCrossing(DIVERGENCE_CUTOFF)
     run = iterate(curvatures, 1.0, GRADIENT_DESCENT, starts, starts, 20, crossing)
-    assert (run.steps[0], run.diverged[0], crossing.crossing[0]) == (4, True, -1)
-    assert per_step_run(curvatures, [1.0], GRADIENT_DESCENT, starts, starts, 20, 1e140)[0][:2] == (4, True)
+    assert (run.steps[0], run.diverged[0], crossing.crossing[0]) == (4, True, 4)
+    steps, diverged, _, crossed, _ = per_step_run(curvatures, [1.0], GRADIENT_DESCENT, starts, starts, 20, 1e100)[0]
+    assert (steps, diverged, crossed) == (4, True, 4)
 
 
 class TestStall:

@@ -10,6 +10,8 @@ from saddlescape import (
     PerturbedStart,
     QuadraticProblem,
     escape_time,
+    param_conditions,
+    random_orthogonal,
     random_problem,
     rng_from,
     run_accelerated,
@@ -268,3 +270,59 @@ class TestSaddleAvoidance:
                 converged += 1
         assert converged == 0
 
+
+@st.composite
+def saddles(draw):
+    """Eigenvalues with a positive part in ``[0.1, 1] * lambda1`` and a negative part in ``[-0.5, -0.05] * lambda1``,
+    heavy-ball parameters that pass :func:`param_conditions` with a margin, and a seed."""
+    n = draw(st.integers(3, 8))
+    p = draw(st.integers(1, n - 2))
+    lambda1 = draw(st.floats(0.5, 2.0))
+    positive = [draw(st.floats(0.1, 1.0)) for _ in range(n - p - 1)]
+    negative = [draw(st.floats(-0.5, -0.05)) for _ in range(p)]
+    eigenvalues = lambda1 * np.sort(np.array([1.0, *positive, *negative]))[::-1]
+    step = draw(st.floats(0.2, 3.0))  # alpha * lambda1, below 4
+    lower = max(step / 2.0 - 1.0, 0.0)
+    beta = lower + (1.0 - lower) * draw(st.floats(0.1, 0.9))
+    return eigenvalues, step / lambda1, beta, draw(st.integers(0, 2**16))
+
+
+class TestSaddleAvoidanceProperty:
+    """The stable-manifold result for heavy ball: only starts on the saddle's stable manifold converge to it."""
+
+    ITERATIONS = 3000
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(saddles())
+    def test_perturbed_starts_leave_the_unit_ball(self, saddle):
+        # With alpha*|lambda| >= 0.01 the unstable root is at least 1.01, so a
+        # negative-space component of 1e-3 passes 1 within about 700 steps.
+        eigenvalues, alpha, beta, seed = saddle
+        assert param_conditions(alpha, beta, eigenvalues[0])
+        prob = QuadraticProblem(eigenvalues).rotated(seed)
+        mask = eigenvalues < 0
+        rng = rng_from(seed, 3)
+        on_manifold = prob.basis[:, ~mask] @ rng.uniform(-0.5, 0.5, size=(~mask).sum())
+        direction = prob.basis[:, mask] @ rng.standard_normal(mask.sum())
+        x0 = on_manifold + 1e-3 * direction / np.linalg.norm(direction)
+        trace = run_heavy_ball(prob, alpha, beta, x0, EqualStart(), self.ITERATIONS)
+        k = escape_time(trace, prob.negative_projector(), 1.0)
+        assert k is not None and k > 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(saddles())
+    def test_starts_without_a_negative_component_converge(self, saddle):
+        # The basis rotates the positive and the negative eigenvectors among
+        # themselves, so a start in the positive span has an exactly zero
+        # negative-space component, in every iterate too: the measure-zero exception.
+        eigenvalues, alpha, beta, seed = saddle
+        n, mask = eigenvalues.size, eigenvalues < 0
+        basis = np.zeros((n, n))
+        basis[np.ix_(~mask, ~mask)] = random_orthogonal((~mask).sum(), seed)
+        basis[np.ix_(mask, mask)] = random_orthogonal(mask.sum(), seed + 1)
+        prob = QuadraticProblem(eigenvalues, basis=basis)
+        x0 = basis[:, ~mask] @ rng_from(seed, 3).uniform(-0.5, 0.5, size=(~mask).sum())
+        trace = run_heavy_ball(prob, alpha, beta, x0, EqualStart(), self.ITERATIONS)
+        assert not trace.diverged and not trace.points[:, mask].any()
+        assert escape_time(trace, prob.negative_projector(), 1e-300) is None
+        assert np.abs(trace.final).max() <= 1e-12

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     QuadraticProblem,
@@ -175,6 +177,28 @@ class TestSerialization:
         prob = random_problem(6, 1, 0.05, seed=3).rotated(basis_seed=8)
         back = QuadraticProblem.from_json_dict(prob.to_json_dict())
         assert np.array_equal(back.basis, prob.basis)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        st.floats(1e-6, 10.0),
+        st.integers(0, 2**32),
+        st.one_of(st.none(), st.integers(0, 2**32)),
+    )
+    def test_json_round_trip_is_exact(self, shape, delta, seed, basis_seed):
+        n, p = shape
+        prob = random_problem(n, p, delta, seed)
+        if basis_seed is not None:
+            prob = prob.rotated(basis_seed)
+        data = json.loads(json.dumps(prob.to_json_dict()))
+        back = QuadraticProblem.from_json_dict(data)
+        assert back.eigenvalues.tobytes() == prob.eigenvalues.tobytes()
+        assert (back.seed, back.basis_seed) == (prob.seed, prob.basis_seed)
+        if basis_seed is None:
+            assert back.basis is None
+        else:
+            assert back.basis.tobytes() == prob.basis.tobytes()
+        assert back.to_json_dict() == data
 
     def test_explicit_basis_not_serializable(self):
         prob = QuadraticProblem(np.array([1.0, -0.5]), basis=np.eye(2))

@@ -23,6 +23,7 @@ from saddlescape import (
     rate_sequence,
     params_array,
     rng_from,
+    row_norms,
     run_accelerated,
     sample_unit_ball,
 )
@@ -293,7 +294,7 @@ class TestPredictedEscape:
             mask = prob.eigenvalues < 0
             lim = rate_limit(float(prob.eigenvalues[-1]), 0.99 / prob.lipschitz, 1.0, 1.0)
             values.append(
-                predicted_escape_iters(lim.value, float(np.linalg.norm(x0[mask])), 100.0)
+                predicted_escape_iters(lim.value, float(row_norms(x0[mask][None])[0]), 100.0)
             )
         mean = float(np.mean(values))
         assert 46.0 * 0.7 <= mean <= 46.0 * 1.3
@@ -361,6 +362,30 @@ class TestFirstCrossings:
     def test_a_crossing_past_the_cap_is_minus_one(self):
         assert first_crossings([[2.0]], [[1e-10]], 1e300, 1029).tolist() == [-1]
         assert first_crossings([[2.0]], [[1e-10]], 1e300, 1030).tolist() == [1030]
+
+    @pytest.mark.parametrize(
+        "growth, start, threshold, cap, message",
+        [
+            # a shrinking norm would hide step 0's crossing from the bisection
+            (0.5, 1.0, 0.9, 10, "growth must be finite and at least 1"),
+            (float("nan"), 1.0, 2.0, 10, "growth must be finite and at least 1"),
+            (float("inf"), 1.0, 2.0, 10, "growth must be finite and at least 1"),
+            (2.0, float("nan"), 2.0, 10, "starts must be finite"),
+            (2.0, float("inf"), 2.0, 10, "starts must be finite"),
+            # a NaN threshold used to report every row as never crossing
+            (2.0, 1.0, float("nan"), 10, "threshold must be positive and finite"),
+            (2.0, 1.0, float("inf"), 10, "threshold must be positive and finite"),
+            (2.0, 1.0, 0.0, 10, "threshold must be positive and finite"),
+            (2.0, 1.0, 2.0, -1, "cap must be nonnegative, got -1"),
+        ],
+    )
+    def test_domain(self, growth, start, threshold, cap, message):
+        with pytest.raises(ValueError, match=message):
+            first_crossings([[1.5, growth]], [[1.0, start]], threshold, cap)
+
+    def test_domain_edges_are_accepted(self):
+        # a growth of exactly 1 never grows, and a cap of 0 counts only the start
+        assert first_crossings([[1.0], [1.0]], [[0.5], [2.0]], 1.0, 0).tolist() == [-1, 0]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

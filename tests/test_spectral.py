@@ -268,6 +268,28 @@ class TestIterationMap:
             assert np.linalg.norm(w1 - z1) <= 1e-10 * max(np.linalg.norm(z1), 1.0)
             assert np.linalg.norm(w2 - z2) <= 1e-10 * max(np.linalg.norm(z2), 1.0)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        st.floats(1e-3, 0.3),
+        st.integers(0, 2**16),
+        st.floats(0.05, 3.95),
+        st.floats(1e-3, 0.999),
+    )
+    def test_inverse_is_a_two_sided_inverse_on_rotated_problems(self, shape, delta, seed, step, beta):
+        # Criterion 9: the explicit inverse undoes the map and the map undoes
+        # it.  Dividing by beta scales the rounding error by 1/beta.
+        n, p = shape
+        prob = random_problem(n, p, delta, seed).rotated(basis_seed=seed + 1)
+        alpha = step / prob.lipschitz
+        rng = rng_from(seed, 2)
+        z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+        tolerance = 1e-12 / beta * max(np.abs(z1).max(), np.abs(z2).max(), 1.0)
+        maps = (apply_iteration_map, invert_iteration_map)
+        for forward, backward in (maps, maps[::-1]):
+            w1, w2 = backward(prob, alpha, beta, *forward(prob, alpha, beta, z1, z2))
+            assert np.abs(w1 - z1).max() <= tolerance and np.abs(w2 - z2).max() <= tolerance
+
     def test_inverse_fixed_point_and_zero(self):
         prob = toy_problem(0.3)
         z1, z2 = invert_iteration_map(prob, 0.5, 0.8, np.zeros(2), np.zeros(2))
