@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,14 @@ from .optimizers import (
     FirstCrossing,
     StartPolicy,
     Trace,
+    escape_time,
     iterate,
     row_norms,
     run_gradient_descent,
     run_heavy_ball,
 )
 from .problems import random_problem, sample_unit_ball, toy_problem
-from .rates import first_crossings, rate_limit
+from .rates import _series_rows, first_crossings, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 from .seeding import rng_from
 
@@ -57,10 +57,6 @@ __all__ = [
 TABLE_METHODS = ("steepest_descent", "accelerated_gradient", "rate_predictor")
 
 
-# Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.
-_CSV_CHUNK = 2048
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -69,30 +65,6 @@ def _csv_line(fields) -> str:
     # Fields are names, numbers and empty cells of rows with several cells,
     # which csv.writer would write unquoted too.
     return ",".join(map(str, fields)) + "\n"
-
-
-def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
-    """CSV rows ``<lead><iters[k]>,<columns[0][k]>,...``, yielded in chunks of at most ``_CSV_CHUNK`` rows.
-
-    ``lead`` holds no ``%``.  A column shorter than ``iters`` leaves its cells
-    empty from its end on.  Each run of rows with the same filled columns is
-    formatted with one ``%`` operation per chunk; ``%.12g`` formats a float as
-    :func:`_fmt` does.
-    """
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    start = 0
-    for end in sorted({len(iters), *(c.size for c in columns if c.size < len(iters))}):
-        live = [c for c in columns if c.size >= end]
-        row = lead + "%d" + "".join(",%.12g" if c.size >= end else "," for c in columns) + "\n"
-        width = 1 + len(live)
-        for lo in range(start, end, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, end)
-            cells = [None] * ((hi - lo) * width)
-            cells[0::width] = iters[lo:hi]
-            for i, column in enumerate(live, 1):
-                cells[i::width] = column[lo:hi].tolist()
-            yield (row * (hi - lo)) % tuple(cells)
-        start = end
 
 
 @dataclass(frozen=True)
@@ -136,7 +108,8 @@ def toy_figure(
 
     Both methods share the start, which is also the heavy-ball predecessor;
     every ``thin``-th iterate is kept.  Escape is the first step whose
-    ``|x2|`` reaches ``threshold``, a positive finite number.
+    ``|x2|`` reaches ``threshold``, a positive finite number, as
+    :func:`escape_time` counts it on the negative projector.
     """
     if thin < 1:
         raise ValueError("thin must be at least 1")
@@ -147,14 +120,11 @@ def toy_figure(
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
 
-    def thinned(trace):
-        hits = np.flatnonzero(row_norms(trace.points[:, 1:]) >= threshold)
-        return trace.points[::thin].copy(), int(hits[0]) if hits.size else None
-
     # heavy ball runs first: it checks beta, and every other input is checked before either run
-    heavy_ball, heavy_ball_escape = thinned(run_heavy_ball(problem, alpha, beta, start, iterations=iterations))
-    descent, descent_escape = thinned(run_gradient_descent(problem, alpha, start, iterations))
-    return ToyFigure(descent, heavy_ball, int(thin), descent_escape, heavy_ball_escape)
+    heavy_ball = run_heavy_ball(problem, alpha, beta, start, iterations=iterations)
+    descent = run_gradient_descent(problem, alpha, start, iterations)
+    escapes = (escape_time(run, problem.negative_projector(), threshold) for run in (descent, heavy_ball))
+    return ToyFigure(descent.points[::thin].copy(), heavy_ball.points[::thin].copy(), int(thin), *escapes)
 
 
 @dataclass(frozen=True)

@@ -219,19 +219,18 @@ def iterate(
         """
         hit = None if reducer is None else reducer.block(k, states, rows)
         stop = hit if over is None else over if hit is None else over | hit
-        stopped = np.zeros(rows.size, bool) if stop is None else stop.any(axis=0)
-        stalled = np.zeros(rows.size, bool)
-        if hit is not None:
-            stalled = ~stopped & (x == xp).all(axis=1) & (x - a * (h * x) == x).all(axis=1)
-        if not (stopped.any() or stalled.any()):
+        if hit is not None and (fixed := (x == xp).all(axis=1)).any():
+            # A fixed point of every later step stops at the block's last state.  ``stop`` may be
+            # ``hit`` itself, which is safe to update: the reducer recorded its crossings before returning it.
+            stop[-1] |= fixed & (x - a * (h * x) == x).all(axis=1)
+        if stop is None or not (stopped := stop.any(axis=0)).any():
             return None
         out = np.flatnonzero(stopped)
-        at = stop.argmax(axis=0)[out] if out.size else out  # each stopped row's first marked state
+        at = stop.argmax(axis=0)[out]  # each stopped row's first marked state
         result.steps[rows[out]], result.final[rows[out]] = k + at, states[at, out]
         if over is not None:
             result.diverged[rows[out]] = over[at, out]
-        result.steps[rows[stalled]], result.final[rows[stalled]] = k + len(states) - 1, x[stalled]
-        return ~(stopped | stalled)
+        return ~stopped
 
     with np.errstate(over="ignore", invalid="ignore"):
         k, buf = 0, None  # x is iterate k
@@ -343,7 +342,10 @@ def escape_time(trace: IterationTrace, subspace_projector: np.ndarray, threshold
     """First step index ``k`` with ``||P x^k|| >= threshold``, or None if never reached."""
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
-    hits = np.flatnonzero(row_norms(trace.points @ np.atleast_2d(subspace_projector).T) >= threshold)
+    projector = np.atleast_2d(subspace_projector)
+    # only the coordinates the projector reads: one that overflowed outside them would turn 0 * inf into NaN
+    rows, cols = np.flatnonzero(projector.any(axis=1)), np.flatnonzero(projector.any(axis=0))
+    hits = np.flatnonzero(row_norms(trace.points[:, cols] @ projector[np.ix_(rows, cols)].T) >= threshold)
     return int(hits[0]) if hits.size else None
 
 

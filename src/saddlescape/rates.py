@@ -86,13 +86,11 @@ class RateSequence:
         return block[-1]
 
     def to_csv(self) -> Iterator[str]:
-        """CSV rows ``iter,b``, yielded as text chunks of at most ``_CHUNK`` rows each."""
-        yield "iter,b\n" + _ROW % (0, 0.0)
+        """CSV rows ``iter,b``, yielded by :func:`_series_rows` as text chunks of at most ``_CSV_CHUNK`` rows each."""
+        yield "iter,b\n"
+        yield from _series_rows("", range(1), [[0.0]])
         for start, block in self._windows():
-            cells = [None] * (2 * len(block))
-            cells[0::2] = range(start, start + len(block))
-            cells[1::2] = block
-            yield (_ROW * len(block)) % tuple(cells)
+            yield from _series_rows("", range(start, start + len(block)), [block])
 
 
 @dataclass(frozen=True)
@@ -117,13 +115,35 @@ class RateLimit:
         return abs(lhs - (2.0 * b + b * b))
 
 
-# Steps per window of the growth recurrence, which is also the rows per chunk
-# of its CSV: bounds the memory of the schedule's terms, of the values and of
-# the formatted text.
+# Steps per window of the growth recurrence: bounds the memory of the schedule's terms and of the values.
 _CHUNK = 1 << 16
-# One CSV row ``iter,b``; ``%.12g`` formats as ``f"{b:.12g}"`` does.
-_ROW = "%d,%.12g\n"
+# Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.
+_CSV_CHUNK = 2048
 _MAX_COUNT = 2**63 - 2  # the bisection's upper bound: its gap to -1 still fits an int64
+
+
+def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
+    """CSV rows ``<lead><iters[k]>,<columns[0][k]>,...``, yielded in chunks of at most ``_CSV_CHUNK`` rows.
+
+    ``lead`` holds no ``%``.  A column shorter than ``iters`` leaves its cells
+    empty from its end on.  Each run of rows with the same filled columns is
+    formatted with one ``%`` operation per chunk; ``%.12g`` formats a float as
+    ``f"{value:.12g}"`` does.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    start = 0
+    for end in sorted({len(iters), *(c.size for c in columns if c.size < len(iters))}):
+        live = [c for c in columns if c.size >= end]
+        row = lead + "%d" + "".join(",%.12g" if c.size >= end else "," for c in columns) + "\n"
+        width = 1 + len(live)
+        for lo in range(start, end, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, end)
+            cells = [None] * ((hi - lo) * width)
+            cells[0::width] = iters[lo:hi]
+            for i, column in enumerate(live, 1):
+                cells[i::width] = column[lo:hi].tolist()
+            yield (row * (hi - lo)) % tuple(cells)
+        start = end
 
 
 def _positive(name: str, value: float) -> None:

@@ -39,9 +39,9 @@ def csv_writer_text(rows) -> str:
     return buffer.getvalue()
 
 
-def assert_rates_csv_matches_csv_writer(capsys, tmp_path, spec):
+def assert_rates_csv_matches_csv_writer(capsys, tmp_path, spec, iters=70000):
     # b_k ~ 1e-9 prints in exponent form; 70000 rows cross a window of the streamed recurrence
-    argv = ["rates", "--lambda=-1e-9", "--alpha", "0.99", "--iters", "70000", "--format", "csv",
+    argv = ["rates", "--lambda=-1e-9", "--alpha", "0.99", "--iters", str(iters), "--format", "csv",
             "--schedule", spec]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -52,7 +52,7 @@ def assert_rates_csv_matches_csv_writer(capsys, tmp_path, spec):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["iter", "b"])
     schedule = cli._parse_schedule_spec(spec, None, None, None)
-    for k, value in enumerate(rate_sequence(-1e-9, 0.99, schedule, 70000).values):
+    for k, value in enumerate(rate_sequence(-1e-9, 0.99, schedule, iters).values):
         writer.writerow([str(k), f"{value:.12g}"])
     lines = out.split("\n")
     assert "e-" in lines[2]
@@ -225,7 +225,9 @@ class TestRatesCommand:
         )
 
     def test_csv_bytes_on_stdout_and_file_match_csv_writer(self, capsys, tmp_path):
-        assert_rates_csv_matches_csv_writer(capsys, tmp_path, "nesterov")
+        # b_1..b_iters are formatted 2,048 rows at a time: 2047, 2048 and 2049 end just inside, at and past a chunk
+        for iters in (70000, 2047, 2048, 2049):
+            assert_rates_csv_matches_csv_writer(capsys, tmp_path, "nesterov", iters)
 
     @pytest.mark.parametrize("spec", ["attouch:2", "constant:0.5,0.5"])
     def test_streamed_csv_of_other_schedules_matches_csv_writer(self, capsys, tmp_path, spec):

@@ -254,6 +254,13 @@ class TestEscapeTime:
         trace = run_gradient_descent(prob, 1.0, np.array([1.0, 0.01]), 300)
         assert escape_time(trace, np.array([0.0, 1.0]), 1.0) == 233
 
+    def test_a_coordinate_overflowed_outside_the_subspace_is_not_read(self):
+        # step 1 takes x1 to -inf, where the run stops, and x2 to 0.5: the whole row times the projector is 0 * inf = NaN
+        prob = toy_problem(0.5)
+        trace = run_gradient_descent(prob, 1e300, np.array([1e10, 1e-300]), 5)
+        assert trace.diverged and np.isinf(trace.final[0])
+        assert escape_time(trace, prob.negative_projector(), 0.1) == 1
+
 
 class TestSaddleAvoidance:
     def test_random_starts_never_converge_to_saddle(self):
@@ -287,6 +294,17 @@ def saddles(draw):
     return eigenvalues, step / lambda1, beta, draw(st.integers(0, 2**16))
 
 
+def block_rotated_saddle(eigenvalues, seed):
+    """A problem whose basis rotates the positive and the negative eigenvectors among themselves, and a start in the
+    positive span: its negative-space component is exactly zero, and so is every iterate's from an equal start."""
+    n, mask = eigenvalues.size, eigenvalues < 0
+    basis = np.zeros((n, n))
+    basis[np.ix_(~mask, ~mask)] = random_orthogonal((~mask).sum(), seed)
+    basis[np.ix_(mask, mask)] = random_orthogonal(mask.sum(), seed + 1)
+    x0 = basis[:, ~mask] @ rng_from(seed, 3).uniform(-0.5, 0.5, size=(~mask).sum())
+    return QuadraticProblem(eigenvalues, basis=basis), x0
+
+
 class TestSaddleAvoidanceProperty:
     """The stable-manifold result for heavy ball: only starts on the saddle's stable manifold converge to it."""
 
@@ -312,17 +330,25 @@ class TestSaddleAvoidanceProperty:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(saddles())
     def test_starts_without_a_negative_component_converge(self, saddle):
-        # The basis rotates the positive and the negative eigenvectors among
-        # themselves, so a start in the positive span has an exactly zero
-        # negative-space component, in every iterate too: the measure-zero exception.
+        # No iterate gets a negative-space component: the measure-zero exception.
         eigenvalues, alpha, beta, seed = saddle
-        n, mask = eigenvalues.size, eigenvalues < 0
-        basis = np.zeros((n, n))
-        basis[np.ix_(~mask, ~mask)] = random_orthogonal((~mask).sum(), seed)
-        basis[np.ix_(mask, mask)] = random_orthogonal(mask.sum(), seed + 1)
-        prob = QuadraticProblem(eigenvalues, basis=basis)
-        x0 = basis[:, ~mask] @ rng_from(seed, 3).uniform(-0.5, 0.5, size=(~mask).sum())
+        mask = eigenvalues < 0
+        prob, x0 = block_rotated_saddle(eigenvalues, seed)
         trace = run_heavy_ball(prob, alpha, beta, x0, EqualStart(), self.ITERATIONS)
         assert not trace.diverged and not trace.points[:, mask].any()
         assert escape_time(trace, prob.negative_projector(), 1e-300) is None
         assert np.abs(trace.final).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(saddles())
+    def test_a_perturbed_predecessor_escapes_from_a_start_without_a_negative_component(self, saddle):
+        # The analogue of perturbed gradient descent (Jin et al., arXiv 1703.00887): the start lies on the stable
+        # manifold, and only its momentum predecessor, perturbed by 1e-6, has a negative-space component.
+        eigenvalues, alpha, beta, seed = saddle
+        mask = eigenvalues < 0
+        prob, x0 = block_rotated_saddle(eigenvalues, seed)
+        policy = PerturbedStart(1e-6, seed)
+        assert not (x0 @ prob.basis)[mask].any() and (policy.resolve(x0) @ prob.basis)[mask].any()
+        trace = run_heavy_ball(prob, alpha, beta, x0, policy, 5000)
+        k = escape_time(trace, prob.negative_projector(), 1.0)
+        assert k is not None and k > 0

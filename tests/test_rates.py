@@ -27,7 +27,7 @@ from saddlescape import (
     run_accelerated,
     sample_unit_ball,
 )
-from saddlescape.rates import _CHUNK, MAX_STEPS
+from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
 NON_FINITE_CURVATURES = [
@@ -107,6 +107,12 @@ class TestRateSequence:
         rows = "".join(seq.to_csv()).splitlines()
         assert rows[:2] == ["iter,b", "0,0"] and len(rows) == _CHUNK + 5
         assert rows[-1] == f"{_CHUNK + 3},{final:.12g}"
+
+    def test_csv_chunks_hold_at_most_one_formatted_chunk_of_rows(self):
+        # 5,000 rows lie in one 65,536-step window of the recurrence, and are still formatted 2,048 at a time
+        chunks = list(rate_sequence(-0.01, 0.99, NesterovSchedule(), 5000).to_csv())
+        assert max(chunk.count("\n") for chunk in chunks) <= _CSV_CHUNK
+        assert sum(chunk.count("\n") for chunk in chunks) == 5002
 
     @pytest.mark.parametrize("lam, alpha", NON_FINITE_CURVATURES)
     def test_non_finite_curvature_rejected(self, lam, alpha):
