@@ -13,8 +13,9 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import __version__
 from .experiments import divergence_table, negspace_experiment, toy_figure
 from .optimizers import EqualStart, PerturbedStart
 from .problems import random_problem
-from .rates import MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
+from .rates import _CSV_CHUNK, MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
 from .schedules import SCHEDULE_KINDS, ScheduleError, ToySchedule, verify_tk_properties
 from .spectral import ConditionError, block_eigenvalues, blocks_csv, classify_saddle_map
 
@@ -80,8 +81,10 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write ``text``, a string or an iterable of string chunks, to ``out`` (stdout when None).
 
     The only function that writes a command's output.  Output is computed
-    as it is written, so a chunk may raise after others were written; the
-    partly written ``out`` is then deleted.
+    as it is written: a CSV series as its rows are formatted, and JSON as
+    :func:`_json_chunks` walks the payload.  A chunk may raise after others
+    were written (JSON holds only finite numbers, so an infinite or NaN
+    value raises ``ValueError``); the partly written ``out`` is then deleted.
     """
     chunks = (text,) if isinstance(text, str) else text
     if out is None:
@@ -98,11 +101,92 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 
 
 def _emit_result(result, fmt: str, out: str | None) -> None:
-    _emit(_json_text(result.to_json_dict()) if fmt == "json" else result.to_csv(), out)
+    _emit(_json_chunks(result.to_json_dict()) if fmt == "json" else result.to_csv(), out)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+# Shapes whose templates one list keeps; a list of ever new shapes starts its cache over past this.
+_TEMPLATES = 64
+
+
+def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CSV_CHUNK`` list items.
+
+    Dicts and lists are written piece by piece.  Each list item is walked
+    once by :func:`_shape`, which collects its scalars, and is formatted by
+    its shape's ``%`` template from :func:`_template`, kept for the list; a
+    chunk's items are filled with one ``%`` operation.  A key that is not a
+    string raises ``TypeError``, and a non-finite float ``ValueError``.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        head = "{\n"
+        for key, item in value.items():
+            yield head + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(item, inner, "")
+            head = ",\n"
+        yield "\n" + indent + "}" + end
+    elif isinstance(value, (list, tuple)) and value:
+        templates, sep = {}, ",\n" + inner
+        for lo in range(0, len(value), _CSV_CHUNK):
+            leaves, parts = [], []
+            for item in value[lo : lo + _CSV_CHUNK]:
+                shape = _shape(item, leaves)
+                template = templates.get(shape)
+                if template is None:
+                    if len(templates) == _TEMPLATES:
+                        templates.clear()
+                    template = templates[shape] = _template(shape, inner)
+                parts.append(template)
+            yield (("[\n" + inner if lo == 0 else sep) + sep.join(parts)) % tuple(leaves)
+        yield "\n" + indent + "]" + end
+    else:
+        leaves = []
+        yield _template(_shape(value, leaves), indent) % tuple(leaves) + end
+
+
+def _shape(value, leaves: list):
+    """The key of ``value``'s template; its scalars are appended to ``leaves`` in order.
+
+    A scalar's shape is ``"%s"``.  A float is appended as a ``float``, whose
+    ``%s`` is ``float.__repr__`` as in ``json``; any other scalar as its JSON
+    text.  A list's or tuple's shape is ``("[", *item shapes)``, and a dict's
+    ``("{", key, shape, key, shape, ...)``.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"JSON output holds only finite numbers, got {float(value)!r}")
+        leaves.append(value if type(value) is float else float(value))
+    elif isinstance(value, dict):
+        shape = ["{"]
+        for key, item in value.items():
+            shape += key, _shape(item, leaves)
+        return tuple(shape)
+    elif isinstance(value, str):
+        leaves.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        return ("[", *[_shape(item, leaves) for item in value])
+    elif value is None or value is True or value is False:
+        leaves.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        leaves.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return "%s"
+
+
+def _template(shape, indent: str) -> str:
+    """The ``indent=2`` JSON text at ``indent`` of a value of ``shape``, with ``%s`` for each scalar."""
+    if isinstance(shape, str):
+        return shape
+    inner = indent + "  "
+    if shape[0] == "[":
+        brackets, parts = "[]", [_template(item, inner) for item in shape[1:]]
+    else:
+        keys = (encode_basestring_ascii(key).replace("%", "%%") for key in shape[1::2])
+        brackets, parts = "{}", [key + ": " + _template(item, inner) for key, item in zip(keys, shape[2::2])]
+    if not parts:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + brackets[1]
 
 
 def _resolve_format(args, default: str) -> str:
@@ -144,7 +228,7 @@ def _cmd_spectrum(args) -> int:
         # before the text is built.
         payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
     _echo_config(args, format=fmt, alpha=alpha, seed=seed)
-    _emit(_json_text(payload) if fmt == "json" else blocks_csv(payload["blocks"]), args.out)
+    _emit(_json_chunks(payload) if fmt == "json" else blocks_csv(payload["blocks"]), args.out)
     return 0
 
 
@@ -177,7 +261,7 @@ def _cmd_rates(args) -> int:
             "b_limit": limit.value,
             "predicted_escape_iters": predicted,
         }
-        _emit(_json_text(payload), args.out)
+        _emit(_json_chunks(payload), args.out)
     else:
         _emit(sequence.to_csv(), args.out)
     return 0
@@ -210,7 +294,7 @@ def _cmd_table(args) -> int:
 def _cmd_verify_tk(args) -> int:
     report = verify_tk_properties(args.K)
     _echo_config(args)
-    _emit(_json_text(report.to_json_dict()), args.out)
+    _emit(_json_chunks(report.to_json_dict()), args.out)
     return 0 if report.passed else 2
 
 

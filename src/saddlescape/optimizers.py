@@ -110,9 +110,6 @@ class IterationTrace:
     def final(self) -> np.ndarray:
         return self.points[-1]
 
-    def coordinate(self, i: int) -> np.ndarray:
-        return self.points[:, i]
-
 
 class BatchRun(NamedTuple):
     """Per row of a batch: update steps taken, whether the run stopped at the cutoff, last iterate."""

@@ -228,7 +228,7 @@ def escape_bounds(delta: float, alpha: float, epsilon: float) -> dict:
 
 
 def first_crossings(growth, starts, threshold: float, cap: int) -> np.ndarray:
-    """Each row's first ``k <= cap`` with ``||starts * growth**k|| >= threshold``, or -1; all rows bisected at once.
+    """Each row's first ``k <= cap`` with ``||starts * growth**k|| >= threshold``, or -1; all rows searched at once.
 
     ``growth`` (finite, at least 1) and ``starts`` (finite) broadcast to one 2-D shape; a zero start stays 0.  Where
     the start is small enough for the product to fall short of the threshold, a power past the float range is split
@@ -257,9 +257,12 @@ def first_crossings(growth, starts, threshold: float, cap: int) -> np.ndarray:
         return row_norms(x) >= threshold
 
     # -1 is before the start; a start >= 5e-324 with a factor >= 1 + 2**-52 crosses any float before _MAX_COUNT
-    lo, hi = np.full(len(starts), -1), np.full(len(starts), min(cap, _MAX_COUNT))
+    cap = min(cap, _MAX_COUNT)
+    lo, hi = np.full(len(starts), -1), np.full(len(starts), min(cap, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        crossed = reached(hi)
+        # Double each row's hi until it crosses or reaches the cap, then bisect what is left of (lo, hi]
+        while (short := ~(crossed := reached(hi)) & (hi < cap)).any():
+            lo, hi = np.where(short, hi, lo), np.where(short, hi + np.minimum(hi, cap - hi), hi)
         while (gap := crossed & (hi - lo > 1)).any():
             hit = reached(mid := lo + (hi - lo) // 2)
             hi, lo = np.where(gap & hit, mid, hi), np.where(gap & ~hit, mid, lo)

@@ -10,7 +10,10 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     SCHEDULE_KINDS,
@@ -23,7 +26,7 @@ from saddlescape import (
     toy_figure,
 )
 from saddlescape.experiments import TABLE_METHODS
-from saddlescape.rates import MAX_STEPS
+from saddlescape.rates import _CSV_CHUNK, MAX_STEPS
 from saddlescape.schedules import TkPropertyReport
 
 
@@ -641,6 +644,18 @@ class TestOutOfDomainInput:
         assert err.startswith("saddlescape: error:") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_non_finite_json_exits_one_after_the_echo(self, capsys, tmp_path, to_file):
+        # At --delta 0.5 the predicted series grows past the float range; its CSV keeps the inf cells
+        path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "simulate", "--delta", "0.5", "--json", *(["--out", str(path)] * to_file))
+        assert code == 1
+        echo, error = err.splitlines()
+        assert echo.startswith("saddlescape simulate config: ")
+        assert error == "saddlescape: error: JSON output holds only finite numbers, got inf"
+        assert "Infinity" not in out and not path.exists()
+        assert out == "" if to_file else out.startswith('{\n  "steepest_descent": [')
+
 
 class TestEmit:
     def test_failing_chunk_removes_the_partial_file(self, tmp_path):
@@ -657,6 +672,114 @@ class TestEmit:
         with pytest.raises(OSError):
             cli._emit("text", str(tmp_path))
         assert tmp_path.is_dir()
+
+
+json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300])
+)
+json_text = st.text(st.one_of(st.sampled_from('%"\\'), st.characters()), max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), json_floats, json_floats.map(np.float64), json_text
+)
+
+
+def json_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(json_text, inner, max_size=4),
+        ),
+        max_leaves=25,
+    )
+
+
+def with_inside(values, inner):
+    """``inner`` inside one more list, tuple or dict, among ``values``."""
+    return st.one_of(
+        st.tuples(st.lists(values, max_size=2), inner, st.lists(values, max_size=2)).map(
+            lambda t: [*t[0], t[1], *t[2]]
+        ),
+        st.tuples(inner, st.lists(values, max_size=2)).map(lambda t: (t[0], *t[1])),
+        st.tuples(st.dictionaries(json_text, values, max_size=2), json_text, inner).map(lambda t: {**t[0], t[1]: t[2]}),
+    )
+
+
+# More items than one chunk, and more shapes than one list keeps templates for
+LONG_LIST = [{"i": i, "mu": {"re": i / 7, "im": -0.0}} for i in range(2 * _CSV_CHUNK + 1)]
+MANY_SHAPES = [{f"k{i}%": [i] * (i % 3), "x": [None, 1.5]} for i in range(3 * cli._TEMPLATES)]
+
+
+class TestJsonChunks:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(json_values(json_scalars))
+    @example(LONG_LIST)
+    @example({"blocks": MANY_SHAPES, "": [], "e": {}, "t": ()})
+    @example([[[]], [{}], "%s%%", "\u00e9\u2603\U0001f600", 1e16, 1e-7, True, 2**70])
+    def test_text_is_json_dumps_with_indent_two(self, payload):
+        assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.recursive(
+            st.sampled_from([math.nan, math.inf, -math.inf, np.float64("inf")]),
+            lambda inner: with_inside(json_values(json_scalars), inner),
+            max_leaves=6,
+        )
+    )
+    def test_a_non_finite_float_at_any_depth_raises(self, payload):
+        with pytest.raises(ValueError, match="JSON output holds only finite numbers"):
+            "".join(cli._json_chunks(payload))
+
+    def test_a_long_list_is_written_in_chunks_of_items(self):
+        chunks = list(cli._json_chunks({"blocks": LONG_LIST}))
+        # the key, three chunks of at most _CSV_CHUNK items, and each closing bracket
+        assert [chunk.count('"i": ') for chunk in chunks] == [0, _CSV_CHUNK, _CSV_CHUNK, 1, 0, 0]
+
+    @pytest.mark.parametrize("payload", [{1: 2}, [{"a": {None: 1}}], [np.int64(1)], {"a": object()}])
+    def test_what_json_cannot_hold_is_a_type_error(self, payload):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(payload))
+
+
+# Every argv that writes JSON: each command with a JSON output, and rates under each schedule kind
+JSON_ARGV = [
+    ["toy", "--json"],
+    ["simulate", "--p", "1", "--iters", "500", "--json"],
+    ["simulate", "--p", "3", "--iters", "500", "--json"],
+    ["table", "--n", "30", "--delta", "0.02", "0.005", "--trials", "4", "--iters", "3000", "--json"],
+    ["spectrum", "--lambda=-0.02", "--alpha", "3", "--beta", "0.94"],
+    ["spectrum", "--n", "40", "--p", "3", "--delta", "0.01", "--beta", "0.9", "--seed", "2"],
+    *(
+        ["rates", "--lambda=-0.004", "--alpha", "0.99", "--gamma", "0.01", "--iters", "3000", "--schedule", spec]
+        for spec in ("constant:0.5,0.25", "polyak:0.1,2", "nesterov", "attouch:2", "toy")
+    ),
+    ["verify-tk", "--K", "5000"],
+]
+
+
+class TestJsonOutput:
+    def test_every_schedule_kind_is_covered(self):
+        assert {argv[-1].partition(":")[0] for argv in JSON_ARGV if argv[0] == "rates"} == set(SCHEDULE_KINDS)
+
+    @pytest.mark.parametrize("argv", JSON_ARGV, ids=" ".join)
+    def test_text_is_json_dumps_of_the_payload(self, capsys, monkeypatch, tmp_path, argv):
+        payloads, chunks = [], cli._json_chunks
+
+        def recording(value, *nested):
+            if not nested:
+                payloads.append(value)
+            return chunks(value, *nested)
+
+        monkeypatch.setattr(cli, "_json_chunks", recording)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out.json"
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        first, second = payloads
+        assert out == json.dumps(first, indent=2) + "\n"
+        assert path.read_bytes() == out.encode("utf-8") == (json.dumps(second, indent=2) + "\n").encode("utf-8")
 
 
 def echoed_config(err: str) -> dict:

@@ -41,7 +41,7 @@ class TestGradientDescent:
         trace = run_gradient_descent(toy_problem(0.02), 0.75, np.array([1.0, eps]), 50)
         ks = np.arange(51)
         expected = (1.0 + 0.02 * 0.75) ** ks * eps
-        assert np.max(np.abs(trace.coordinate(1) - expected) / expected) < 1e-13
+        assert np.max(np.abs(trace.points[:, 1] - expected) / expected) < 1e-13
 
     def test_critical_point_is_fixed(self):
         prob = random_problem(4, 1, 0.1, seed=6).rotated(basis_seed=2)
@@ -132,7 +132,7 @@ class TestReductions:
         for i, lam in enumerate(prob.eigenvalues):
             expected = scalar_recurrence(lam, 0.9, betas, gammas, x0[i], 80)
             scale = np.maximum(np.abs(expected), 1e-300)
-            assert np.max(np.abs(trace.coordinate(i) - expected) / scale) < 1e-12
+            assert np.max(np.abs(trace.points[:, i] - expected) / scale) < 1e-12
 
 
 class TestAccelerated:
@@ -145,7 +145,7 @@ class TestAccelerated:
         for i, lam in enumerate(prob.eigenvalues):
             expected = scalar_recurrence(lam, 0.99, betas, gammas, x0[i], steps)
             scale = np.maximum(np.abs(expected), 1e-300)
-            assert np.max(np.abs(trace.coordinate(i) - expected) / scale) <= 1e-10
+            assert np.max(np.abs(trace.points[:, i] - expected) / scale) <= 1e-10
 
     def test_diagonal_decoupling(self):
         prob = QuadraticProblem(np.array([0.8, 0.1, -0.2]))
@@ -156,7 +156,7 @@ class TestAccelerated:
                 QuadraticProblem(np.array([lam])), 0.5, NesterovSchedule(),
                 np.array([x0[i]]), EqualStart(), 50,
             )
-            assert np.array_equal(full.coordinate(i), single.coordinate(0))
+            assert np.array_equal(full.points[:, i], single.points[:, 0])
 
 
 class TestHeavyBall:
@@ -169,14 +169,14 @@ class TestHeavyBall:
         trace = run_heavy_ball(
             toy_problem(0.02), 0.75, 0.985, np.array([0.25, 0.01]), EqualStart(), 2500
         )
-        assert trace.coordinate(0).min() < 0.0  # momentum carries x1 past the axis
-        assert np.abs(trace.coordinate(1)).max() > 1.0
+        assert trace.points[:, 0].min() < 0.0  # momentum carries x1 past the axis
+        assert np.abs(trace.points[:, 1]).max() > 1.0
 
     def test_axis_start_stays_on_stable_subspace(self):
         trace = run_heavy_ball(
             toy_problem(0.02), 0.75, 0.985, np.array([0.7, 0.0]), EqualStart(), 10**4
         )
-        assert np.all(trace.coordinate(1) == 0.0)
+        assert np.all(trace.points[:, 1] == 0.0)
         assert np.linalg.norm(trace.final) <= 1e-8
 
     def test_off_axis_start_diverges(self):

@@ -59,6 +59,25 @@ def scalar_rates(lam, alpha, schedule, count):
     return np.array(values)
 
 
+def bisected_crossings(growth, starts, threshold, cap):
+    """Each row's first crossing by a plain bisection of ``(-1, min(cap, 2**63 - 2)]``, one row at a time, or -1."""
+    result = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, s in zip(growth, starts):
+            def reached(k):
+                return row_norms(np.where(s == 0, 0.0, s * g**k)[None])[0] >= threshold
+
+            lo, hi = -1, min(cap, 2**63 - 2)
+            if not reached(hi):
+                result.append(-1)
+                continue
+            while hi - lo > 1:
+                mid = lo + (hi - lo) // 2
+                lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+            result.append(hi)
+    return result
+
+
 def crosses(bar_b, projection, threshold, k):
     """``projection * (1 + bar_b)^k >= threshold`` in 60-digit decimal arithmetic, past the float range."""
     with localcontext() as ctx:
@@ -392,6 +411,26 @@ class TestFirstCrossings:
     def test_domain_edges_are_accepted(self):
         # a growth of exactly 1 never grows, and a cap of 0 counts only the start
         assert first_crossings([[1.0], [1.0]], [[0.5], [2.0]], 1.0, 0).tolist() == [-1, 0]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from([1.0, 1.0 + 2**-52]) | st.floats(1.0, 3.0), min_size=n, max_size=n),
+                    st.lists(st.just(0.0) | st.floats(1e-290, 1e3) | st.floats(-1e3, -1e-290), min_size=n, max_size=n),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        st.floats(1e-3, 1e6),
+        st.integers(0, 2**63 - 2) | st.integers(0, 5000),
+    )
+    def test_rows_searched_at_once_match_a_plain_bisection_of_each(self, rows, threshold, cap):
+        # rows cross at very different steps, or never, under one cap: each row's search ends on its own
+        growth, starts = (np.array(column) for column in zip(*rows))
+        assert first_crossings(growth, starts, threshold, cap).tolist() == bisected_crossings(growth, starts, threshold, cap)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
