@@ -124,7 +124,9 @@ def toy_figure(
     heavy_ball = run_heavy_ball(problem, alpha, beta, start, iterations=iterations)
     descent = run_gradient_descent(problem, alpha, start, iterations)
     escapes = (escape_time(run, problem.negative_projector(), threshold) for run in (descent, heavy_ball))
-    return ToyFigure(descent.points[::thin].copy(), heavy_ball.points[::thin].copy(), int(thin), *escapes)
+    # a thinned slice is copied so that the whole runs can be freed; unthinned, the runs' arrays are kept
+    kept = [run.points if thin == 1 else run.points[::thin].copy() for run in (descent, heavy_ball)]
+    return ToyFigure(*kept, int(thin), *escapes)
 
 
 @dataclass(frozen=True)

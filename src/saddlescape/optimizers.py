@@ -11,7 +11,11 @@ quadratic in its Hessian's eigenbasis, where ``grad f(y) = h * y`` for the
 diagonal curvatures ``h``.  It runs blocks of steps and hands each block of
 iterates to a reducer at once: :class:`Trace` keeps all of them, and
 :class:`FirstCrossing` only the step at which the state's norm reaches a
-threshold.  The divergence cutoff is checked once per block too.
+threshold.  The divergence cutoff is checked once per block too.  One step
+function fills a block, with two bodies chosen per block by the state's
+size: a narrow state steps in Python floats, a wide one in numpy ufuncs.
+Both apply the same double operations in the same order and neither fuses
+a multiply and an add, so their bits agree.
 :func:`row_norms` is the one norm every run's iterates are read by.
 Traces index iterates by the number of update steps applied: ``points[0]``
 is the starting point and ``points[k]`` the k-th iterate.
@@ -58,6 +62,10 @@ _TERMS_WINDOW = 1024
 # table's 500-coordinate batches raised its peak RSS by about 0.1 MiB).
 _BLOCK_STEPS = 64
 _BLOCK_COORDS = 1024
+# States of at most this many coordinates step in Python floats (see :func:`_steps`).
+# On a 2-vCPU x86-64 host (CPython 3.11, numpy 2.4) that body ran 3.2x numpy's
+# coordinate-steps per second at 1 coordinate, 1.1x at 16, tied at 20, lost from 24.
+_NARROW = 16
 
 
 @dataclass(frozen=True)
@@ -248,7 +256,7 @@ def iterate(
                 betas, gammas = next(windows)
                 first, last = k + 1, k + betas.size
             m, j = min(size, last - k), k + 1 - first
-            _steps(slots[: m + 2], betas[j : j + m].tolist(), gammas[j : j + m].tolist(), h, a, d, u, v)
+            _steps(buf, slots, betas[j : j + m].tolist(), gammas[j : j + m].tolist(), h, a, d, u, v)
             states, over = buf[2 : m + 2], None
             # Two whole-block reductions, with no temporary; steps are told
             # apart only once some coordinate is past the cutoff (or NaN).
@@ -264,14 +272,31 @@ def iterate(
     return result
 
 
-def _steps(slots, betas, gammas, h, a, d, u, v) -> None:
-    """Fill ``slots[2:]`` with the iterates after ``slots[1]``, whose predecessor is ``slots[0]``.
+def _steps(buf, slots, betas, gammas, h, a, d, u, v) -> None:
+    """Fill ``buf[2 : len(betas) + 2]`` with the iterates after ``buf[1]``, whose predecessor is ``buf[0]``.
 
-    ``d``, ``u`` and ``v`` are scratch arrays of the state's shape.  Each step
-    is ``d = x - xp; y = x + gamma*d; x - a*(h*y) + beta*d``, operation for
-    operation, with no output aliasing an input of its operation, which numpy
-    runs slower.
+    Each step is ``d = x - xp; y = x + d*gamma; (x - a*(h*y)) + d*beta``,
+    operation for operation.  It has two bodies, chosen by the state's size.
+    A state of at most ``_NARROW`` coordinates steps in Python floats and the
+    block is written at once.  A wider one steps in numpy ufuncs through the
+    views ``slots`` of ``buf`` and the scratch arrays ``d``, ``u`` and ``v``,
+    with no output aliasing an input of its operation, which numpy runs
+    slower.  Both apply the same IEEE-754 double operations in the same
+    order, and neither contracts a multiply and an add into one rounding, so
+    their bits agree, overflow to inf and NaN included.
     """
+    if h.size <= _NARROW:
+        xp, x, hs = buf[0].ravel().tolist(), buf[1].ravel().tolist(), h.ravel().tolist()
+        alphas, block = np.broadcast_to(a, h.shape).ravel().tolist(), []
+        for beta, gamma in zip(betas, gammas):
+            x_next = []  # a loop, not a comprehension, which CPython 3.11 runs as a call
+            for pi, xi, hi, ai in zip(xp, x, hs, alphas):
+                di = xi - pi
+                x_next.append((xi - ai * (hi * (xi + di * gamma))) + di * beta)
+            xp, x = x, x_next
+            block.append(x)
+        buf[2 : len(block) + 2].reshape(len(block), -1)[...] = block
+        return
     add, subtract, multiply = np.add, np.subtract, np.multiply
     for x_prev, x, x_next, beta, gamma in zip(slots, slots[1:], slots[2:], betas, gammas):
         subtract(x, x_prev, d)

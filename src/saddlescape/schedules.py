@@ -27,8 +27,6 @@ __all__ = [
     "AttouchSchedule",
     "ToySchedule",
     "SCHEDULE_KINDS",
-    "nesterov_t",
-    "params_array",
     "polyak_params",
     "TkPropertyReport",
     "verify_tk_properties",
@@ -188,8 +186,7 @@ class ToySchedule(MomentumSchedule, spec="toy"):
 # The most terms ``rate_sequence`` and :func:`verify_tk_properties` read: a
 # billion take minutes, and the sequence kept whole needs 8 GB.
 MAX_STEPS = 10**9
-# Terms per window when a whole array is filled: bounds the temporary arrays
-# of :func:`nesterov_t` and :func:`params_array`.
+# Terms per window that :func:`verify_tk_properties` reduces at once.
 _FILL_WINDOW = 1 << 16
 
 
@@ -213,32 +210,6 @@ def _t_windows(count: int, size: int) -> Iterator[np.ndarray]:
             prev = (sqrt(4.0 * prev * prev + 1.0) + 1.0) / 2.0
             append(prev)
         yield np.frombuffer(t)
-
-
-def nesterov_t(count: int) -> np.ndarray:
-    """Read-only ``t_0..t_count`` of ``t_0 = 1``, ``t_k = (sqrt(4 t_{k-1}^2 + 1) + 1)/2``."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count!r}")
-    t = np.empty(count + 1)
-    t[0], start = 1.0, 1
-    for window in _t_windows(count, _FILL_WINDOW):
-        t[start : start + window.size - 1] = window[1:]
-        start += window.size - 1
-    t.setflags(write=False)
-    return t
-
-
-def params_array(schedule: MomentumSchedule, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays ``betas, gammas`` indexed by iteration ``1..count`` (index 0 is unused and holds 0)."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count!r}")
-    betas, gammas = np.zeros(count + 1), np.zeros(count + 1)
-    start = 1
-    for window_betas, window_gammas in schedule.windows(count, _FILL_WINDOW):
-        stop = start + window_betas.size
-        betas[start:stop], gammas[start:stop] = window_betas, window_gammas
-        start = stop
-    return betas, gammas
 
 
 def polyak_params(m: float, L: float) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from saddlescape import (
     toy_figure,
     toy_problem,
 )
+from saddlescape import experiments
 from saddlescape.experiments import TABLE_METHODS
 from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, iterate, row_norms
 
@@ -56,6 +57,23 @@ class TestToyFigure:
         assert fig.descent_escape is None
         assert np.all(fig.descent[:, 1] == 0.0)
         assert np.linalg.norm(fig.descent[-1]) < 1e-8
+
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_figure_keeps_the_runs_points_unless_thinned(self, monkeypatch, thin):
+        # a thinned figure copies its slices, so the whole runs can be freed; at thin 1 it holds
+        # the runs' own arrays, and writes the bytes that copies of them write
+        runs = []
+        for name in ("run_heavy_ball", "run_gradient_descent"):
+            run = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *a, run=run, **kw: runs.append(run(*a, **kw)) or runs[-1])
+        fig = toy_figure(0.02, 0.75, 0.985, [0.25, 0.01], iterations=300, thin=thin)
+        heavy_ball, descent = runs
+        for kept, trace in ((fig.descent, descent), (fig.heavy_ball, heavy_ball)):
+            assert np.shares_memory(kept, trace.points) == (thin == 1)
+            assert np.array_equal(kept, trace.points[::thin])
+        copied = ToyFigure(fig.descent.copy(), fig.heavy_ball.copy(), thin, fig.descent_escape, fig.heavy_ball_escape)
+        assert "".join(fig.to_csv()) == "".join(copied.to_csv())
+        assert json.dumps(fig.to_json_dict()) == json.dumps(copied.to_json_dict())
 
     def test_csv_blocks(self):
         fig = toy_figure(0.02, 0.75, 0.985, [0.25, 0.01], iterations=20, thin=5)

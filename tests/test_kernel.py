@@ -17,7 +17,6 @@ from saddlescape import (
     escape_time,
     first_crossings,
     iterate,
-    params_array,
     random_problem,
     rng_from,
     run_accelerated,
@@ -25,7 +24,8 @@ from saddlescape import (
     sample_unit_ball,
     toy_problem,
 )
-from saddlescape.optimizers import DIVERGENCE_CUTOFF, GRADIENT_DESCENT, FirstCrossing, Trace, row_norms
+from saddlescape import optimizers
+from saddlescape.optimizers import _NARROW, DIVERGENCE_CUTOFF, GRADIENT_DESCENT, FirstCrossing, Trace, row_norms
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -46,14 +46,14 @@ stable_schedules = st.one_of(
 
 
 @st.composite
-def setups(draw, batch=1, max_step=2.5, schedule=schedules):
+def setups(draw, batch=1, max_step=2.5, schedule=schedules, n=st.integers(2, 10)):
     """A random diagonal saddle, ``batch`` starts with predecessors, and run parameters.
 
     Step sizes reach ``max_step``/L; past 2/L the positive curvatures are
     unstable, so some runs stop at the divergence cutoff.  Up to 1500
     iterations, the kernel extends the schedule's terms past its first 1024.
     """
-    n = draw(st.integers(2, 10))
+    n = draw(n)
     p = draw(st.integers(1, n - 1))
     delta = draw(st.floats(1e-3, 0.3))
     seed = draw(st.integers(0, 2**16))
@@ -72,6 +72,26 @@ def setups(draw, batch=1, max_step=2.5, schedule=schedules):
         "schedule": draw(schedule),
         "iterations": draw(st.integers(0, 1500)),
     }
+
+
+# Total state widths (rows x coordinates) below, at, just past and well past the
+# widest state the kernel steps in Python floats.
+WIDTHS = [1, 2, _NARROW - 1, _NARROW, _NARROW + 1, 6 * _NARROW]
+
+
+@st.composite
+def sized_setups(draw):
+    """A setup whose rows of the problem's last ``cols`` coordinates make one of ``WIDTHS`` in all.
+
+    A wide batch whose rows stop one by one narrows into the float body.
+    """
+    width = draw(st.sampled_from(WIDTHS))
+    cols = draw(st.sampled_from([c for c in range(1, 11) if width % c == 0 and width // c <= 20]))
+    setup = draw(setups(batch=width // cols, n=st.integers(max(2, cols), 10)))
+    setup["curvatures"] = setup["problem"].eigenvalues[-cols:]
+    setup["x_prevs"] = predecessors(setup)[:, -cols:]
+    setup["starts"] = setup["starts"][:, -cols:]
+    return setup
 
 
 def predecessors(setup):
@@ -211,16 +231,17 @@ def per_step_run(curvatures, alphas, schedule, starts, x_prevs, iterations, thre
 
     Returns each row's ``(steps, diverged, final, crossing, points)``.
     """
-    betas, gammas = params_array(schedule, iterations)
+    terms = [None, *(pair for window in schedule.windows(iterations, 1000) for pair in zip(*window))]
     runs = []
     for alpha, x, xp in zip(alphas, starts, x_prevs):
         points, steps, diverged, crossing = [x], iterations, False, -1
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(iterations + 1):
                 if k:
+                    beta, gamma = terms[k]
                     d = x - xp
-                    y = x + gammas[k] * d
-                    x, xp = x - alpha * (curvatures * y) + betas[k] * d, x
+                    y = x + gamma * d
+                    x, xp = x - alpha * (curvatures * y) + beta * d, x
                     points.append(x)
                 over = not np.abs(x).max() <= DIVERGENCE_CUTOFF
                 hit = threshold is not None and row_norms(x[None])[0] >= threshold
@@ -233,14 +254,14 @@ def per_step_run(curvatures, alphas, schedule, starts, x_prevs, iterations, thre
 
 @PROPERTY
 @given(
-    setups(batch=5),
+    sized_setups(),
     st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 1023, 1024, 1025, 2049]), st.integers(0, 2100)),
     st.one_of(st.none(), st.floats(0.5, 1e3), st.sampled_from([1e99, 1e100])),
 )
 def test_blocked_kernel_equals_a_per_step_loop(setup, iterations, threshold):
     # Rows stop mid-block at the cutoff (step sizes up to 2.5/L) or at a crossing,
     # and a threshold at the cutoff, the edge of its domain, crosses where the row diverges.
-    curvatures, x_prevs = setup["problem"].eigenvalues, predecessors(setup)
+    curvatures, x_prevs = setup["curvatures"], setup["x_prevs"]
     reducer = Trace() if threshold is None else FirstCrossing(threshold)
     batch = iterate(curvatures, setup["alphas"], setup["schedule"], setup["starts"], x_prevs, iterations, reducer)
     expected = per_step_run(
@@ -270,6 +291,65 @@ def test_wide_blocks_equal_a_per_step_loop(n, batch):
     assert crossing.crossing.tolist() == [e[3] for e in expected]
     assert run.final.tobytes() == np.array([e[2] for e in expected]).tobytes()
     assert len(set(run.steps.tolist())) > 3
+
+
+@pytest.mark.parametrize(
+    "cols, batch, in_floats", [(1, 1, {True}), (8, 2, {True}), (17, 1, {False}), (6, 16, {False, True})]
+)
+def test_each_body_and_a_batch_narrowing_into_floats_equal_a_per_step_loop(monkeypatch, cols, batch, in_floats):
+    # 1 and 2 x 8 coordinates step in floats and 17 in numpy; 16 rows of 6 step in
+    # numpy until rows stop and the rest fit the float body
+    problem = random_problem(20, 3, 0.05, 7)
+    curvatures = problem.eigenvalues[-cols:]
+    rng = rng_from(7, 1)
+    starts = np.array([sample_unit_ball(20, rng)[-cols:] for _ in range(batch)])
+    alphas = rng.uniform(0.5, 2.3, size=batch) / problem.lipschitz
+    narrow = set()  # whether each block stepped was at most _NARROW coordinates
+    steps = optimizers._steps
+    monkeypatch.setattr(optimizers, "_steps", lambda buf, *a: narrow.add(buf[0].size <= _NARROW) or steps(buf, *a))
+    crossing = FirstCrossing(1e50)  # far enough that the last two rows go on for blocks alone
+    run = iterate(curvatures, alphas, NesterovSchedule(), starts, starts, 600, crossing)
+    expected = per_step_run(curvatures, alphas, NesterovSchedule(), starts, starts, 600, 1e50)
+    assert run.steps.tolist() == [e[0] for e in expected]
+    assert run.diverged.tolist() == [e[1] for e in expected]
+    assert crossing.crossing.tolist() == [e[3] for e in expected]
+    assert run.final.tobytes() == np.array([e[2] for e in expected]).tobytes()
+    assert narrow == in_floats
+
+
+class FilledTrace(Trace):
+    """A trace whose entries no block wrote hold 0.5, so that two runs' traces compare whole."""
+
+    def start(self, x0, iterations):
+        self.values = np.full((iterations + 1, *x0.shape), 0.5)
+
+
+REDUCERS = {"none": lambda: None, "trace": FilledTrace, "crossing": lambda: FirstCrossing(DIVERGENCE_CUTOFF)}
+
+
+@pytest.mark.parametrize("schedule", [GRADIENT_DESCENT, ConstantSchedule(0.9, 0.5), NesterovSchedule()])
+@pytest.mark.parametrize("reducer", sorted(REDUCERS))
+def test_both_bodies_give_the_same_bits(monkeypatch, schedule, reducer):
+    # Rows: one that passes the cutoff and overflows to inf and then NaN within that block,
+    # -0.0 starts and predecessors, subnormal curvatures, and one past 2/L that diverges later.
+    # A crossing threshold at the cutoff marks where the rows diverge.
+    curvatures = np.array([[-1e30, 0.5, 0.0], [-0.01, 0.5, 1.0], [5e-324, -5e-324, -1e-310], [-0.3, 3.0, 0.7]])
+    starts = np.array([[1.0, 0.5, -0.0], [-0.0, -0.0, 0.0], [0.7, -0.0, 1e-300], [0.2, -0.1, 0.3]])
+    x_prevs = np.array([[1.0, 0.5, 0.0], [-0.0, 0.0, -0.0], [0.7, -0.0, -1e-300], [0.19, -0.1, 0.31]])
+    alphas = np.array([1.0, 0.9, 0.5, 1.1])
+    runs = []
+    for narrow in (0, 10**9):  # every block in numpy, then every block in floats
+        monkeypatch.setattr(optimizers, "_NARROW", narrow)
+        kept = REDUCERS[reducer]()
+        run = iterate(curvatures, alphas, schedule, starts, x_prevs, 300, kept)
+        reduced = [] if kept is None else list(vars(kept).values())  # the trace, or the threshold and crossings
+        runs.append([np.asarray(field).tobytes() for field in (*run, *reduced)])
+    assert runs[0] == runs[1]
+    assert run.diverged.tolist() == [True, False, False, True]
+    if reducer == "trace":
+        assert np.isinf(kept.values[:, 0]).any() and np.isnan(kept.values[:, 0]).any()
+    if reducer == "crossing":
+        assert kept.crossing[[0, 3]].tolist() == run.steps[[0, 3]].tolist()
 
 
 @pytest.mark.parametrize("threshold", [1e100 * (1 + 2**-52), 1e140, float("inf"), float("nan")])
@@ -383,10 +463,10 @@ def test_schedule_terms_extended_past_1024_match_one_array(iterations):
     lam = np.array([-1e-4, 0.5])
     x = xp = np.array([0.3, 0.2])
     batch = iterate(lam, 0.9, NesterovSchedule(), x[None], xp[None], iterations)
-    betas, gammas = params_array(NesterovSchedule(), iterations)
-    for k in range(1, iterations + 1):
-        d = x - xp
-        xp, x = x, x - 0.9 * (lam * (x + gammas[k] * d)) + betas[k] * d
+    for window in NesterovSchedule().windows(iterations, iterations + 1):  # every term in one window
+        for beta, gamma in zip(*window):
+            d = x - xp
+            xp, x = x, x - 0.9 * (lam * (x + gamma * d)) + beta * d
     assert batch.steps[0] == iterations and not batch.diverged[0]
     assert np.array_equal(batch.final[0], x)
 

@@ -19,19 +19,17 @@ from saddlescape import (
     run_heavy_ball,
     toy_problem,
 )
-from saddlescape.schedules import params_array
 
 
-def scalar_recurrence(lam, alpha, betas, gammas, x0, steps):
+def scalar_recurrence(lam, alpha, schedule, x0, steps):
     """Independent per-coordinate form of the framework's update."""
     xs = [x0]
     prev, cur = x0, x0
-    for k in range(1, steps + 1):
-        nxt = ((1 + betas[k]) - (1 + gammas[k]) * alpha * lam) * cur - (
-            betas[k] - gammas[k] * alpha * lam
-        ) * prev
-        xs.append(nxt)
-        prev, cur = cur, nxt
+    for betas, gammas in schedule.windows(steps, 64):
+        for beta, gamma in zip(betas, gammas):
+            nxt = ((1 + beta) - (1 + gamma) * alpha * lam) * cur - (beta - gamma * alpha * lam) * prev
+            xs.append(nxt)
+            prev, cur = cur, nxt
     return np.array(xs)
 
 
@@ -127,10 +125,9 @@ class TestReductions:
     def test_constant_pair_matches_recurrence(self):
         prob = QuadraticProblem(np.array([0.5, -0.05]))
         x0 = np.array([1.0, 0.3])
-        betas, gammas = params_array(ConstantSchedule(0.6, 0.6), 80)
         trace = run_accelerated(prob, 0.9, ConstantSchedule(0.6, 0.6), x0, EqualStart(), 80)
         for i, lam in enumerate(prob.eigenvalues):
-            expected = scalar_recurrence(lam, 0.9, betas, gammas, x0[i], 80)
+            expected = scalar_recurrence(lam, 0.9, ConstantSchedule(0.6, 0.6), x0[i], 80)
             scale = np.maximum(np.abs(expected), 1e-300)
             assert np.max(np.abs(trace.points[:, i] - expected) / scale) < 1e-12
 
@@ -141,9 +138,8 @@ class TestAccelerated:
         x0 = np.array([0.7, 0.2])
         steps = 200
         trace = run_accelerated(prob, 0.99, NesterovSchedule(), x0, EqualStart(), steps)
-        betas, gammas = params_array(NesterovSchedule(), steps)
         for i, lam in enumerate(prob.eigenvalues):
-            expected = scalar_recurrence(lam, 0.99, betas, gammas, x0[i], steps)
+            expected = scalar_recurrence(lam, 0.99, NesterovSchedule(), x0[i], steps)
             scale = np.maximum(np.abs(expected), 1e-300)
             assert np.max(np.abs(trace.points[:, i] - expected) / scale) <= 1e-10
 

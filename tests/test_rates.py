@@ -21,7 +21,6 @@ from saddlescape import (
     random_problem,
     rate_limit,
     rate_sequence,
-    params_array,
     rng_from,
     row_norms,
     run_accelerated,
@@ -50,12 +49,12 @@ all_schedules = st.one_of(
 def scalar_rates(lam, alpha, schedule, count):
     """The growth recurrence, one numpy scalar at a time."""
     a = alpha * abs(lam)
-    betas, gammas = params_array(schedule, count)
     values = [0.0]
     b = 0.0
-    for k in range(1, count + 1):
-        b = (betas[k] + gammas[k] * a) * (1.0 - 1.0 / (1.0 + b)) + a
-        values.append(b)
+    for betas, gammas in schedule.windows(count, 1000):
+        for beta, gamma in zip(betas, gammas):
+            b = (beta + gamma * a) * (1.0 - 1.0 / (1.0 + b)) + a
+            values.append(b)
     return np.array(values)
 
 

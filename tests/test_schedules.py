@@ -15,8 +15,6 @@ from saddlescape import (
     PolyakSchedule,
     ScheduleError,
     ToySchedule,
-    nesterov_t,
-    params_array,
     polyak_params,
     schedule_from_json_dict,
     verify_tk_properties,
@@ -40,34 +38,39 @@ KIND_STRATEGIES = {
 
 
 def params_at(schedule, k):
-    """The pair ``(beta_k, gamma_k)`` emitted at iteration ``k``."""
-    betas, gammas = params_array(schedule, k)
-    return betas[k], gammas[k]
+    """The pair ``(beta_k, gamma_k)`` emitted at iteration ``k``: the last terms of the schedule's windows."""
+    *_, (betas, gammas) = schedule.windows(k, 1000)
+    return betas[-1], gammas[-1]
+
+
+def scalar_t(count):
+    """``t_0..t_count`` of ``t_0 = 1``, ``t_k = (sqrt(4 t_{k-1}^2 + 1) + 1)/2``, one float at a time."""
+    t = [1.0]
+    for _ in range(count):
+        t.append((math.sqrt(4.0 * t[-1] * t[-1] + 1.0) + 1.0) / 2.0)
+    return np.array(t)
 
 
 class TestNesterovT:
+    """The t-sequence, read through the Nesterov schedule's terms ``(t_{k-1} - 1) / t_k``."""
+
     def test_first_terms(self):
-        seq = nesterov_t(2)
-        assert not seq.flags.writeable
-        assert seq[0] == 1.0
-        assert seq[1] == pytest.approx((math.sqrt(5.0) + 1.0) / 2.0, rel=1e-15)
-        assert seq[2] == pytest.approx(2.1935271, rel=1e-6)
+        betas, gammas = next(NesterovSchedule().windows(2, 2))
+        golden = (math.sqrt(5.0) + 1.0) / 2.0
+        assert betas[0] == gammas[0] == 0.0
+        assert betas[1] == gammas[1] == pytest.approx((golden - 1.0) / 2.1935271, rel=1e-6)
 
     def test_lower_bound_holds_everywhere(self):
-        t = nesterov_t(10**4)
-        k = np.arange(10**4 + 1)
-        assert np.all(t >= (k + 1) / 2.0)
+        assert verify_tk_properties(10**4).bound_ok
 
     def test_count_domain(self):
         with pytest.raises(ValueError):
-            nesterov_t(-1)
+            next(NesterovSchedule().windows(-1, 10))
 
     def test_terms_past_a_window_match_the_scalar_loop(self):
-        t = nesterov_t(_CHUNK + 5)
-        prev = 1.0
-        for k in range(1, _CHUNK + 6):
-            prev = (math.sqrt(4.0 * prev * prev + 1.0) + 1.0) / 2.0
-            assert t[k] == prev
+        t = scalar_t(_CHUNK + 5)
+        terms = np.concatenate([b for b, _ in NesterovSchedule().windows(_CHUNK + 5, _CHUNK)])
+        assert np.array_equal(terms, (t[:-1] - 1.0) / t[1:])
 
 
 # Small windows at small counts, and counts at the kernel's (1024) and the
@@ -87,15 +90,15 @@ class TestWindows:
     @example(NesterovSchedule(), (_CHUNK + 1, 1024))
     @example(AttouchSchedule(2.0), (1025, 1024))
     @example(ConstantSchedule(0.5, 0.5), (_CHUNK, _CHUNK))
-    def test_concatenated_windows_equal_params_array(self, schedule, count_and_size):
+    def test_concatenated_windows_equal_one_window(self, schedule, count_and_size):
         count, size = count_and_size
         windows = list(schedule.windows(count, size))
         assert [b.size for b, _ in windows] == [min(size, count + 1 - s) for s in range(1, count + 1, size)]
         assert all(b.size == g.size for b, g in windows)
-        betas, gammas = params_array(schedule, count)
-        assert betas[0] == gammas[0] == 0.0
-        assert np.array_equal(np.concatenate([[0.0], *(b for b, _ in windows)]), betas)
-        assert np.array_equal(np.concatenate([[0.0], *(g for _, g in windows)]), gammas)
+        whole = list(schedule.windows(count, count + 1))  # every term in one window, none at count 0
+        assert len(whole) == min(count, 1)
+        for parts, one in zip(zip(*windows), zip(*whole)):
+            assert np.array_equal(np.concatenate(parts), one[0])
 
     def test_domain(self):
         with pytest.raises(ValueError, match="count"):
@@ -136,7 +139,7 @@ class TestScheduleParams:
 
     def test_index_domain(self):
         with pytest.raises(ValueError):
-            params_array(NesterovSchedule(), -1)
+            params_at(NesterovSchedule(), -1)
 
     @pytest.mark.parametrize("beta,gamma", [(-0.1, 0.0), (1.1, 0.0), (0.5, 2.0)])
     def test_constant_out_of_range(self, beta, gamma):
@@ -149,15 +152,15 @@ class TestScheduleParams:
 
     def test_array_agrees_with_pointwise(self):
         for sched in (NesterovSchedule(), AttouchSchedule(1.5), ConstantSchedule(0.4, 0.2)):
-            betas, gammas = params_array(sched, 50)
+            betas, gammas = next(sched.windows(50, 50))
             for k in (1, 2, 17, 50):
-                assert (betas[k], gammas[k]) == params_at(sched, k)
+                assert (betas[k - 1], gammas[k - 1]) == params_at(sched, k)
 
     def test_nondecreasing_variants(self):
         for sched in (NesterovSchedule(), AttouchSchedule(2.0)):
-            betas, _ = params_array(sched, 2000)
-            assert np.all(np.diff(betas[1:]) >= 0.0)
-            assert betas[1] == 0.0 and betas[-1] < 1.0
+            betas, _ = next(sched.windows(2000, 2000))
+            assert np.all(np.diff(betas) >= 0.0)
+            assert betas[0] == 0.0 and betas[-1] < 1.0
 
 
 class TestPolyakParams:
@@ -188,7 +191,7 @@ class TestPolyakParams:
 
 def whole_array_tk_report(count):
     """The t-sequence report computed from one array of all the terms."""
-    t = nesterov_t(count)
+    t = scalar_t(count)
     identity_err = np.abs(t[1:] * t[1:] - t[1:] - t[:-1] * t[:-1]) / (t[1:] * t[1:])
     k = np.arange(count + 1, dtype=float)
     ratios = (t[:-1] - 1.0) / t[1:]
@@ -217,14 +220,13 @@ class TestTkProperties:
 
     def test_ratio_inside_bounds_at_end(self):
         report = verify_tk_properties(1000)
-        t = nesterov_t(1000)
+        t = scalar_t(1000)
         assert 1.0 - 2.0 / (t[999] + 1.0) <= report.final_ratio <= 1.0
 
     def test_small_count_ratios_nondecreasing(self):
         report = verify_tk_properties(2)
         assert report.ratio_monotone
-        t = nesterov_t(2)
-        assert (t[0] - 1.0) / t[1] == 0.0
+        assert report.final_ratio == params_at(NesterovSchedule(), 2)[0]  # (t_1 - 1) / t_2
 
     def test_count_domain(self):
         with pytest.raises(ValueError):
@@ -351,4 +353,4 @@ class TestScheduleKinds:
         schedule = object.__new__(AttouchSchedule)  # skips the constructor's check of eta
         object.__setattr__(schedule, "eta", NAN)
         with pytest.raises(ScheduleError):
-            params_array(schedule, 5)
+            list(schedule.windows(5, 5))
