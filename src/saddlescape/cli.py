@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .experiments import divergence_table, negspace_experiment, toy_figure
-from .optimizers import EqualStart, PerturbedStart
-from .problems import random_problem
+from .optimizers import MAX_TRACE_VALUES, EqualStart, PerturbedStart
+from .problems import _positive, random_problem
 from .rates import _CSV_CHUNK, MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
 from .schedules import SCHEDULE_KINDS, ScheduleError, ToySchedule, verify_tk_properties
 from .spectral import ConditionError, block_eigenvalues, blocks_csv, classify_saddle_map
@@ -224,8 +224,6 @@ def _cmd_spectrum(args) -> int:
         problem = random_problem(args.n, args.p, args.delta, seed)
         if alpha is None:
             alpha = 1.0 / problem.lipschitz
-        # Only the blocks are written; the unstable eigenvectors are freed here,
-        # before the text is built.
         payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
     _echo_config(args, format=fmt, alpha=alpha, seed=seed)
     _emit(_json_chunks(payload) if fmt == "json" else blocks_csv(payload["blocks"]), args.out)
@@ -245,9 +243,7 @@ def _cmd_rates(args) -> int:
     # --projection and --threshold either way.
     sequence = rate_sequence(lam, args.alpha, schedule, args.iters)
     for name in ("projection", "threshold"):
-        value = getattr(args, name)
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"--{name} must be positive and finite, got {value!r}")
+        _positive(f"--{name}", getattr(args, name))
     if fmt == "json":
         limit = rate_limit(lam, args.alpha, *schedule.limit())
         predicted = predicted_escape_iters(limit.value, args.projection, args.threshold)
@@ -321,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--beta", type=float, default=0.985, help="heavy-ball momentum")
     toy.add_argument("--x0", type=_parse_point, default=np.array([0.25, 0.01]),
                      help="starting point as 'X1,X2'")
-    toy.add_argument("--iters", type=int, default=500, help="number of update steps")
+    toy.add_argument("--iters", type=int, default=500,
+                     help=f"number of update steps, at most {MAX_TRACE_VALUES // 2 - 1}")
     toy.add_argument("--thin", type=int, default=1, help="keep every m-th iterate")
     toy.add_argument("--threshold", type=float, default=1.0, help="escape threshold on |x2|")
     add_output_flags(toy, "csv")
@@ -360,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--p", type=int, default=1, help="negative eigenvalue count")
     simulate.add_argument("--delta", type=float, default=1e-2, help="negative eigenvalue scale")
     simulate.add_argument("--seed", type=int, default=0, help="master seed")
-    simulate.add_argument("--iters", type=int, default=2000, help="number of update steps")
+    simulate.add_argument("--iters", type=int, default=2000,
+                          help=f"number of update steps, with (iters + 1) * p at most {MAX_TRACE_VALUES}")
     simulate.add_argument("--eps-perturb", type=float, default=0.0,
                           help="perturbation scale for the momentum predecessor (0 = none)")
     add_output_flags(simulate, "csv")

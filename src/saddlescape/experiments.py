@@ -37,7 +37,7 @@ from .optimizers import (
     run_gradient_descent,
     run_heavy_ball,
 )
-from .problems import random_problem, sample_unit_ball, toy_problem
+from .problems import _positive, random_problem, sample_unit_ball, toy_problem
 from .rates import _series_rows, first_crossings, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 from .seeding import rng_from
@@ -88,8 +88,8 @@ class ToyFigure:
     def to_json_dict(self) -> dict:
         return {
             "thin": self.thin,
-            "descent": [[float(a), float(b)] for a, b in self.descent],
-            "heavy_ball": [[float(a), float(b)] for a, b in self.heavy_ball],
+            "descent": self.descent.tolist(),
+            "heavy_ball": self.heavy_ball.tolist(),
             "descent_escape": self.descent_escape,
             "heavy_ball_escape": self.heavy_ball_escape,
         }
@@ -117,8 +117,7 @@ def toy_figure(
     start = np.asarray(x0, dtype=float)
     if start.shape != (2,):
         raise ValueError(f"x0 must have two components, got {start.size}")
-    if not (threshold > 0 and math.isfinite(threshold)):
-        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
+    _positive("threshold", threshold)
 
     # heavy ball runs first: it checks beta, and every other input is checked before either run
     heavy_ball = run_heavy_ball(problem, alpha, beta, start, iterations=iterations)
@@ -163,7 +162,7 @@ class NegspaceSeries:
         return lines
 
     def to_json_dict(self) -> dict:
-        out = {name: [float(v) for v in block] for name, block in self._blocks()}
+        out = {name: block.tolist() for name, block in self._blocks()}
         out["params"] = self.params
         return out
 

@@ -23,13 +23,12 @@ is the starting point and ``points[k]`` the k-th iterate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .problems import QuadraticProblem
+from .problems import QuadraticProblem, _positive
 from .schedules import ConstantSchedule, MomentumSchedule
 from .seeding import rng_from
 
@@ -37,6 +36,7 @@ from .seeding import rng_from
 # inside iterate; they are importable from here but not part of the exported surface.
 __all__ = [
     "DIVERGENCE_CUTOFF",
+    "MAX_TRACE_VALUES",
     "EqualStart",
     "PerturbedStart",
     "StartPolicy",
@@ -55,6 +55,9 @@ __all__ = [
 # flagged as diverged once any coordinate magnitude passes this cutoff.
 DIVERGENCE_CUTOFF = 1e100
 GRADIENT_DESCENT = ConstantSchedule(0.0, 0.0)
+# The most values a :class:`Trace` stores: it keeps the longest ``toy`` or
+# ``simulate`` run, JSON included, under about 1 GiB.
+MAX_TRACE_VALUES = 4 * 10**6
 # Schedule terms :func:`iterate` holds at a time; most escape runs end within one window.
 _TERMS_WINDOW = 1024
 # Steps :func:`iterate` runs between checks of the cutoff and the reducer, and
@@ -84,8 +87,7 @@ class PerturbedStart:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        _positive("epsilon", self.epsilon)
 
     def resolve(self, x0: np.ndarray) -> np.ndarray:
         x0 = np.asarray(x0, dtype=float)
@@ -134,6 +136,8 @@ class Trace:
     """
 
     def start(self, x0: np.ndarray, iterations: int) -> None:
+        if (size := (iterations + 1) * x0.size) > MAX_TRACE_VALUES:
+            raise ValueError(f"a stored trace holds at most {MAX_TRACE_VALUES} values, got {size}")
         self.values = np.empty((iterations + 1, *x0.shape))
 
     def block(self, k: int, states: np.ndarray, rows: np.ndarray) -> None:
@@ -362,8 +366,7 @@ def run_accelerated(
 
 def escape_time(trace: IterationTrace, subspace_projector: np.ndarray, threshold: float) -> int | None:
     """First step index ``k`` with ``||P x^k|| >= threshold``, or None if never reached."""
-    if not (threshold > 0 and math.isfinite(threshold)):
-        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
+    _positive("threshold", threshold)
     projector = np.atleast_2d(subspace_projector)
     # only the coordinates the projector reads: one that overflowed outside them would turn 0 * inf into NaN
     rows, cols = np.flatnonzero(projector.any(axis=1)), np.flatnonzero(projector.any(axis=0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ __all__ = [
 ]
 
 BASIS_TOLERANCE = 1e-10
+
+
+def _positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,6 @@ class QuadraticProblem:
     @property
     def n(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def negative_count(self) -> int:
-        """Number of strictly negative Hessian eigenvalues."""
-        return int(np.count_nonzero(self.eigenvalues < 0))
 
     @property
     def lipschitz(self) -> float:
@@ -161,8 +162,7 @@ def random_problem(
     """
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
-    if not (delta > 0 and np.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _positive("delta", delta)
     if isinstance(seed, np.random.Generator):
         rng, recorded = seed, None
     else:

@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .optimizers import row_norms
-from .schedules import MAX_STEPS, MomentumSchedule
+from .problems import _positive
+from .schedules import _CHUNK, MAX_STEPS, MomentumSchedule
 
 __all__ = [
     "MAX_STEPS",
@@ -115,8 +116,6 @@ class RateLimit:
         return abs(lhs - (2.0 * b + b * b))
 
 
-# Steps per window of the growth recurrence: bounds the memory of the schedule's terms and of the values.
-_CHUNK = 1 << 16
 # Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.
 _CSV_CHUNK = 2048
 _MAX_COUNT = 2**63 - 2  # the bisection's upper bound: its gap to -1 still fits an int64
@@ -144,11 +143,6 @@ def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
                 cells[i::width] = column[lo:hi].tolist()
             yield (row * (hi - lo)) % tuple(cells)
         start = end
-
-
-def _positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _step_curvature(lam: float, alpha: float) -> float:

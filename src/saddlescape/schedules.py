@@ -186,8 +186,9 @@ class ToySchedule(MomentumSchedule, spec="toy"):
 # The most terms ``rate_sequence`` and :func:`verify_tk_properties` read: a
 # billion take minutes, and the sequence kept whole needs 8 GB.
 MAX_STEPS = 10**9
-# Terms per window that :func:`verify_tk_properties` reduces at once.
-_FILL_WINDOW = 1 << 16
+# Terms per window that a long reader holds at once: :func:`verify_tk_properties`
+# and the rate recurrence of ``rates``, whose values are bounded by it too.
+_CHUNK = 1 << 16
 
 
 def _spans(count: int, size: int) -> Iterator[tuple[int, int]]:
@@ -269,7 +270,7 @@ def verify_tk_properties(count: int) -> TkPropertyReport:
     if count > MAX_STEPS:
         raise ValueError(f"count must be at most {MAX_STEPS}, got {count!r}")
     identity_err, bound_ok, monotone, gap, last = 0.0, True, True, 0.0, -math.inf  # no ratio before the first
-    for (start, _), t in zip(_spans(count, _FILL_WINDOW), _t_windows(count, _FILL_WINDOW)):
+    for (start, _), t in zip(_spans(count, _CHUNK), _t_windows(count, _CHUNK)):
         prev, cur = t[:-1], t[1:]  # t_{k-1} and t_k for k = start, start + 1, ...
         identity_err = max(identity_err, float(np.max(np.abs(cur * cur - cur - prev * prev) / (cur * cur))))
         k = np.arange(start - 1, start + cur.size, dtype=float)

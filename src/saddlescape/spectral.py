@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import QuadraticProblem
+from .problems import QuadraticProblem, _positive
 
 __all__ = [
     "ConditionError",
@@ -89,8 +89,7 @@ def blocks_csv(blocks: Iterable[dict]) -> Iterator[str]:
 
 def block_eigenvalues(lam: float, alpha: float, beta: float) -> EigenPair:
     """Roots of ``mu^2 - (1 + beta - alpha*lambda) mu + beta = 0``."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    _positive("alpha", alpha)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     if not 0.0 <= beta < 1.0:
@@ -132,8 +131,7 @@ def param_conditions(alpha: float, beta: float, lambda1: float) -> ParamCheck:
     ``lambda1`` is the largest (positive) Hessian eigenvalue.  Both intervals
     are open.  Returns a diagnostic result rather than raising.
     """
-    if not (lambda1 > 0 and math.isfinite(lambda1)):
-        raise ValueError(f"lambda1 must be positive and finite, got {lambda1!r}")
+    _positive("lambda1", lambda1)
     failures = []
     if not 0.0 < alpha < 4.0 / lambda1:
         failures.append(f"alpha must satisfy 0 < alpha < 4/lambda1 = {4.0 / lambda1:.6g}")
@@ -148,21 +146,38 @@ def param_conditions(alpha: float, beta: float, lambda1: float) -> ParamCheck:
 class SpectrumClassification:
     """Block-by-block spectrum of the linearized iteration map.
 
-    ``stable_dim`` counts eigenvalues of magnitude at most one and
-    ``unstable_dim`` those beyond one; they sum to twice the problem
-    dimension, and ``unstable_dim`` equals the number of negative Hessian
-    eigenvalues.  ``unstable_eigenvectors`` holds one row ``(v, v / mu_hi)``
-    per negative eigenvalue; the rows are mutually orthogonal.
+    ``basis`` is the problem's eigenvector matrix (None if diagonal); the rest
+    is derived when read.  ``stable_dim`` counts eigenvalues of magnitude at
+    most one and ``unstable_dim`` those beyond one, one per negative Hessian
+    eigenvalue.  ``unstable_eigenvectors`` holds one row ``(v, v / mu_hi)`` per
+    negative eigenvalue, ``v`` its unit vector or basis column; the rows are
+    mutually orthogonal.
     """
 
     pairs: tuple[EigenPair, ...]
-    stable_dim: int
-    unstable_dim: int
-    unstable_eigenvectors: np.ndarray
+    basis: np.ndarray | None = None
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(pair.label for pair in self.pairs)
+
+    @property
+    def unstable_dim(self) -> int:
+        return sum(pair.lam < 0 for pair in self.pairs)
+
+    @property
+    def stable_dim(self) -> int:
+        return 2 * len(self.pairs) - self.unstable_dim
+
+    @property
+    def unstable_eigenvectors(self) -> np.ndarray:
+        n = len(self.pairs)
+        unstable = [(i, pair.mu_hi.real) for i, pair in enumerate(self.pairs) if pair.lam < 0]
+        rows = np.empty((len(unstable), 2 * n))
+        for row, (i, mu_hi) in zip(rows, unstable):
+            v = np.eye(1, n, i)[0] if self.basis is None else self.basis[:, i]
+            row[:n], row[n:] = v, v / mu_hi
+        return rows
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,19 +204,7 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     # is diagonalizable; guard the assumption at runtime.
     if any(pair.lam == 0 and pair.mu_hi == pair.mu_lo for pair in pairs):
         raise ArithmeticError("zero-eigenvalue block produced a repeated root")
-    basis = problem.basis
-    vectors = [
-        unstable_eigenvector(lam, alpha, beta, np.eye(1, problem.n, i)[0] if basis is None else basis[:, i])
-        for i, lam in enumerate(problem.eigenvalues)
-        if lam < 0
-    ]
-    unstable = problem.negative_count
-    return SpectrumClassification(
-        pairs=pairs,
-        stable_dim=2 * problem.n - unstable,
-        unstable_dim=unstable,
-        unstable_eigenvectors=np.array(vectors) if vectors else np.empty((0, 2 * problem.n)),
-    )
+    return SpectrumClassification(pairs, problem.basis)
 
 
 def _check_pair(problem: QuadraticProblem, z1: np.ndarray, z2: np.ndarray):

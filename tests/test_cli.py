@@ -111,7 +111,7 @@ class TestToyCommand:
         ],
     )
     def test_every_input_is_checked_before_a_run(self, capsys, argv, message):
-        # a run of 10**14 steps would fail out of memory before any later check
+        # a run of 10**14 steps fails the stored trace's bound unless every other input is checked first
         code, _, err = run_cli(capsys, "toy", "--iters", "100000000000000", *argv)
         assert code == 1 and message in err
 
@@ -631,9 +631,14 @@ class TestOutOfDomainInput:
              "--gamma must be nonnegative and finite, got nan"),
             (["rates", "--gamma", "-1", "--lambda=-1", "--alpha", "0.5", "--schedule", "toy"],
              "--gamma must be nonnegative and finite, got -1.0"),
-            (["simulate", "--iters", "100000000000000"], "out of memory"),
-            (["toy", "--iters", "100000000000000"], "out of memory"),
+            (["simulate", "--iters", "100000000000000"],
+             "a stored trace holds at most 4000000 values, got 100000000000001"),
+            (["toy", "--iters", "100000000000000"],
+             "a stored trace holds at most 4000000 values, got 200000000000002"),
             (["verify-tk", "--K", "100000000000000"], "count must be at most 1000000000, got 100000000000000"),
+            # one step past the limits both --help texts state
+            (["toy", "--iters", "2000000"], "a stored trace holds at most 4000000 values, got 4000002"),
+            (["simulate", "--p", "2", "--iters", "2000000"], "a stored trace holds at most 4000000 values, got 4000002"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):

@@ -21,7 +21,6 @@ class TestToyProblem:
         assert prob.n == 2
         assert np.array_equal(prob.eigenvalues, [1.0, -0.02])
         assert prob.basis is None
-        assert prob.negative_count == 1
         assert prob.lipschitz == 1.0
 
     def test_gradient_at_critical_point(self):
@@ -77,7 +76,7 @@ class TestRandomProblem:
         for seed in range(20):
             prob = random_problem(30, 4, 5e-2, seed=seed)
             ev = prob.eigenvalues
-            assert prob.negative_count == 4
+            assert np.count_nonzero(ev < 0) == 4
             assert prob.lipschitz == max(ev[0], -ev[-1])
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.3, 7.0])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddlescape import spectral
 from saddlescape import (
     ConditionError,
     QuadraticProblem,
@@ -346,22 +347,34 @@ class TestUnstableEigenvectors:
             assert np.linalg.norm(image - pair.mu_hi.real * w) <= 1e-10 * np.linalg.norm(w)
 
 
-    @pytest.mark.parametrize("rotated", [False, True])
-    def test_rows_equal_dense_identity_construction(self, rotated):
-        prob = random_problem(40, 6, 0.05, seed=4)
-        if rotated:
-            prob = prob.rotated(basis_seed=2)
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            QuadraticProblem(np.array([1.0, 0.5, 0.0])),
+            QuadraticProblem(np.array([1.0, 0.5, 0.0])).rotated(basis_seed=5),
+            random_problem(40, 6, 0.05, seed=4),
+            random_problem(40, 6, 0.05, seed=4).rotated(basis_seed=2),
+        ],
+        ids=["p0-diagonal", "p0-rotated", "diagonal", "rotated"],
+    )
+    def test_rows_equal_dense_identity_construction(self, prob, monkeypatch):
         alpha, beta = 1.0 / prob.lipschitz, 0.95
+        calls = []
+        monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: calls.append(args) or block_eigenvalues(*args))
         result = classify_saddle_map(prob, alpha, beta)
+        vectors = result.unstable_eigenvectors
+        # the rows are derived from the blocks: no block's roots are solved twice
+        assert len(calls) == prob.n
         negative = np.flatnonzero(prob.eigenvalues < 0)
+        assert (result.unstable_dim, result.stable_dim) == (negative.size, 2 * prob.n - negative.size)
         expected = [
             unstable_eigenvector(
-                prob.eigenvalues[i], alpha, beta, prob.basis[:, i] if rotated else np.eye(prob.n)[i]
+                prob.eigenvalues[i], alpha, beta, np.eye(prob.n)[i] if prob.basis is None else prob.basis[:, i]
             )
             for i in negative
         ]
-        assert np.array_equal(result.unstable_eigenvectors, np.array(expected))
-        for z, i in zip(result.unstable_eigenvectors, negative):
+        assert np.array_equal(vectors, np.reshape(expected, (negative.size, 2 * prob.n)))
+        for z, i in zip(vectors, negative):
             mu_hi = result.pairs[i].mu_hi.real
             image = self.apply_linear_map(prob, alpha, beta, z)
             assert np.allclose(image, mu_hi * z, rtol=0.0, atol=1e-12)
@@ -378,7 +391,7 @@ class TestUnstableEigenvectors:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 2 * 2**20
 
 
 class TestInvariantSubspaces:
