@@ -24,8 +24,8 @@ from .experiments import divergence_table, negspace_experiment, toy_figure
 from .optimizers import MAX_TRACE_VALUES, EqualStart, PerturbedStart
 from .problems import _positive, random_problem
 from .rates import _CSV_CHUNK, MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
-from .schedules import SCHEDULE_KINDS, ScheduleError, ToySchedule, verify_tk_properties
-from .spectral import ConditionError, block_eigenvalues, blocks_csv, classify_saddle_map
+from .schedules import SCHEDULE_KINDS, ToySchedule, verify_tk_properties
+from .spectral import block_eigenvalues, blocks_csv, classify_saddle_map
 
 __all__ = ["main", "console_entry", "build_parser"]
 
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
-    except (ValueError, ScheduleError, ConditionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"saddlescape: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a last resort: sizes no run can hold should be rejected before this

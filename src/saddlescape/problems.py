@@ -41,15 +41,10 @@ class QuadraticProblem:
         Hessian spectrum, nonincreasing.
     basis : ndarray or None
         Orthogonal eigenvector matrix, identity when None.
-    seed, basis_seed : int or None
-        Provenance of randomly generated spectra/bases; kept so problems
-        serialize compactly and rebuild bit-for-bit.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray | None = None
-    seed: int | None = None
-    basis_seed: int | None = None
 
     def __post_init__(self) -> None:
         ev = np.array(self.eigenvalues, dtype=float)
@@ -97,14 +92,9 @@ class QuadraticProblem:
             return self.eigenvalues * x
         return (self.eigenvalues * (x @ self.basis)) @ self.basis.T
 
-    def rotated(self, basis_seed: int) -> "QuadraticProblem":
+    def rotated(self, seed: int) -> "QuadraticProblem":
         """Same spectrum expressed in a seeded random orthogonal basis."""
-        return QuadraticProblem(
-            self.eigenvalues,
-            basis=random_orthogonal(self.n, basis_seed),
-            seed=self.seed,
-            basis_seed=int(basis_seed),
-        )
+        return QuadraticProblem(self.eigenvalues, basis=random_orthogonal(self.n, seed))
 
     def negative_projector(self) -> np.ndarray:
         """Orthogonal projector onto the span of negative-eigenvalue eigenvectors."""
@@ -113,25 +103,6 @@ class QuadraticProblem:
             return np.diag(mask.astype(float))
         vneg = self.basis[:, mask]
         return vneg @ vneg.T
-
-    def to_json_dict(self) -> dict:
-        if self.basis is not None and self.basis_seed is None:
-            raise ValueError("only problems with seeded bases can be serialized")
-        out: dict = {"n": self.n, "eigenvalues": [float(v) for v in self.eigenvalues]}
-        if self.seed is not None:
-            out["seed"] = int(self.seed)
-        if self.basis_seed is not None:
-            out["basis_seed"] = int(self.basis_seed)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QuadraticProblem":
-        ev = np.asarray(data["eigenvalues"], dtype=float)
-        if int(data["n"]) != ev.size:
-            raise ValueError("field 'n' disagrees with the eigenvalue count")
-        basis_seed = data.get("basis_seed")
-        basis = None if basis_seed is None else random_orthogonal(ev.size, basis_seed)
-        return cls(ev, basis=basis, seed=data.get("seed"), basis_seed=basis_seed)
 
 
 def toy_problem(delta: float) -> QuadraticProblem:
@@ -163,16 +134,13 @@ def random_problem(
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
     _positive("delta", delta)
-    if isinstance(seed, np.random.Generator):
-        rng, recorded = seed, None
-    else:
-        rng, recorded = rng_from(seed), int(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
     nonneg = rng.uniform(0.0, 1.0, size=n - p)
     if nonneg.max() < delta:
         nonneg[np.argmax(nonneg)] = delta
     negative = [-float(delta)] if p == 1 else rng.uniform(-2.0 * delta, -delta, size=p)
     ev = np.sort(np.concatenate([nonneg, negative]))[::-1]
-    return QuadraticProblem(ev, seed=recorded)
+    return QuadraticProblem(ev)
 
 
 def random_orthogonal(n: int, seed: int) -> np.ndarray:

@@ -35,7 +35,6 @@ __all__ = [
     "rate_sequence",
     "rate_limit",
     "product_reconstruction",
-    "escape_bounds",
     "predicted_escape_iters",
     "first_crossings",
 ]
@@ -109,12 +108,6 @@ class RateLimit:
     beta_limit: float
     gamma_limit: float
 
-    def fixed_point_residual(self) -> float:
-        a = self.alpha * abs(self.lam)
-        b = self.value
-        lhs = a + (1.0 + a + self.beta_limit + self.gamma_limit * a) * b
-        return abs(lhs - (2.0 * b + b * b))
-
 
 # Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.
 _CSV_CHUNK = 2048
@@ -146,13 +139,14 @@ def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
 
 
 def _step_curvature(lam: float, alpha: float) -> float:
-    """``a = alpha*|lambda|`` for a negative, finite ``lambda`` and a positive, finite ``alpha``."""
+    """The positive, finite ``a = alpha*|lambda|`` of a negative ``lambda`` and a positive ``alpha``, both finite."""
     if not (lam < 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be negative and finite, got {lam!r}")
     _positive("alpha", alpha)
     a = float(alpha) * abs(float(lam))
-    if not math.isfinite(a):
-        raise ValueError(f"alpha*|lambda| overflows for alpha={alpha!r}, lambda={lam!r}")
+    if not 0 < a < math.inf:
+        fault = "overflows" if a else "underflows to 0"
+        raise ValueError(f"alpha*|lambda| {fault} for alpha={alpha!r}, lambda={lam!r}")
     return a
 
 
@@ -199,26 +193,6 @@ def rate_limit(lam: float, alpha: float, beta_limit: float, gamma_limit: float) 
         beta_limit=float(beta_limit),
         gamma_limit=float(gamma_limit),
     )
-
-
-def escape_bounds(delta: float, alpha: float, epsilon: float) -> dict:
-    """Closed-form iteration bounds for escaping the 2-D toy saddle.
-
-    ``gd_bound`` is ``ceil(|log eps| / (delta*alpha))`` for gradient descent;
-    ``hb_bound`` is the smallest integer ``k`` with
-    ``k + 1 >= log(2/eps) / sqrt(3*delta)``, the heavy-ball bound stated for
-    ``alpha = 3`` and ``beta = 1 - 3*delta``.  Both come from linearizing
-    ``log(1 + g) ~ g``, so they are first-order estimates of the true escape
-    time rather than exact counts.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    _positive("alpha", alpha)
-    gd = math.ceil(abs(math.log(epsilon)) / (delta * alpha))
-    hb = math.ceil(math.log(2.0 / epsilon) / math.sqrt(3.0 * delta) - 1.0)
-    return {"gd_bound": int(gd), "hb_bound": int(max(hb, 0))}
 
 
 def first_crossings(growth, starts, threshold: float, cap: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import ClassVar
 
@@ -30,7 +30,6 @@ __all__ = [
     "polyak_params",
     "TkPropertyReport",
     "verify_tk_properties",
-    "schedule_from_json_dict",
 ]
 
 
@@ -89,7 +88,7 @@ class MomentumSchedule:
         return self.beta, self.gamma
 
     def to_json_dict(self) -> dict:
-        """``{"kind": ..., **fields}``, the form :func:`schedule_from_json_dict` reads."""
+        """``{"kind": ..., **fields}``, as ``rates`` writes the schedule."""
         return {"kind": self.kind, **asdict(self)}
 
 
@@ -289,20 +288,3 @@ def verify_tk_properties(count: int) -> TkPropertyReport:
         final_ratio=float(last),
     )
 
-
-def schedule_from_json_dict(data: dict) -> MomentumSchedule:
-    """The schedule of a ``to_json_dict`` payload; unknown kinds and keys are rejected."""
-    values = dict(data)
-    kind = values.pop("kind", None)
-    cls = SCHEDULE_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    names = [f.name for f in fields(cls)]
-    required = {f.name for f in fields(cls) if f.default is MISSING}
-    if not required <= values.keys() <= set(names):
-        raise ValueError(f"a {kind} schedule has the keys {names}, got {sorted(values)}")
-    try:
-        params = {name: float(value) for name, value in values.items()}
-    except TypeError:
-        raise ValueError(f"a {kind} schedule's values must be numbers, got {values}") from None
-    return cls(**params)

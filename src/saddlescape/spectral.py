@@ -158,10 +158,6 @@ class SpectrumClassification:
     basis: np.ndarray | None = None
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(pair.label for pair in self.pairs)
-
-    @property
     def unstable_dim(self) -> int:
         return sum(pair.lam < 0 for pair in self.pairs)
 

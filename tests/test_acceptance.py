@@ -290,7 +290,7 @@ def test_criterion_8_saddle_avoidance_monte_carlo():
 
 
 def test_criterion_9_pair_map_roundtrip_and_fixed_point():
-    prob = random_problem(8, 2, 0.1, seed=99).rotated(basis_seed=17)
+    prob = random_problem(8, 2, 0.1, seed=99).rotated(seed=17)
     alpha, beta = 0.5, 0.8
     rng = rng_from(99, 1)
     worst = 0.0

@@ -639,6 +639,14 @@ class TestOutOfDomainInput:
             # one step past the limits both --help texts state
             (["toy", "--iters", "2000000"], "a stored trace holds at most 4000000 values, got 4000002"),
             (["simulate", "--p", "2", "--iters", "2000000"], "a stored trace holds at most 4000000 values, got 4000002"),
+            (["spectrum", "--lambda=-0.02", "--alpha", "3"],
+             "single-eigenvalue mode needs --lambda, --alpha and --beta"),
+            (["spectrum", "--n", "20", "--p", "2", "--delta", "0.01"], "--beta is required"),
+            # alpha*|lambda| = 1e-600 underflows to 0 in both formats
+            (["rates", "--lambda=-1e-300", "--alpha", "1e-300", "--json"],
+             "alpha*|lambda| underflows to 0 for alpha=1e-300, lambda=-1e-300"),
+            (["rates", "--lambda=-1e-300", "--alpha", "1e-300", "--format", "csv"],
+             "alpha*|lambda| underflows to 0 for alpha=1e-300, lambda=-1e-300"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):

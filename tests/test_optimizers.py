@@ -42,7 +42,7 @@ class TestGradientDescent:
         assert np.max(np.abs(trace.points[:, 1] - expected) / expected) < 1e-13
 
     def test_critical_point_is_fixed(self):
-        prob = random_problem(4, 1, 0.1, seed=6).rotated(basis_seed=2)
+        prob = random_problem(4, 1, 0.1, seed=6).rotated(seed=2)
         trace = run_gradient_descent(prob, 0.1, np.zeros(4), 10)
         assert np.array_equal(trace.points, np.zeros((11, 4)))
 
@@ -79,7 +79,7 @@ class TestGradientDescent:
             trace = run_gradient_descent(prob, alpha, x0, iterations)
             assert np.max(np.abs(trace.points - factors * x0) / np.abs(factors * x0)) <= 1e-12
             return
-        prob = prob.rotated(basis_seed=seed)
+        prob = prob.rotated(seed=seed)
         basis = prob.basis
         trace = run_gradient_descent(prob, alpha, x0, iterations)
         # in the eigenbasis each coordinate is its own closed form; the error

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,7 +117,7 @@ class TestGradient:
             n = int(rng.integers(2, 9))
             prob = random_problem(n, 1, 0.1, seed=seed)
             if seed % 2:
-                prob = prob.rotated(basis_seed=seed)
+                prob = prob.rotated(seed=seed)
             for _ in range(2):
                 x = rng.standard_normal(n)
                 g = prob.gradient(x)
@@ -133,7 +131,7 @@ class TestGradient:
         assert checked == 100
 
     def test_batched_evaluation(self):
-        prob = random_problem(6, 2, 0.1, seed=9).rotated(basis_seed=4)
+        prob = random_problem(6, 2, 0.1, seed=9).rotated(seed=4)
         xs = rng_from(5).standard_normal((7, 6))
         values, grads = prob.value(xs), prob.gradient(xs)
         for i in range(7):
@@ -154,7 +152,7 @@ class TestRotation:
         from saddlescape import run_heavy_ball
 
         diag = random_problem(8, 2, 0.1, seed=11)
-        rot = diag.rotated(basis_seed=21)
+        rot = diag.rotated(seed=21)
         v = rot.basis
         z0 = rng_from(31).standard_normal(8)
         trace_diag = run_heavy_ball(diag, 0.5, 0.8, z0, iterations=60)
@@ -162,47 +160,6 @@ class TestRotation:
         expected = trace_diag.points @ v.T
         scale = np.abs(expected).max(axis=1, keepdims=True) + 1e-300
         assert np.max(np.abs(trace_rot.points - expected) / scale) < 1e-10
-
-
-class TestSerialization:
-    def test_roundtrip_diagonal(self):
-        prob = random_problem(10, 2, 0.05, seed=13)
-        data = json.loads(json.dumps(prob.to_json_dict()))
-        back = QuadraticProblem.from_json_dict(data)
-        assert np.array_equal(back.eigenvalues, prob.eigenvalues)
-        assert back.basis is None and back.seed == 13
-
-    def test_roundtrip_rotated(self):
-        prob = random_problem(6, 1, 0.05, seed=3).rotated(basis_seed=8)
-        back = QuadraticProblem.from_json_dict(prob.to_json_dict())
-        assert np.array_equal(back.basis, prob.basis)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        st.integers(2, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
-        st.floats(1e-6, 10.0),
-        st.integers(0, 2**32),
-        st.one_of(st.none(), st.integers(0, 2**32)),
-    )
-    def test_json_round_trip_is_exact(self, shape, delta, seed, basis_seed):
-        n, p = shape
-        prob = random_problem(n, p, delta, seed)
-        if basis_seed is not None:
-            prob = prob.rotated(basis_seed)
-        data = json.loads(json.dumps(prob.to_json_dict()))
-        back = QuadraticProblem.from_json_dict(data)
-        assert back.eigenvalues.tobytes() == prob.eigenvalues.tobytes()
-        assert (back.seed, back.basis_seed) == (prob.seed, prob.basis_seed)
-        if basis_seed is None:
-            assert back.basis is None
-        else:
-            assert back.basis.tobytes() == prob.basis.tobytes()
-        assert back.to_json_dict() == data
-
-    def test_explicit_basis_not_serializable(self):
-        prob = QuadraticProblem(np.array([1.0, -0.5]), basis=np.eye(2))
-        with pytest.raises(ValueError):
-            prob.to_json_dict()
 
 
 class TestSampling:

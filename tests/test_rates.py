@@ -14,7 +14,6 @@ from saddlescape import (
     PolyakSchedule,
     QuadraticProblem,
     ToySchedule,
-    escape_bounds,
     first_crossings,
     predicted_escape_iters,
     product_reconstruction,
@@ -29,12 +28,13 @@ from saddlescape import (
 from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
-NON_FINITE_CURVATURES = [
+REJECTED_CURVATURES = [
     (float("nan"), 0.5),
     (-float("inf"), 0.5),
     (-0.1, float("nan")),
     (-0.1, float("inf")),
     (-1e200, 1e200),  # alpha*|lambda| overflows
+    (-1e-300, 1e-300),  # alpha*|lambda| underflows to 0: an all-zero sequence and a zero limit
 ]
 
 all_schedules = st.one_of(
@@ -132,7 +132,7 @@ class TestRateSequence:
         assert max(chunk.count("\n") for chunk in chunks) <= _CSV_CHUNK
         assert sum(chunk.count("\n") for chunk in chunks) == 5002
 
-    @pytest.mark.parametrize("lam, alpha", NON_FINITE_CURVATURES)
+    @pytest.mark.parametrize("lam, alpha", REJECTED_CURVATURES)
     def test_non_finite_curvature_rejected(self, lam, alpha):
         with pytest.raises(ValueError):
             rate_sequence(lam, alpha, NesterovSchedule(), 10)
@@ -243,8 +243,9 @@ class TestRateLimit:
             a = 10.0 ** rng.uniform(-4, 0)
             beta = rng.uniform(0.0, 1.0)
             gamma = rng.uniform(0.0, 1.0)
-            lim = rate_limit(-a, 1.0, beta, gamma)
-            assert lim.fixed_point_residual() <= 1e-12
+            b = rate_limit(-a, 1.0, beta, gamma).value
+            # the growth-factor balance a + (1 + a + beta + gamma*a) b = 2b + b^2 that RateLimit documents
+            assert abs(a + (1.0 + a + beta + gamma * a) * b - (2.0 * b + b * b)) <= 1e-12
 
     def test_growth_factor_ordering(self):
         # accelerated >= heavy-ball >= plain descent, per iteration
@@ -264,29 +265,10 @@ class TestRateLimit:
         with pytest.raises(ValueError):
             rate_limit(-0.1, 1.0, 1.5, 0.0)
 
-    @pytest.mark.parametrize("lam, alpha", NON_FINITE_CURVATURES + [(-1e200, 1e100)])
+    @pytest.mark.parametrize("lam, alpha", REJECTED_CURVATURES + [(-1e200, 1e100)])
     def test_non_finite_input_or_limit_rejected(self, lam, alpha):
         with pytest.raises(ValueError):
             rate_limit(lam, alpha, 1.0, 1.0)
-
-
-class TestEscapeBounds:
-    def test_descent_bound(self):
-        assert escape_bounds(0.02, 1.0, 0.01)["gd_bound"] == 231
-
-    def test_heavy_ball_bound(self):
-        assert escape_bounds(0.02, 1.0, 0.01)["hb_bound"] == 21
-
-    def test_threshold_already_met(self):
-        assert escape_bounds(0.02, 1.0, 1.0)["gd_bound"] == 0
-
-    def test_domains(self):
-        with pytest.raises(ValueError):
-            escape_bounds(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            escape_bounds(0.5, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            escape_bounds(0.5, 0.0, 0.5)
 
 
 class TestPredictedEscape:
@@ -326,6 +308,12 @@ class TestPredictedEscape:
     def test_growth_lost_to_rounding_returns_log1p_estimate(self):
         # 1 + 1e-17 == 1.0, so no floating-point power ever crosses
         assert predicted_escape_iters(1e-17, 0.5, 1.0) == math.ceil(math.log(2.0) / math.log1p(1e-17))
+
+    def test_growth_lost_to_rounding_at_threshold_or_past_the_float_range(self):
+        # 1 + 1e-17 == 1.0: a start at the threshold needs no step, and threshold / start overflows to inf
+        assert predicted_escape_iters(1e-17, 2.0, 1.0) == 0
+        # ceil((log(1e300) - log(1e-300)) / log1p(1e-17)), which is past the int64 range
+        assert predicted_escape_iters(1e-17, 1e-300, 1e300) == 138155105579642732544
 
     def test_subnormal_growth_is_a_value_error(self):
         # 1 + bar_b == 1 and log(2)/log1p(bar_b) is inf: no escape count exists in a float

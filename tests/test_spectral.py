@@ -165,7 +165,7 @@ class TestClassification:
         result = classify_saddle_map(toy_problem(0.02), 0.75, 0.985)
         assert result.stable_dim == 3
         assert result.unstable_dim == 1
-        assert result.labels == ("stable", "unstable")
+        assert tuple(pair.label for pair in result.pairs) == ("stable", "unstable")
 
     def test_positive_spectrum_is_contracting(self):
         alpha, beta = polyak_params(0.25, 1.0)
@@ -190,7 +190,7 @@ class TestClassification:
     def test_zero_eigenvalue_block_is_unit(self):
         prob = QuadraticProblem(np.array([1.0, 0.0, -0.5]))
         result = classify_saddle_map(prob, 0.5, 0.9)
-        assert result.labels == ("stable", "unit", "unstable")
+        assert tuple(pair.label for pair in result.pairs) == ("stable", "unit", "unstable")
         mags = sorted([abs(result.pairs[1].mu_hi), abs(result.pairs[1].mu_lo)])
         assert mags == pytest.approx([0.9, 1.0], abs=1e-12)
 
@@ -259,7 +259,7 @@ class TestIterationMap:
             assert np.array_equal(mapped, trace.points[k + 1])
 
     def test_roundtrip_on_random_points(self):
-        prob = random_problem(8, 2, 0.1, seed=6).rotated(basis_seed=3)
+        prob = random_problem(8, 2, 0.1, seed=6).rotated(seed=3)
         rng = rng_from(6, 5)
         for _ in range(100):
             z1 = rng.standard_normal(8)
@@ -281,7 +281,7 @@ class TestIterationMap:
         # Criterion 9: the explicit inverse undoes the map and the map undoes
         # it.  Dividing by beta scales the rounding error by 1/beta.
         n, p = shape
-        prob = random_problem(n, p, delta, seed).rotated(basis_seed=seed + 1)
+        prob = random_problem(n, p, delta, seed).rotated(seed=seed + 1)
         alpha = step / prob.lipschitz
         rng = rng_from(seed, 2)
         z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
@@ -338,7 +338,7 @@ class TestUnstableEigenvectors:
             unstable_eigenvector(0.1, 0.5, 0.9, np.array([1.0]))
 
     def test_rotated_problem_residuals(self):
-        prob = random_problem(10, 3, 0.1, seed=12).rotated(basis_seed=9)
+        prob = random_problem(10, 3, 0.1, seed=12).rotated(seed=9)
         alpha = 1.0 / prob.lipschitz
         beta = 0.9
         result = classify_saddle_map(prob, alpha, beta)
@@ -351,9 +351,9 @@ class TestUnstableEigenvectors:
         "prob",
         [
             QuadraticProblem(np.array([1.0, 0.5, 0.0])),
-            QuadraticProblem(np.array([1.0, 0.5, 0.0])).rotated(basis_seed=5),
+            QuadraticProblem(np.array([1.0, 0.5, 0.0])).rotated(seed=5),
             random_problem(40, 6, 0.05, seed=4),
-            random_problem(40, 6, 0.05, seed=4).rotated(basis_seed=2),
+            random_problem(40, 6, 0.05, seed=4).rotated(seed=2),
         ],
         ids=["p0-diagonal", "p0-rotated", "diagonal", "rotated"],
     )
