@@ -14,4 +14,3 @@ from .optimizers import *
 from .spectral import *
 from .rates import *
 from .experiments import *
-from .seeding import *

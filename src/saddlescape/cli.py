@@ -246,7 +246,7 @@ def _cmd_rates(args) -> int:
         _positive(f"--{name}", getattr(args, name))
     if fmt == "json":
         limit = rate_limit(lam, args.alpha, *schedule.limit())
-        predicted = predicted_escape_iters(limit.value, args.projection, args.threshold)
+        predicted = predicted_escape_iters(limit, args.projection, args.threshold)
     _echo_config(args, format=fmt, schedule=schedule.to_json_dict())
     if fmt == "json":
         payload = {
@@ -254,7 +254,7 @@ def _cmd_rates(args) -> int:
             "alpha": args.alpha,
             "schedule": schedule.to_json_dict(),
             "b_final": sequence.final,
-            "b_limit": limit.value,
+            "b_limit": limit,
             "predicted_escape_iters": predicted,
         }
         _emit(_json_chunks(payload), args.out)
@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="negative eigenvalue scales")
     table.add_argument("--trials", type=int, default=100, help="trials per cell")
     table.add_argument("--seed", type=int, default=0, help="master seed")
-    table.add_argument("--iters", type=int, default=10**6, help="per-trial iteration cap")
+    table.add_argument("--iters", type=int, default=10**6,
+                       help=f"per-trial iteration cap, at most {sys.float_info.max:.6g} (the largest float)")
     table.add_argument("--threshold", type=float, default=None,
                        help="escape threshold in (0, 1e100] (default: the dimension n); "
                        "a threshold at or below a start's projection counts 0 iterations")

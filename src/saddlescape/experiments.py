@@ -18,7 +18,7 @@ an independent counter-based random stream, so trials may run in any order.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -37,10 +37,9 @@ from .optimizers import (
     run_gradient_descent,
     run_heavy_ball,
 )
-from .problems import _positive, random_problem, sample_unit_ball, toy_problem
+from .problems import _positive, random_problem, rng_from, sample_unit_ball, toy_problem
 from .rates import _series_rows, first_crossings, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
-from .seeding import rng_from
 
 __all__ = [
     "ToyFigure",
@@ -162,6 +161,10 @@ class NegspaceSeries:
         return lines
 
     def to_json_dict(self) -> dict:
+        """The JSON payload; a non-finite ``predicted`` value raises ``ValueError`` before any text is written."""
+        if not (finite := np.isfinite(self.predicted)).all():
+            bad = float(self.predicted[~finite][0])
+            raise ValueError(f"JSON output holds only finite numbers, got {bad!r}")
         out = {name: block.tolist() for name, block in self._blocks()}
         out["params"] = self.params
         return out
@@ -196,6 +199,7 @@ def negspace_experiment(
     lam_n = float(eigenvalues[-1])
     beta_hb = 1.0 - alpha * abs(lam_n)
     alpha_ag = 0.99 / lipschitz
+    limit = rate_limit(lam_n, alpha_ag, 1.0, 1.0)
     # The coordinates decouple and only the negative block's norms are
     # written; with these step sizes and schedules the positive coordinates
     # contract, so they cannot stop a run at the divergence cutoff either.
@@ -212,10 +216,9 @@ def negspace_experiment(
     heavy = proj_norms(alpha, ConstantSchedule(beta_hb, 0.0), previous)
     accel = proj_norms(alpha_ag, NesterovSchedule(), previous)
 
-    limit = rate_limit(lam_n, alpha_ag, 1.0, 1.0)
     start_norm = float(row_norms(start)[0])
     with np.errstate(over="ignore"):
-        predicted = start_norm * (1.0 + limit.value) ** np.arange(iterations + 1, dtype=float)
+        predicted = start_norm * (1.0 + limit) ** np.arange(iterations + 1, dtype=float)
 
     return NegspaceSeries(
         descent=descent,
@@ -233,7 +236,7 @@ def negspace_experiment(
             "alpha": alpha,
             "beta_heavy_ball": beta_hb,
             "alpha_accelerated": alpha_ag,
-            "rate_limit": limit.value,
+            "rate_limit": limit,
             "start_projection": start_norm,
         },
     )
@@ -254,10 +257,6 @@ class TableRow:
     avg_iters: float
     max_iters: int
     censored: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.avg_iters) or self.avg_iters > self.max_iters:
-            raise ValueError("summary requires finite avg_iters <= max_iters")
 
 
 @dataclass(frozen=True)
@@ -343,9 +342,9 @@ def divergence_table(
     The rate-predictor column grows the realized starting projection norm by
     ``1 + b`` per step, for ``b`` the limiting growth rate of the most
     negative eigenvalue under ``schedule.limit()``, counted the same way.
-    Trials that hit ``iteration_cap`` are recorded at the cap and counted as
-    censored, with one warning per cell and method.  All trials of a cell run
-    as one batch.
+    Trials that hit ``iteration_cap``, at most the largest float, are
+    recorded at the cap and counted as censored, with one warning per cell
+    and method.  All trials of a cell run as one batch.
 
     A count is the first step at which the projection norm reaches the
     threshold, the start (step 0) included, as :func:`escape_time` counts it:
@@ -362,6 +361,8 @@ def divergence_table(
     for name, values in (("n", ns), ("delta", deltas)):
         if len(set(values)) < len(values):
             raise ValueError(f"each {name} must be listed once, got {values}")
+    if iteration_cap > sys.float_info.max:  # a cell's average is a float
+        raise ValueError(f"iteration_cap must be at most {sys.float_info.max:.6g}, the largest float")
     if threshold is not None and not 0.0 < threshold <= DIVERGENCE_CUTOFF:
         raise ValueError(f"threshold must lie in (0, {DIVERGENCE_CUTOFF:g}], got {threshold!r}")
     cap = iteration_cap
@@ -386,8 +387,8 @@ def divergence_table(
 
         alpha_ag = 0.99 / lipschitz
         accelerated = FirstCrossing(cell_threshold)
+        rates = np.array([rate_limit(float(v[-1]), float(a), *limits) for v, a in zip(neg_values, alpha_ag)])
         iterate(neg_values, alpha_ag, schedule, neg_start, neg_start, cap, accelerated)
-        rates = np.array([rate_limit(float(v[-1]), float(a), *limits).value for v, a in zip(neg_values, alpha_ag)])
         descent_growth = 1.0 + (1.0 / lipschitz)[:, None] * np.abs(neg_values)
         crossings = {
             "steepest_descent": first_crossings(descent_growth, neg_start, cell_threshold, cap),

@@ -28,9 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problems import QuadraticProblem, _positive
+from .problems import QuadraticProblem, _positive, rng_from
 from .schedules import ConstantSchedule, MomentumSchedule
-from .seeding import rng_from
 
 # The reducers Trace and FirstCrossing are called once per block of steps from
 # inside iterate; they are importable from here but not part of the exported surface.

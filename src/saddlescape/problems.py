@@ -1,4 +1,4 @@
-"""Quadratic test problems with known spectra."""
+"""Quadratic test problems with known spectra, and the seeded random streams that draw them."""
 
 from __future__ import annotations
 
@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import rng_from
-
 __all__ = [
     "BASIS_TOLERANCE",
     "QuadraticProblem",
+    "rng_from",
     "toy_problem",
     "random_problem",
     "random_orthogonal",
@@ -24,6 +23,19 @@ BASIS_TOLERANCE = 1e-10
 def _positive(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def rng_from(seed: int, *stream: int) -> np.random.Generator:
+    """Return the counter-based Philox generator for the stream keyed by ``(seed, *stream)``.
+
+    Streams with distinct keys are independent and each one is reproducible
+    bit-for-bit from its key alone, so trial-level streams can be created in
+    any order, or in parallel, without changing the numbers any of them draw.
+    """
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    key = np.random.SeedSequence(int(seed), spawn_key=tuple(int(s) for s in stream))
+    return np.random.Generator(np.random.Philox(key))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ asymptotic per-iteration growth factor of the escaping coordinate.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from .schedules import _CHUNK, MAX_STEPS, MomentumSchedule
 __all__ = [
     "MAX_STEPS",
     "RateSequence",
-    "RateLimit",
     "rate_sequence",
     "rate_limit",
     "product_reconstruction",
@@ -93,22 +93,6 @@ class RateSequence:
             yield from _series_rows("", range(start, start + len(block)), [block])
 
 
-@dataclass(frozen=True)
-class RateLimit:
-    """Nonnegative root of the limiting fixed-point quadratic.
-
-    ``value`` solves ``b^2 - (beta - 1 + alpha*|lambda|*(1 + gamma)) b
-    - alpha*|lambda| = 0``, equivalently the growth-factor balance
-    ``a + (1 + a + beta + gamma*a) b = 2b + b^2`` with ``a = alpha*|lambda|``.
-    """
-
-    value: float
-    lam: float
-    alpha: float
-    beta_limit: float
-    gamma_limit: float
-
-
 # Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.
 _CSV_CHUNK = 2048
 _MAX_COUNT = 2**63 - 2  # the bisection's upper bound: its gap to -1 still fits an int64
@@ -139,13 +123,16 @@ def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
 
 
 def _step_curvature(lam: float, alpha: float) -> float:
-    """The positive, finite ``a = alpha*|lambda|`` of a negative ``lambda`` and a positive ``alpha``, both finite."""
+    """The normal, finite ``a = alpha*|lambda|`` of a negative ``lambda`` and a positive ``alpha``, both finite.
+
+    A subnormal ``a`` keeps only a few significant bits, so it is rejected as one that underflows to 0 is.
+    """
     if not (lam < 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be negative and finite, got {lam!r}")
     _positive("alpha", alpha)
     a = float(alpha) * abs(float(lam))
-    if not 0 < a < math.inf:
-        fault = "overflows" if a else "underflows to 0"
+    if not sys.float_info.min <= a < math.inf:
+        fault = "overflows" if a == math.inf else "underflows to 0" if a == 0 else "is subnormal"
         raise ValueError(f"alpha*|lambda| {fault} for alpha={alpha!r}, lambda={lam!r}")
     return a
 
@@ -167,13 +154,15 @@ def product_reconstruction(x0_i: float, rate: RateSequence, k: int) -> float:
     return float(x0_i * np.prod(1.0 + rate.values[: k + 1]))
 
 
-def rate_limit(lam: float, alpha: float, beta_limit: float, gamma_limit: float) -> RateLimit:
+def rate_limit(lam: float, alpha: float, beta_limit: float, gamma_limit: float) -> float:
     """Limiting growth factor for schedule limits ``(beta_limit, gamma_limit)``.
 
-    Notable special cases: limits (1, 1) give
+    The nonnegative root of the limiting fixed-point quadratic
+    ``b^2 - (beta - 1 + a*(1 + gamma)) b - a = 0``, equivalently of the
+    growth-factor balance ``a + (1 + a + beta + gamma*a) b = 2b + b^2``, with
+    ``a = alpha*|lambda|``.  Notable special cases: limits (1, 1) give
     ``a + sqrt(a)*sqrt(1 + a)``; heavy-ball tuning ``(1 - a, 0)`` gives
-    ``sqrt(a)``; and (0, 0) recovers the gradient-descent factor ``a``,
-    always with ``a = alpha*|lambda|``.
+    ``sqrt(a)``; and (0, 0) recovers the gradient-descent factor ``a``.
     """
     a = _step_curvature(lam, alpha)
     if not 0.0 <= beta_limit <= 1.0 or not 0.0 <= gamma_limit <= 1.0:
@@ -186,13 +175,7 @@ def rate_limit(lam: float, alpha: float, beta_limit: float, gamma_limit: float) 
         value = 2.0 * a / (root - half_trace)
     if not math.isfinite(value):
         raise ValueError(f"the closed form of the limit overflows for alpha*|lambda| = {a!r}")
-    return RateLimit(
-        value=value,
-        lam=float(lam),
-        alpha=float(alpha),
-        beta_limit=float(beta_limit),
-        gamma_limit=float(gamma_limit),
-    )
+    return value
 
 
 def first_crossings(growth, starts, threshold: float, cap: int) -> np.ndarray:

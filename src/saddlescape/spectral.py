@@ -29,7 +29,6 @@ from .problems import QuadraticProblem, _positive
 __all__ = [
     "ConditionError",
     "EigenPair",
-    "ParamCheck",
     "SpectrumClassification",
     "blocks_csv",
     "block_eigenvalues",
@@ -59,8 +58,11 @@ class EigenPair:
 
     mu_hi: complex
     mu_lo: complex
-    is_real: bool
     lam: float
+
+    @property
+    def is_real(self) -> bool:
+        return self.mu_hi.imag == 0.0  # a complex pair's imaginary part, 0.5*sqrt(-disc), is positive
 
     @property
     def label(self) -> str:
@@ -109,27 +111,17 @@ def block_eigenvalues(lam: float, alpha: float, beta: float) -> EigenPair:
             hi, lo = plus, minus
         else:
             hi, lo = minus, plus
-        return EigenPair(complex(hi), complex(lo), True, lam)
+        return EigenPair(complex(hi), complex(lo), lam)
     imag = 0.5 * math.sqrt(-disc)
-    return EigenPair(complex(0.5 * s, imag), complex(0.5 * s, -imag), False, lam)
+    return EigenPair(complex(0.5 * s, imag), complex(0.5 * s, -imag), lam)
 
 
-@dataclass(frozen=True)
-class ParamCheck:
-    """Result of checking the classification conditions, with diagnostics."""
-
-    ok: bool
-    failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def param_conditions(alpha: float, beta: float, lambda1: float) -> ParamCheck:
+def param_conditions(alpha: float, beta: float, lambda1: float) -> None:
     """Check ``0 < alpha < 4/lambda1`` and ``beta in (max(alpha*lambda1/2 - 1, 0), 1)``.
 
     ``lambda1`` is the largest (positive) Hessian eigenvalue.  Both intervals
-    are open.  Returns a diagnostic result rather than raising.
+    are open.  A violation raises :class:`ConditionError` naming every failed
+    inequality, joined by ``"; "``.
     """
     _positive("lambda1", lambda1)
     failures = []
@@ -139,7 +131,8 @@ def param_conditions(alpha: float, beta: float, lambda1: float) -> ParamCheck:
     lower = max(alpha * lambda1 / 2.0 - 1.0, 0.0) if math.isfinite(alpha) else 0.0
     if not lower < beta < 1.0:
         failures.append(f"beta must lie in the open interval ({lower:.6g}, 1)")
-    return ParamCheck(ok=not failures, failures=tuple(failures))
+    if failures:
+        raise ConditionError("; ".join(failures))
 
 
 @dataclass(frozen=True)
@@ -192,9 +185,7 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     lambda1 = float(problem.eigenvalues[0])
     if lambda1 <= 0:
         raise ConditionError("classification requires a positive largest eigenvalue")
-    check = param_conditions(alpha, beta, lambda1)
-    if not check:
-        raise ConditionError("; ".join(check.failures))
+    param_conditions(alpha, beta, lambda1)
     pairs = tuple(block_eigenvalues(lam, alpha, beta) for lam in problem.eigenvalues)
     # beta < 1 keeps a zero eigenvalue's roots {1, beta} distinct, so its block
     # is diagonalizable; guard the assumption at runtime.

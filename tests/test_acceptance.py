@@ -171,7 +171,7 @@ def test_criterion_5a_rate_sequence_reaches_limit():
         for schedule in (NesterovSchedule(), AttouchSchedule(2.0)):
             seq = rate_sequence(-a, 1.0, schedule, 10**4)
             limit = rate_limit(-a, 1.0, 1.0, 1.0)
-            worst = max(worst, abs(seq.final - limit.value))
+            worst = max(worst, abs(seq.final - limit))
     check(
         "criterion 5a: rate sequence within 1e-6 of limit at K=10^4",
         worst <= 1e-6,
@@ -182,11 +182,11 @@ def test_criterion_5a_rate_sequence_reaches_limit():
 def test_criterion_5b_rate_limit_special_cases():
     worst = 0.0
     for a in (1e-4, 1e-2, 1.0):
-        accelerated = rate_limit(-a, 1.0, 1.0, 1.0).value
+        accelerated = rate_limit(-a, 1.0, 1.0, 1.0)
         worst = max(worst, abs(accelerated - (a + math.sqrt(a) * math.sqrt(1.0 + a))))
-        heavy = rate_limit(-a, 1.0, 1.0 - a, 0.0).value
+        heavy = rate_limit(-a, 1.0, 1.0 - a, 0.0)
         worst = max(worst, abs(heavy - math.sqrt(a)))
-        descent = rate_limit(-a, 1.0, 0.0, 0.0).value
+        descent = rate_limit(-a, 1.0, 0.0, 0.0)
         worst = max(worst, abs(descent - a))
     check(
         "criterion 5b: rate limit closed forms",

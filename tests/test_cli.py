@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -219,10 +220,11 @@ class TestRatesCommand:
         assert data["schedule"]["delta"] == 0.02
 
     def test_growth_below_rounding_still_returns(self, capsys):
-        # 1 + b_limit rounds to 1.0 here; the prediction used to loop forever
-        code, out, _ = run_cli(capsys, "rates", "--lambda=-1e-300", "--alpha", "1e-10")
+        # 1 + b_limit rounds to 1.0 here (a = 1e-50, b ~ 1e-25); the prediction used to loop forever
+        code, out, _ = run_cli(capsys, "rates", "--lambda=-1e-40", "--alpha", "1e-10")
         assert code == 0
         data = json.loads(out)
+        assert 1.0 + data["b_limit"] == 1.0
         assert data["predicted_escape_iters"] == math.ceil(
             math.log(1.0 / 1e-2) / math.log1p(data["b_limit"])
         )
@@ -647,6 +649,17 @@ class TestOutOfDomainInput:
              "alpha*|lambda| underflows to 0 for alpha=1e-300, lambda=-1e-300"),
             (["rates", "--lambda=-1e-300", "--alpha", "1e-300", "--format", "csv"],
              "alpha*|lambda| underflows to 0 for alpha=1e-300, lambda=-1e-300"),
+            # a stalled trial is censored at the cap, and a cell's average of such counts is a float
+            (["table", "--n", "30", "--delta", "1e-300", "--trials", "1", "--iters", "1" + "0" * 400],
+             "iteration_cap must be at most 1.79769e+308, the largest float"),
+            # alpha*|lambda| = 3e-324 is subnormal: it was written as 4.94065645841e-324
+            (["rates", "--lambda=-1e-200", "--alpha", "3e-124", "--schedule", "constant:0,0", "--format", "csv"],
+             "alpha*|lambda| is subnormal for alpha=3e-124, lambda=-1e-200"),
+            (["rates", "--lambda=-1e-200", "--alpha", "3e-124", "--json"],
+             "alpha*|lambda| is subnormal for alpha=3e-124, lambda=-1e-200"),
+            (["simulate", "--delta", "1e-310"],
+             "alpha*|lambda| is subnormal for alpha=1.0005287284662092, lambda=-1e-310"),
+            (["table", "--n", "10", "--delta", "1e-310", "--trials", "2"], "alpha*|lambda| is subnormal for alpha="),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
@@ -659,15 +672,15 @@ class TestOutOfDomainInput:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_non_finite_json_exits_one_after_the_echo(self, capsys, tmp_path, to_file):
-        # At --delta 0.5 the predicted series grows past the float range; its CSV keeps the inf cells
+        # At --delta 0.5 the predicted series grows past the float range; its CSV keeps the inf cells.
+        # The series is checked before any JSON text is written, so a pipe reads nothing.
         path = tmp_path / "out.json"
         code, out, err = run_cli(capsys, "simulate", "--delta", "0.5", "--json", *(["--out", str(path)] * to_file))
         assert code == 1
         echo, error = err.splitlines()
         assert echo.startswith("saddlescape simulate config: ")
         assert error == "saddlescape: error: JSON output holds only finite numbers, got inf"
-        assert "Infinity" not in out and not path.exists()
-        assert out == "" if to_file else out.startswith('{\n  "steepest_descent": [')
+        assert out == "" and not path.exists()
 
 
 class TestEmit:
@@ -902,3 +915,70 @@ class TestCliContract:
     def test_config_echo_includes_resolved_seed(self, capsys):
         _, _, err = run_cli(capsys, "simulate", "--n", "30", "--iters", "10")
         assert '"seed": 0' in err
+
+
+# The CLI contract over argv drawn from edge values: for each subcommand, a subset of its options (a command's
+# required options are always given) with values from these pools.  Two draws in three are ordinary values, so
+# that most runs get past their other input checks to the edge, and sizes stay at most 50, so an example is fast.
+EDGES = st.sampled_from(["0", "-0", "-1", "1e-320", "1e-300", "1e300", "nan", "inf", "-inf"])
+ORDINARY, ORDINARY_NEGATIVE = st.sampled_from(["0.5", "0.02", "-0.02"]), st.sampled_from(["-0.02", "-1"])
+REALS = st.one_of(EDGES, ORDINARY, ORDINARY)  # one_of picks a branch uniformly
+NEGATIVES = st.one_of(EDGES.map(lambda value: "-" + value.lstrip("-")), ORDINARY_NEGATIVE, ORDINARY_NEGATIVE)
+SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "50"])
+SPECS = st.one_of(
+    st.sampled_from(["nesterov", "toy", "bogus", "constant", "constant:1,2,3", "attouch:"]),
+    st.builds("constant:{},{}".format, REALS, REALS),
+    st.builds("polyak:{},{}".format, REALS, REALS),
+    st.builds("attouch:{}".format, REALS),
+    st.builds("toy:{}".format, REALS),
+)
+POINTS = st.one_of(
+    st.sampled_from(["0.25,0.01", "1,2,3", "a,b", "", ",", "0.25"]), st.builds("{},{}".format, REALS, REALS)
+)
+FORMATS = st.sampled_from([["--json"], ["--format=csv"], ["--format=json"]])
+# (command, required options, optional options); spectrum's two modes are drawn apart, with what each needs
+CONTRACT_FORMS = [
+    ("toy", {}, {"--delta": REALS, "--alpha": REALS, "--beta": REALS, "--x0": POINTS, "--iters": SIZES,
+                 "--thin": SIZES, "--threshold": REALS}),
+    ("spectrum", {"--lambda": REALS, "--alpha": REALS, "--beta": REALS}, {}),
+    ("spectrum", {"--n": SIZES, "--p": SIZES, "--delta": REALS, "--beta": REALS}, {"--alpha": REALS, "--seed": SIZES}),
+    ("rates", {"--lambda": NEGATIVES, "--alpha": REALS},  # a --lambda that is not negative fails its first check
+     {"--gamma": REALS, "--schedule": SPECS, "--iters": SIZES, "--projection": REALS, "--threshold": REALS}),
+    ("simulate", {}, {"--n": SIZES, "--p": SIZES, "--delta": REALS, "--seed": SIZES, "--iters": SIZES,
+                      "--eps-perturb": REALS}),
+    ("table", {}, {"--n": SIZES, "--delta": REALS, "--trials": SIZES, "--seed": SIZES, "--iters": SIZES,
+                   "--threshold": REALS}),
+    ("verify-tk", {}, {"--K": SIZES}),
+]
+
+
+@st.composite
+def contract_argv(draw):
+    command, required, optional = draw(st.sampled_from(CONTRACT_FORMS))
+    options = draw(st.fixed_dictionaries(required, optional=optional))
+    # ``--flag=value`` keeps a value such as -inf from reading as a flag
+    argv = [command, *(f"{flag}={value}" for flag, value in options.items())]
+    return argv if command == "verify-tk" else argv + draw(st.one_of(st.just([]), FORMATS))
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+class TestCliContractProperty:
+    @settings(max_examples=500, deadline=5000, derandomize=True)
+    @given(contract_argv())
+    @example(["simulate", "--delta=0.5", "--json"])  # its predicted series passes the float range
+    def test_exit_code_error_line_and_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True):
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert sum("error: " in line for line in lines) == (code == 1), lines
+        assert code != 1 or out.getvalue() == ""
+        echoes = [json.loads(line.partition(" config: ")[2], parse_constant=_no_constant)
+                  for line in lines if " config: " in line]
+        # Only JSON is checked for finite numbers: a CSV cell may still be inf at exit 0 (ROADMAP item 2)
+        if code != 1 and echoes[0].get("format", "json") == "json":  # verify-tk writes only JSON
+            json.loads(out.getvalue(), parse_constant=_no_constant)

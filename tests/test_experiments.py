@@ -307,7 +307,7 @@ class TestDivergenceTable:
             x0 = sample_unit_ball(30, rng)
             mask = problem.eigenvalues < 0
             limit = rate_limit(problem.eigenvalues[-1], 0.99 / problem.lipschitz, 0.9, 0.0)
-            assert rec.rate_predictor == predicted_escape_iters(limit.value, row_norms(x0[mask][None])[0], 30.0)
+            assert rec.rate_predictor == predicted_escape_iters(limit, row_norms(x0[mask][None])[0], 30.0)
             assert rec.rate_predictor > other.rate_predictor
 
     def test_censoring_recorded_with_warning(self):

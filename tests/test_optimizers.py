@@ -312,7 +312,7 @@ class TestSaddleAvoidanceProperty:
         # With alpha*|lambda| >= 0.01 the unstable root is at least 1.01, so a
         # negative-space component of 1e-3 passes 1 within about 700 steps.
         eigenvalues, alpha, beta, seed = saddle
-        assert param_conditions(alpha, beta, eigenvalues[0])
+        param_conditions(alpha, beta, eigenvalues[0])  # raises ConditionError unless the conditions hold
         prob = QuadraticProblem(eigenvalues).rotated(seed)
         mask = eigenvalues < 0
         rng = rng_from(seed, 3)

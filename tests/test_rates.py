@@ -35,6 +35,7 @@ REJECTED_CURVATURES = [
     (-0.1, float("inf")),
     (-1e200, 1e200),  # alpha*|lambda| overflows
     (-1e-300, 1e-300),  # alpha*|lambda| underflows to 0: an all-zero sequence and a zero limit
+    (-1e-200, 3e-124),  # alpha*|lambda| = 3e-324 is subnormal, stored as 5e-324
 ]
 
 all_schedules = st.one_of(
@@ -161,7 +162,7 @@ class TestRateSequence:
         gaps = {}
         for count in (10**3, 10**4, 10**5):
             seq = rate_sequence(-0.01, 1.0, NesterovSchedule(), count)
-            gaps[count] = abs(seq.final - lim.value)
+            gaps[count] = abs(seq.final - lim)
         # O(1/K) approach: each decade shrinks the gap ~10x
         assert gaps[10**4] < 2e-4
         assert 8.0 < gaps[10**3] / gaps[10**4] < 12.0
@@ -171,7 +172,7 @@ class TestRateSequence:
         beta = 0.8
         seq = rate_sequence(-0.01, 1.0, ConstantSchedule(beta, beta), 10**4)
         lim = rate_limit(-0.01, 1.0, beta, beta)
-        assert abs(seq.final - lim.value) <= 1e-12
+        assert abs(seq.final - lim) <= 1e-12
 
 
 class TestProductReconstruction:
@@ -224,18 +225,18 @@ class TestRateLimit:
     def test_unit_limits_closed_form(self):
         lim = rate_limit(-0.01, 1.0, 1.0, 1.0)
         expected = 0.01 + math.sqrt(0.01) * math.sqrt(1.01)
-        assert lim.value == pytest.approx(expected, abs=1e-12)
-        assert lim.value == pytest.approx(0.1104987562112089, abs=1e-12)
+        assert lim == pytest.approx(expected, abs=1e-12)
+        assert lim == pytest.approx(0.1104987562112089, abs=1e-12)
 
     def test_heavy_ball_tuning_gives_sqrt_rate(self):
         for a in (1e-4, 1e-2, 0.5):
             lim = rate_limit(-a, 1.0, 1.0 - a, 0.0)
-            assert lim.value == pytest.approx(math.sqrt(a), abs=1e-12)
+            assert lim == pytest.approx(math.sqrt(a), abs=1e-12)
 
     def test_zero_limits_recover_descent_rate(self):
         for a in (1e-4, 1e-2, 1.0):
             lim = rate_limit(-a, 1.0, 0.0, 0.0)
-            assert lim.value == pytest.approx(a, abs=1e-12)
+            assert lim == pytest.approx(a, abs=1e-12)
 
     def test_fixed_point_residual(self):
         rng = rng_from(55)
@@ -243,27 +244,34 @@ class TestRateLimit:
             a = 10.0 ** rng.uniform(-4, 0)
             beta = rng.uniform(0.0, 1.0)
             gamma = rng.uniform(0.0, 1.0)
-            b = rate_limit(-a, 1.0, beta, gamma).value
-            # the growth-factor balance a + (1 + a + beta + gamma*a) b = 2b + b^2 that RateLimit documents
+            b = rate_limit(-a, 1.0, beta, gamma)
+            # the growth-factor balance a + (1 + a + beta + gamma*a) b = 2b + b^2 that rate_limit documents
             assert abs(a + (1.0 + a + beta + gamma * a) * b - (2.0 * b + b * b)) <= 1e-12
 
     def test_growth_factor_ordering(self):
         # accelerated >= heavy-ball >= plain descent, per iteration
         for a in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-            accelerated = rate_limit(-a, 1.0, 1.0, 1.0).value
+            accelerated = rate_limit(-a, 1.0, 1.0, 1.0)
             heavy = math.sqrt(a)
             assert accelerated >= heavy >= a
 
     @pytest.mark.parametrize("a", [1e-17, 1e-12, 1e-10, 1e-4])
     def test_no_cancellation_below_zero_half_trace(self, a):
         # limits (0, 0): b^2 - (a - 1) b - a = (b - a)(b + 1), so the root is a itself
-        assert rate_limit(-a, 1.0, 0.0, 0.0).value == pytest.approx(a, rel=1e-15, abs=0.0)
+        assert rate_limit(-a, 1.0, 0.0, 0.0) == pytest.approx(a, rel=1e-15, abs=0.0)
 
     def test_domains(self):
         with pytest.raises(ValueError):
             rate_limit(0.1, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             rate_limit(-0.1, 1.0, 1.5, 0.0)
+
+    def test_smallest_normal_curvature_accepted(self):
+        # a = 2.2250738585072014e-308 is the smallest normal float; limits (0, 0) give b = a exactly
+        tiny = np.finfo(float).smallest_normal
+        assert rate_limit(-tiny, 1.0, 0.0, 0.0) == tiny
+        with pytest.raises(ValueError, match=r"alpha\*\|lambda\| is subnormal"):
+            rate_limit(-tiny, 0.5, 0.0, 0.0)
 
     @pytest.mark.parametrize("lam, alpha", REJECTED_CURVATURES + [(-1e200, 1e100)])
     def test_non_finite_input_or_limit_rejected(self, lam, alpha):
@@ -300,7 +308,7 @@ class TestPredictedEscape:
             mask = prob.eigenvalues < 0
             lim = rate_limit(float(prob.eigenvalues[-1]), 0.99 / prob.lipschitz, 1.0, 1.0)
             values.append(
-                predicted_escape_iters(lim.value, float(row_norms(x0[mask][None])[0]), 100.0)
+                predicted_escape_iters(lim, float(row_norms(x0[mask][None])[0]), 100.0)
             )
         mean = float(np.mean(values))
         assert 46.0 * 0.7 <= mean <= 46.0 * 1.3

@@ -113,7 +113,7 @@ class TestBlockEigenvalues:
         lam = -(10.0**log_lam)
         alpha = 10.0**log_a / abs(lam)
         mu_hi = block_eigenvalues(lam, alpha, beta).mu_hi.real
-        assert abs(rate_limit(lam, alpha, beta, 0.0).value - (mu_hi - 1.0)) <= 4 * math.ulp(mu_hi)
+        assert abs(rate_limit(lam, alpha, beta, 0.0) - (mu_hi - 1.0)) <= 4 * math.ulp(mu_hi)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.floats(-6, 6), st.floats(-6, 3), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 1.0, exclude_max=True))
@@ -131,17 +131,19 @@ class TestBlockEigenvalues:
 
 class TestParamConditions:
     def test_toy_parameters_pass(self):
-        assert param_conditions(3.0, 0.985, 1.0)
+        assert param_conditions(3.0, 0.985, 1.0) is None
 
     def test_alpha_too_large(self):
-        check = param_conditions(5.0, 0.9, 1.0)
-        assert not check
-        assert any("alpha" in f for f in check.failures)
+        # alpha = 5 also lifts the beta interval's lower end to 1.5: both failures are named, joined by "; "
+        with pytest.raises(ConditionError) as info:
+            param_conditions(5.0, 0.9, 1.0)
+        assert str(info.value) == (
+            "alpha must satisfy 0 < alpha < 4/lambda1 = 4; beta must lie in the open interval (1.5, 1)"
+        )
 
     def test_beta_boundary_excluded(self):
-        check = param_conditions(3.0, 0.5, 1.0)
-        assert not check
-        assert any("beta" in f for f in check.failures)
+        with pytest.raises(ConditionError, match=r"^beta must lie in the open interval \(0\.5, 1\)$"):
+            param_conditions(3.0, 0.5, 1.0)
 
     def test_lambda1_domain(self):
         for lambda1 in (0.0, float("nan"), float("inf")):
@@ -150,14 +152,12 @@ class TestParamConditions:
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_non_finite_alpha_fails_alone(self, alpha):
-        check = param_conditions(alpha, 0.5, 1.0)
-        assert not check
-        assert len(check.failures) == 1 and "alpha" in check.failures[0]
+        with pytest.raises(ConditionError, match=r"^alpha must satisfy 0 < alpha < 4/lambda1 = 4$"):
+            param_conditions(alpha, 0.5, 1.0)
 
     def test_nan_beta_fails(self):
-        check = param_conditions(1.0, float("nan"), 1.0)
-        assert not check
-        assert any("beta" in f for f in check.failures)
+        with pytest.raises(ConditionError, match=r"^beta must lie in the open interval \(0, 1\)$"):
+            param_conditions(1.0, float("nan"), 1.0)
 
 
 class TestClassification:
