@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .optimizers import (
     run_gradient_descent,
     run_heavy_ball,
 )
-from .problems import _positive, random_problem, rng_from, sample_unit_ball, toy_problem
+from .problems import _delta, _positive, random_problem, rng_from, sample_unit_ball, toy_problem
 from .rates import _series_rows, first_crossings, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 
@@ -76,13 +77,11 @@ class ToyFigure:
     descent_escape: int | None
     heavy_ball_escape: int | None
 
-    def to_csv(self) -> list[str]:
-        """CSV rows ``method,iter,x1,x2``, in text chunks of many rows."""
-        lines = [_csv_line(["method", "iter", "x1", "x2"])]
+    def to_csv(self) -> Iterator[str]:
+        """CSV rows ``method,iter,x1,x2``, yielded by :func:`_series_rows` as text chunks of many rows."""
+        yield _csv_line(["method", "iter", "x1", "x2"])
         for name, block in (("steepest_descent", self.descent), ("heavy_ball", self.heavy_ball)):
-            iters = range(0, len(block) * self.thin, self.thin)
-            lines.extend(_series_rows(name + ",", iters, block.T))
-        return lines
+            yield from _series_rows(name + ",", range(0, len(block) * self.thin, self.thin), block.T)
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,15 +149,14 @@ class NegspaceSeries:
             ("predicted", self.predicted),
         )
 
-    def to_csv(self) -> list[str]:
-        """CSV rows ``iter`` and one column per series, in text chunks of many rows.
+    def to_csv(self) -> Iterator[str]:
+        """CSV rows ``iter`` and one column per series, yielded by :func:`_series_rows` as text chunks of many rows.
 
         A series that stopped early leaves its cells empty.
         """
         names, series = zip(*self._blocks())
-        lines = [_csv_line(["iter", *names])]
-        lines.extend(_series_rows("", range(max(block.size for block in series)), series))
-        return lines
+        yield _csv_line(["iter", *names])
+        yield from _series_rows("", range(max(block.size for block in series)), series)
 
     def to_json_dict(self) -> dict:
         """The JSON payload; a non-finite ``predicted`` value raises ``ValueError`` before any text is written."""
@@ -288,17 +286,16 @@ class TableResult:
                 return row
         raise KeyError(f"no table row for n={n}, delta={delta}, method={method}")
 
-    def to_csv(self) -> list[str]:
+    def to_csv(self) -> Iterator[str]:
         """CSV rows of every trial, then each cell's average and max rows, one text chunk per row."""
-        lines = [_csv_line(["n", "delta", "row_type", "trial_or_method", *TABLE_METHODS])]
+        yield _csv_line(["n", "delta", "row_type", "trial_or_method", *TABLE_METHODS])
         for rec in self.trials:
             counts = (rec.steepest_descent, rec.accelerated_gradient, rec.rate_predictor)
-            lines.append(_csv_line([rec.n, _fmt(rec.delta), "trial", rec.trial, *counts]))
+            yield _csv_line([rec.n, _fmt(rec.delta), "trial", rec.trial, *counts])
         for n, delta in sorted({(row.n, row.delta) for row in self.rows}):
             by_method = [self.row(n, delta, m) for m in TABLE_METHODS]
-            lines.append(_csv_line([n, _fmt(delta), "average", "", *(_fmt(r.avg_iters) for r in by_method)]))
-            lines.append(_csv_line([n, _fmt(delta), "max", "", *(r.max_iters for r in by_method)]))
-        return lines
+            yield _csv_line([n, _fmt(delta), "average", "", *(_fmt(r.avg_iters) for r in by_method)])
+            yield _csv_line([n, _fmt(delta), "max", "", *(r.max_iters for r in by_method)])
 
     def to_json_dict(self) -> dict:
         cells = []
@@ -357,7 +354,7 @@ def divergence_table(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    ns, deltas = [int(n) for n in ns], [float(d) for d in deltas]
+    ns, deltas = [int(n) for n in ns], [_delta(float(d)) for d in deltas]
     for name, values in (("n", ns), ("delta", deltas)):
         if len(set(values)) < len(values):
             raise ValueError(f"each {name} must be listed once, got {values}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ BASIS_TOLERANCE = 1e-10
 def _positive(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _delta(delta: float) -> float:
+    """``delta`` if it is a normal float with ``2*delta`` finite: a subnormal one would fail in a derived step size."""
+    if not sys.float_info.min <= delta <= sys.float_info.max / 2:
+        raise ValueError(f"delta must lie in [{sys.float_info.min!r}, {sys.float_info.max / 2!r}], got {delta!r}")
+    return delta
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
@@ -145,7 +153,7 @@ def random_problem(
     """
     if not 1 <= p < n:
         raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
-    _positive("delta", delta)
+    _delta(delta)
     rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
     nonneg = rng.uniform(0.0, 1.0, size=n - p)
     if nonneg.max() < delta:

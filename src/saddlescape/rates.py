@@ -17,6 +17,9 @@ asymptotic per-iteration growth factor of the escaping coordinate.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import struct
 import sys
 from array import array
 from collections.abc import Iterator
@@ -27,7 +30,7 @@ import numpy as np
 
 from .optimizers import row_norms
 from .problems import _positive
-from .schedules import _CHUNK, MAX_STEPS, MomentumSchedule
+from .schedules import _CHUNK, MAX_STEPS, MomentumSchedule, ScheduleError
 
 __all__ = [
     "MAX_STEPS",
@@ -71,8 +74,7 @@ class RateSequence:
     @cached_property
     def values(self) -> np.ndarray:
         """Read-only ``b_0..b_count``, ``b_0 = 0``."""
-        values = np.empty(self.count + 1)
-        values[0] = 0.0
+        values = np.zeros(self.count + 1)
         for start, block in self._windows():
             values[start : start + len(block)] = block
         values.setflags(write=False)
@@ -85,12 +87,54 @@ class RateSequence:
             pass
         return block[-1]
 
+    def _forked_windows(self) -> Iterator[tuple[int, np.ndarray]]:
+        """:meth:`_windows`, run in a forked child while the caller formats the windows already received.
+
+        Frames: a window's count (8 bytes) and float64 values, then a 0; or a ``ValueError``'s negative count and text.
+        """
+        read, write = os.pipe()
+        if (pid := os.fork()) == 0:  # the child makes no BLAS call, whose threads fork does not copy
+            try:  # the child leaves only through os._exit, so no inherited buffer or exit hook runs twice
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    try:
+                        for _, block in self._windows():
+                            pipe.write(struct.pack("q", len(block)) + block.tobytes())
+                        pipe.write(struct.pack("q", 0))
+                    except ValueError as exc:
+                        message = (b"S" if isinstance(exc, ScheduleError) else b"V") + str(exc).encode()
+                        pipe.write(struct.pack("q", -len(message)) + message)
+            finally:
+                os._exit(0)
+        os.close(write)
+        with open(read, "rb") as pipe:
+            def received(size: int) -> bytes:  # fewer bytes mean that the child died
+                if len(data := pipe.read(size)) != size:
+                    raise ValueError("the process running the rate recurrence ended before its sequence did")
+                return data
+
+            try:
+                start = 1
+                while (count := struct.unpack("q", received(8))[0]) > 0:
+                    yield start, np.frombuffer(received(8 * count))
+                    start += count
+                if count < 0:
+                    message = received(-count).decode()
+                    raise (ScheduleError if message[0] == "S" else ValueError)(message[1:])
+            finally:  # a child still running when the reader stops early is killed; one that exited ignores it
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
     def to_csv(self) -> Iterator[str]:
         """CSV rows ``iter,b``, yielded by :func:`_series_rows` as text chunks of at most ``_CSV_CHUNK`` rows each."""
-        yield "iter,b\n"
-        yield from _series_rows("", range(1), [[0.0]])
-        for start, block in self._windows():
+        yield "iter,b\n0,0\n"
+        for start, block in self._forked_windows() if _spare_cpu() else self._windows():
             yield from _series_rows("", range(start, start + len(block)), [block])
+
+
+def _spare_cpu() -> bool:
+    """Whether this process can fork and may run on more than one CPU."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 # Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.

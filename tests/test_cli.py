@@ -269,6 +269,35 @@ class TestRatesCommand:
             "saddlescape: error: the second chunk failed"
         ]
 
+    def test_stdout_of_a_process_is_its_out_file(self, tmp_path):
+        # the recurrence's forked child inherits the unflushed stdout buffer; it must never write it
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        path = tmp_path / "rates.csv"
+        argv = [sys.executable, "-m", "saddlescape", "rates", "--lambda=-1e-9", "--alpha", "0.99",
+                "--iters", "70000", "--format", "csv"]
+        to_stdout, to_file = (subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+                              for cmd in (argv, [*argv, "--out", str(path)]))
+        assert to_stdout.returncode == to_file.returncode == 0 and to_file.stdout == b""
+        written = path.read_bytes()
+        assert len(to_stdout.stdout) == len(written) and to_stdout.stdout == written
+
+    def test_late_schedule_error_removes_the_partial_file(self, capsys, tmp_path, late_failing_schedule,
+                                                          assert_no_child):
+        path = tmp_path / "rates.csv"
+        code, _, err = run_cli(capsys, "rates", "--lambda=-0.01", "--alpha", "0.5", "--iters", "70000",
+                               "--schedule", "late-failing:0.5", "--format", "csv", "--out", str(path))
+        assert code == 1 and not path.exists()
+        assert err.splitlines()[1:] == ["saddlescape: error: the second window failed"]
+        assert_no_child()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failing_writer_exits_one_with_one_line(self, capsys, assert_no_child):
+        code, out, err = run_cli(capsys, "rates", "--lambda=-0.01", "--alpha", "0.5", "--iters", "200000",
+                                 "--format", "csv", "--out", "/dev/full")
+        assert code == 1 and out == ""
+        assert err.splitlines()[1:] == ["saddlescape: error: [Errno 28] No space left on device"]
+        assert_no_child()
+
     def test_csv_needs_no_limit(self, capsys):
         # a = 1e160: the closed form of the limit overflows, but the CSV never reads it
         code, out, err = run_cli(
@@ -657,9 +686,16 @@ class TestOutOfDomainInput:
              "alpha*|lambda| is subnormal for alpha=3e-124, lambda=-1e-200"),
             (["rates", "--lambda=-1e-200", "--alpha", "3e-124", "--json"],
              "alpha*|lambda| is subnormal for alpha=3e-124, lambda=-1e-200"),
+            # a subnormal delta is named itself, not through a derived alpha*|lambda|
             (["simulate", "--delta", "1e-310"],
-             "alpha*|lambda| is subnormal for alpha=1.0005287284662092, lambda=-1e-310"),
-            (["table", "--n", "10", "--delta", "1e-310", "--trials", "2"], "alpha*|lambda| is subnormal for alpha="),
+             "delta must lie in [2.2250738585072014e-308, 8.988465674311579e+307], got 1e-310"),
+            (["table", "--n", "10", "--delta", "0.01", "1e-310", "--trials", "2"],
+             "delta must lie in [2.2250738585072014e-308, 8.988465674311579e+307], got 1e-310"),
+            # 2*delta overflows: numpy's uniform draw on [-2*delta, -delta] raised OverflowError
+            (["table", "--n", "10", "--delta", "1e308", "--trials", "2", "--iters", "5"],
+             "delta must lie in [2.2250738585072014e-308, 8.988465674311579e+307], got 1e+308"),
+            (["spectrum", "--n", "10", "--p", "2", "--delta", "1e308", "--beta", "0.9"],
+             "delta must lie in [2.2250738585072014e-308, 8.988465674311579e+307], got 1e+308"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):

@@ -250,7 +250,7 @@ class TestSeriesCsv:
             [k, *(c[k].item() if k < c.size else None for c in columns)] for k in range(max(lengths))
         ]
         expected = per_cell_csv("iter,steepest_descent,heavy_ball,accelerated,predicted", rows)
-        chunks = series.to_csv()
+        chunks = list(series.to_csv())
         assert "".join(chunks).split("\n")[:-1] == expected
         assert max(chunk.count("\n") for chunk in chunks) <= 2048
 

@@ -65,7 +65,8 @@ class TestRandomProblem:
         with pytest.raises(ValueError):
             random_problem(n, p, 0.1, seed=0)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf")])
+    # a subnormal delta, and one whose 2*delta overflows (numpy's uniform draw raised OverflowError)
+    @pytest.mark.parametrize("delta", [0.0, -0.1, float("nan"), float("inf"), 1e-310, 1e308])
     def test_delta_domain(self, delta):
         with pytest.raises(ValueError, match="delta"):
             random_problem(10, 2, delta, seed=0)

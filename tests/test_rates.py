@@ -1,4 +1,5 @@
 import math
+import os
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -7,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saddlescape import (
+    SCHEDULE_KINDS,
     AttouchSchedule,
     ConstantSchedule,
     EqualStart,
     NesterovSchedule,
     PolyakSchedule,
     QuadraticProblem,
+    ScheduleError,
     ToySchedule,
     first_crossings,
     predicted_escape_iters,
@@ -25,7 +28,7 @@ from saddlescape import (
     run_accelerated,
     sample_unit_ball,
 )
-from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS
+from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS, _spare_cpu
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
 REJECTED_CURVATURES = [
@@ -173,6 +176,80 @@ class TestRateSequence:
         seq = rate_sequence(-0.01, 1.0, ConstantSchedule(beta, beta), 10**4)
         lim = rate_limit(-0.01, 1.0, beta, beta)
         assert abs(seq.final - lim) <= 1e-12
+
+
+class DyingSchedule(ConstantSchedule, spec="dying:B"):
+    """Constant momentum whose process exits in its second window; only a forked child may read it."""
+
+    def _windows(self, count, size):
+        windows = super()._windows(count, size)
+        yield next(windows)
+        os._exit(3)
+
+
+del SCHEDULE_KINDS[DyingSchedule.kind]
+
+
+def usable_cpus(monkeypatch, count):
+    """Make the CPU probe see ``count`` CPUs; with one, any fork fails."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    if count == 1:
+
+        def no_fork():
+            raise AssertionError("forked with one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked producer needs os.fork")
+class TestForkedWindows:
+    """``to_csv`` reads its windows from a forked child where a second CPU is free, and inline otherwise."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind)
+    def test_forked_windows_are_the_inline_windows(self, schedule, assert_no_child):
+        seq = rate_sequence(-0.004, 0.99, schedule, 2 * _CHUNK + 5)
+        forked = [(start, block.tolist()) for start, block in seq._forked_windows()]
+        assert forked == [(start, block.tolist()) for start, block in seq._windows()]
+        assert [len(block) for _, block in forked] == [_CHUNK, _CHUNK, 5]
+        assert_no_child()
+
+    def test_one_cpu_writes_the_same_bytes_inline(self, monkeypatch, assert_no_child):
+        seq = rate_sequence(-0.004, 0.99, NesterovSchedule(), _CHUNK + 3)
+        text = "".join(seq.to_csv())
+        usable_cpus(monkeypatch, 1)
+        assert not _spare_cpu()
+        assert "".join(seq.to_csv()) == text
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_late_schedule_error_has_the_inline_type_and_text(
+        self, monkeypatch, late_failing_schedule, assert_no_child, cpus
+    ):
+        usable_cpus(monkeypatch, cpus)
+        assert _spare_cpu() == (cpus > 1)
+        seq = rate_sequence(-0.004, 0.99, late_failing_schedule(0.5), 2 * _CHUNK)
+        rows = seq.to_csv()
+        text = "".join(next(rows) for _ in range(3))
+        assert text.startswith("iter,b\n0,0\n1,")  # the first window's rows come before the error
+        with pytest.raises(ScheduleError) as raised:
+            for _ in rows:
+                pass
+        assert type(raised.value) is ScheduleError and str(raised.value) == "the second window failed"
+        assert_no_child()
+
+    def test_a_child_that_dies_early_is_a_value_error(self, assert_no_child):
+        seq = rate_sequence(-0.004, 0.99, DyingSchedule(0.5), 2 * _CHUNK)
+        windows = seq._forked_windows()
+        assert next(windows)[0] == 1
+        with pytest.raises(ValueError, match="^the process running the rate recurrence ended before its sequence did$"):
+            next(windows)
+        assert_no_child()
+
+    def test_a_reader_that_stops_early_leaves_no_child(self, assert_no_child):
+        windows = rate_sequence(-0.004, 0.99, NesterovSchedule(), 10 * _CHUNK)._forked_windows()
+        next(windows)
+        windows.close()
+        assert_no_child()
 
 
 class TestProductReconstruction:
