@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, fields
 from json.encoder import encode_basestring_ascii
@@ -62,10 +61,6 @@ def _parse_schedule_spec(text: str, alpha: float, delta: float, gamma_hat: float
     return cls(*values)
 
 
-def _format_warning(message, category, filename, lineno, line=None) -> str:
-    return f"saddlescape: warning: {message}\n"
-
-
 # Parsed names that pick the command or where its output goes, not how it runs.
 _NOT_ECHOED = ("command", "func", "out", "json")
 
@@ -104,14 +99,11 @@ def _emit_result(result, fmt: str, out: str | None) -> None:
     _emit(_json_chunks(result.to_json_dict()) if fmt == "json" else result.to_csv(), out)
 
 
-# Shapes whose templates one list keeps; a list of ever new shapes starts its cache over past this.
-_TEMPLATES = 64
-
-
 def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CSV_CHUNK`` list items.
 
-    Dicts and lists are written piece by piece.  Each list item is walked
+    Dicts and lists are written piece by piece, and a float ``ndarray`` as a
+    list, each chunk of it through its ``tolist()``.  Each list item is walked
     once by :func:`_shape`, which collects its scalars, and is formatted by
     its shape's ``%`` template from :func:`_template`, kept for the list; a
     chunk's items are filled with one ``%`` operation.  A key that is not a
@@ -125,16 +117,15 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
             yield from _json_chunks(item, inner, "")
             head = ",\n"
         yield "\n" + indent + "}" + end
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
         templates, sep = {}, ",\n" + inner
         for lo in range(0, len(value), _CSV_CHUNK):
             leaves, parts = [], []
-            for item in value[lo : lo + _CSV_CHUNK]:
+            items = value[lo : lo + _CSV_CHUNK]
+            for item in items.tolist() if isinstance(items, np.ndarray) else items:
                 shape = _shape(item, leaves)
                 template = templates.get(shape)
                 if template is None:
-                    if len(templates) == _TEMPLATES:
-                        templates.clear()
                     template = templates[shape] = _template(shape, inner)
                 parts.append(template)
             yield (("[\n" + inner if lo == 0 else sep) + sep.join(parts)) % tuple(leaves)
@@ -149,7 +140,7 @@ def _shape(value, leaves: list):
 
     A scalar's shape is ``"%s"``.  A float is appended as a ``float``, whose
     ``%s`` is ``float.__repr__`` as in ``json``; any other scalar as its JSON
-    text.  A list's or tuple's shape is ``("[", *item shapes)``, and a dict's
+    text.  A list's, tuple's or array's shape is ``("[", *item shapes)``, and a dict's
     ``("{", key, shape, key, shape, ...)``.
     """
     if isinstance(value, float):
@@ -163,7 +154,7 @@ def _shape(value, leaves: list):
         return tuple(shape)
     elif isinstance(value, str):
         leaves.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, np.ndarray)):
         return ("[", *[_shape(item, leaves) for item in value])
     elif value is None or value is True or value is False:
         leaves.append("null" if value is None else "true" if value else "false")
@@ -282,6 +273,10 @@ def _cmd_table(args) -> int:
         iteration_cap=args.iters,
         threshold=args.threshold,
     )
+    censored = [f"{row.censored} of {result.trials_per_cell} {row.method} (n={row.n}, delta={row.delta:g})"
+                for row in result.rows if row.censored]
+    if censored:
+        print(f"saddlescape: warning: trials that hit the iteration cap: {'; '.join(censored)}", file=sys.stderr)
     _echo_config(args, format=fmt)
     _emit_result(result, fmt, args.out)
     return 0
@@ -393,9 +388,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help/usage errors itself
         return int(exc.code or 0)
-    # Warnings still reach whatever records or filters them; only their
-    # printed form becomes one line without a source location.
-    previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -404,8 +396,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a last resort: sizes no run can hold should be rejected before this
         print(f"saddlescape: error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
-    finally:
-        warnings.formatwarning = previous
 
 
 def console_entry() -> None:

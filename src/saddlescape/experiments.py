@@ -19,7 +19,6 @@ an independent counter-based random stream, so trials may run in any order.
 from __future__ import annotations
 
 import sys
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -86,8 +85,8 @@ class ToyFigure:
     def to_json_dict(self) -> dict:
         return {
             "thin": self.thin,
-            "descent": self.descent.tolist(),
-            "heavy_ball": self.heavy_ball.tolist(),
+            "descent": self.descent,
+            "heavy_ball": self.heavy_ball,
             "descent_escape": self.descent_escape,
             "heavy_ball_escape": self.heavy_ball_escape,
         }
@@ -163,7 +162,7 @@ class NegspaceSeries:
         if not (finite := np.isfinite(self.predicted)).all():
             bad = float(self.predicted[~finite][0])
             raise ValueError(f"JSON output holds only finite numbers, got {bad!r}")
-        out = {name: block.tolist() for name, block in self._blocks()}
+        out = dict(self._blocks())
         out["params"] = self.params
         return out
 
@@ -340,8 +339,9 @@ def divergence_table(
     ``1 + b`` per step, for ``b`` the limiting growth rate of the most
     negative eigenvalue under ``schedule.limit()``, counted the same way.
     Trials that hit ``iteration_cap``, at most the largest float, are
-    recorded at the cap and counted as censored, with one warning per cell
-    and method.  All trials of a cell run as one batch.
+    recorded at the cap and counted as censored, in ``TrialRecord.censored``
+    and ``TableRow.censored``; nothing is warned.  All trials of a cell run
+    as one batch.
 
     A count is the first step at which the projection norm reaches the
     threshold, the start (step 0) included, as :func:`escape_time` counts it:
@@ -401,13 +401,6 @@ def divergence_table(
         for method in TABLE_METHODS:
             values = counts[method]
             censored = int(np.count_nonzero(crossings[method] < 0))
-            if censored:
-                warnings.warn(
-                    f"{censored} of {trials} trials (n={n}, delta={delta:g}) "
-                    f"hit the iteration cap for {method}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
             rows.append(TableRow(n, delta, method, sum(values) / trials, max(values), censored))
     return TableResult(
         rows=tuple(rows),

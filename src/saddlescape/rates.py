@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-import struct
 import sys
 from array import array
 from collections.abc import Iterator
@@ -30,7 +29,7 @@ import numpy as np
 
 from .optimizers import row_norms
 from .problems import _positive
-from .schedules import _CHUNK, MAX_STEPS, MomentumSchedule, ScheduleError
+from .schedules import _CHUNK, MAX_STEPS, MomentumSchedule
 
 __all__ = [
     "MAX_STEPS",
@@ -49,7 +48,9 @@ class RateSequence:
 
     The recurrence runs one ``_CHUNK``-step window at a time each time the
     sequence is read: ``final`` and ``to_csv`` hold one window, and
-    ``values`` builds the whole array on first use.
+    ``values`` builds the whole array on first use.  Where a second CPU is
+    free, ``to_csv`` reads the windows from a forked child, and runs inline
+    whatever the child did not send.
     """
 
     a: float
@@ -90,40 +91,35 @@ class RateSequence:
     def _forked_windows(self) -> Iterator[tuple[int, np.ndarray]]:
         """:meth:`_windows`, run in a forked child while the caller formats the windows already received.
 
-        Frames: a window's count (8 bytes) and float64 values, then a 0; or a ``ValueError``'s negative count and text.
+        The child writes only the float64 values ``b_1..b_count``; the caller
+        reads them ``_CHUNK`` at a time.  A short read means that the child
+        raised or died: the rest of the sequence then runs inline, so an error
+        is the inline one.
         """
         read, write = os.pipe()
         if (pid := os.fork()) == 0:  # the child makes no BLAS call, whose threads fork does not copy
             try:  # the child leaves only through os._exit, so no inherited buffer or exit hook runs twice
                 os.close(read)
                 with open(write, "wb") as pipe:
-                    try:
-                        for _, block in self._windows():
-                            pipe.write(struct.pack("q", len(block)) + block.tobytes())
-                        pipe.write(struct.pack("q", 0))
-                    except ValueError as exc:
-                        message = (b"S" if isinstance(exc, ScheduleError) else b"V") + str(exc).encode()
-                        pipe.write(struct.pack("q", -len(message)) + message)
+                    for _, block in self._windows():
+                        pipe.write(block)
             finally:
                 os._exit(0)
         os.close(write)
-        with open(read, "rb") as pipe:
-            def received(size: int) -> bytes:  # fewer bytes mean that the child died
-                if len(data := pipe.read(size)) != size:
-                    raise ValueError("the process running the rate recurrence ended before its sequence did")
-                return data
-
-            try:
-                start = 1
-                while (count := struct.unpack("q", received(8))[0]) > 0:
-                    yield start, np.frombuffer(received(8 * count))
-                    start += count
-                if count < 0:
-                    message = received(-count).decode()
-                    raise (ScheduleError if message[0] == "S" else ValueError)(message[1:])
-            finally:  # a child still running when the reader stops early is killed; one that exited ignores it
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        start = 1
+        try:
+            with open(read, "rb") as pipe:
+                while start <= self.count:
+                    size = min(_CHUNK, self.count + 1 - start)
+                    if len(data := pipe.read(8 * size)) < 8 * size:
+                        break
+                    yield start, np.frombuffer(data)
+                    start += size
+        finally:  # a child still running when the reader stops early is killed; one that exited ignores it
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if start <= self.count:  # the inline run repeats the received windows without yielding them
+            yield from ((begin, block) for begin, block in self._windows() if begin >= start)
 
     def to_csv(self) -> Iterator[str]:
         """CSV rows ``iter,b``, yielded by :func:`_series_rows` as text chunks of at most ``_CSV_CHUNK`` rows each."""

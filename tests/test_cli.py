@@ -464,10 +464,11 @@ class TestSimulateCommand:
 
 class TestTableCommand:
     def test_csv_output(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "table", "--n", "30", "--delta", "0.02", "--trials", "3", "--seed", "2",
         )
         assert code == 0
+        assert "warning" not in err  # no trial is censored
         lines = out.splitlines()
         assert lines[0].startswith("n,delta,row_type")
         assert len([l for l in lines if ",trial," in l]) == 3
@@ -475,11 +476,10 @@ class TestTableCommand:
     def test_csv_matches_csv_writer(self, capsys):
         # a cap of 60 censors some trials, so not every average is a whole number
         argv = ["--n", "30", "50", "--delta", "0.02", "0.001", "--trials", "4", "--seed", "1", "--iters", "60"]
-        with pytest.warns(RuntimeWarning, match="iteration cap"):
-            code, out, _ = run_cli(capsys, "table", *argv)
+        code, out, err = run_cli(capsys, "table", *argv)
         assert code == 0
-        with pytest.warns(RuntimeWarning, match="iteration cap"):
-            result = divergence_table(ns=[30, 50], deltas=[0.02, 0.001], trials=4, seed=1, iteration_cap=60)
+        assert sum(line.startswith("saddlescape: warning: ") for line in err.splitlines()) == 1
+        result = divergence_table(ns=[30, 50], deltas=[0.02, 0.001], trials=4, seed=1, iteration_cap=60)
         methods = ["steepest_descent", "accelerated_gradient", "rate_predictor"]
         rows = [["n", "delta", "row_type", "trial_or_method", *methods]]
         for rec in result.trials:
@@ -502,8 +502,7 @@ class TestTableCommand:
         assert len(data["cells"]) == 2
 
     def test_censored_run_prints_one_line_per_warning(self, tmp_path):
-        # Python's default format adds the caller's path and source line to
-        # each warning; run in a child, where warnings are printed, not recorded.
+        # run in a child, where any warning Python raised would be printed, not recorded
         env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         argv = ["table", "--n", "30", "--delta", "0.02", "--trials", "2", "--iters", "5"]
@@ -513,8 +512,8 @@ class TestTableCommand:
         )
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == [
-            *(f"saddlescape: warning: 2 of 2 trials (n=30, delta=0.02) hit the iteration cap for {method}"
-              for method in TABLE_METHODS),
+            "saddlescape: warning: trials that hit the iteration cap: "
+            + "; ".join(f"2 of 2 {method} (n=30, delta=0.02)" for method in TABLE_METHODS),
             'saddlescape table config: {"delta": [0.02], "format": "csv", "iters": 5, "n": [30], '
             '"seed": 0, "threshold": null, "trials": 2}',
         ]
@@ -530,13 +529,6 @@ class TestTableCommand:
         assert proc.returncode == 0
         accelerated = json.loads(proc.stdout)["cells"][0]["methods"]["accelerated_gradient"]
         assert accelerated == {"avg_iters": 1e23, "max_iters": 10**23, "censored": 3}
-
-    def test_warning_format_is_restored(self, capsys):
-        original = warnings.formatwarning
-        with pytest.warns(RuntimeWarning, match="iteration cap"):
-            code, _, _ = run_cli(capsys, "table", "--n", "30", "--delta", "0.02", "--trials", "2", "--iters", "5")
-        assert code == 0
-        assert warnings.formatwarning is original
 
 
 class TestVerifyTkCommand:
@@ -768,9 +760,9 @@ def with_inside(values, inner):
     )
 
 
-# More items than one chunk, and more shapes than one list keeps templates for
+# More items than one chunk, and many shapes in one list
 LONG_LIST = [{"i": i, "mu": {"re": i / 7, "im": -0.0}} for i in range(2 * _CSV_CHUNK + 1)]
-MANY_SHAPES = [{f"k{i}%": [i] * (i % 3), "x": [None, 1.5]} for i in range(3 * cli._TEMPLATES)]
+MANY_SHAPES = [{f"k{i}%": [i] * (i % 3), "x": [None, 1.5]} for i in range(192)]
 
 
 class TestJsonChunks:
@@ -798,6 +790,19 @@ class TestJsonChunks:
         chunks = list(cli._json_chunks({"blocks": LONG_LIST}))
         # the key, three chunks of at most _CSV_CHUNK items, and each closing bracket
         assert [chunk.count('"i": ') for chunk in chunks] == [0, _CSV_CHUNK, _CSV_CHUNK, 1, 0, 0]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (1,), (2 * _CSV_CHUNK + 1,), (_CSV_CHUNK + 3, 2)])
+    def test_a_float_array_is_written_as_its_list(self, shape):
+        rng = np.random.default_rng(0)
+        payload = {"series": rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape), "n": 1}
+        chunks = list(cli._json_chunks(payload))
+        assert "".join(chunks) == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+        # the key, each chunk of at most _CSV_CHUNK items and the closing bracket (or one "[]"), then "n" and "}"
+        assert len(chunks) == 5 + -(-shape[0] // _CSV_CHUNK)
+
+    def test_a_non_finite_array_value_raises(self):
+        with pytest.raises(ValueError, match="JSON output holds only finite numbers, got inf"):
+            "".join(cli._json_chunks({"series": np.array([[1.0, 2.0]] * _CSV_CHUNK + [[3.0, np.inf]])}))
 
     @pytest.mark.parametrize("payload", [{1: 2}, [{"a": {None: 1}}], [np.int64(1)], {"a": object()}])
     def test_what_json_cannot_hold_is_a_type_error(self, payload):
@@ -839,9 +844,10 @@ class TestJsonOutput:
         assert code == 0
         path = tmp_path / "out.json"
         assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
-        first, second = payloads
-        assert out == json.dumps(first, indent=2) + "\n"
-        assert path.read_bytes() == out.encode("utf-8") == (json.dumps(second, indent=2) + "\n").encode("utf-8")
+        assert len(payloads) == 2
+        texts = [json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n" for payload in payloads]
+        assert out == texts[0]
+        assert path.read_bytes() == out.encode("utf-8") == texts[1].encode("utf-8")
 
 
 def echoed_config(err: str) -> dict:
@@ -1007,8 +1013,10 @@ class TestCliContractProperty:
     @example(["simulate", "--delta=0.5", "--json"])  # its predicted series passes the float range
     def test_exit_code_error_line_and_json(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main(argv)
+        assert caught == []
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2)
         assert sum("error: " in line for line in lines) == (code == 1), lines

@@ -178,13 +178,18 @@ class TestRateSequence:
         assert abs(seq.final - lim) <= 1e-12
 
 
+DEFINED_IN = os.getpid()
+
+
 class DyingSchedule(ConstantSchedule, spec="dying:B"):
-    """Constant momentum whose process exits in its second window; only a forked child may read it."""
+    """Constant momentum whose process exits in its second window, unless it is the process that defined it."""
 
     def _windows(self, count, size):
         windows = super()._windows(count, size)
         yield next(windows)
-        os._exit(3)
+        if os.getpid() != DEFINED_IN:
+            os._exit(3)
+        yield from windows
 
 
 del SCHEDULE_KINDS[DyingSchedule.kind]
@@ -237,12 +242,12 @@ class TestForkedWindows:
         assert type(raised.value) is ScheduleError and str(raised.value) == "the second window failed"
         assert_no_child()
 
-    def test_a_child_that_dies_early_is_a_value_error(self, assert_no_child):
-        seq = rate_sequence(-0.004, 0.99, DyingSchedule(0.5), 2 * _CHUNK)
-        windows = seq._forked_windows()
-        assert next(windows)[0] == 1
-        with pytest.raises(ValueError, match="^the process running the rate recurrence ended before its sequence did$"):
-            next(windows)
+    def test_a_child_that_dies_early_gives_the_inline_sequence(self, assert_no_child):
+        seq = rate_sequence(-0.004, 0.99, DyingSchedule(0.5), 3 * _CHUNK - 7)
+        forked = [(start, block.tobytes()) for start, block in seq._forked_windows()]
+        assert forked == [(start, block.tobytes()) for start, block in seq._windows()]
+        assert [start for start, _ in forked] == [1, _CHUNK + 1, 2 * _CHUNK + 1]
+        assert "".join(seq.to_csv()) == "".join(rate_sequence(-0.004, 0.99, ConstantSchedule(0.5), seq.count).to_csv())
         assert_no_child()
 
     def test_a_reader_that_stops_early_leaves_no_child(self, assert_no_child):
