@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     table = sub.add_parser("table", help="divergence table over seeded random trials")
-    table.add_argument("--n", type=int, nargs="+", default=[100], help="problem dimensions")
+    table.add_argument("--n", type=int, nargs="+", default=[100], help="problem dimensions, each at least 6")
     table.add_argument("--delta", type=float, nargs="+", default=[1e-2, 1e-3],
                        help="negative eigenvalue scales")
     table.add_argument("--trials", type=int, default=100, help="trials per cell")

@@ -351,6 +351,8 @@ def divergence_table(
 
     A cell is named by its ``(n, delta)`` pair, so a value repeated in
     ``ns`` or ``deltas`` (after ``int``/``float`` conversion) is rejected.
+    Every ``n`` must be at least 6 and ``iteration_cap`` nonnegative; all
+    arguments are checked before any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -358,6 +360,10 @@ def divergence_table(
     for name, values in (("n", ns), ("delta", deltas)):
         if len(set(values)) < len(values):
             raise ValueError(f"each {name} must be listed once, got {values}")
+    if any(n < 6 for n in ns):  # each cell draws 5 negative eigenvalues and at least one other
+        raise ValueError(f"each n must be at least 6, got {ns}")
+    if iteration_cap < 0:
+        raise ValueError(f"iteration_cap must be nonnegative, got {iteration_cap!r}")
     if iteration_cap > sys.float_info.max:  # a cell's average is a float
         raise ValueError(f"iteration_cap must be at most {sys.float_info.max:.6g}, the largest float")
     if threshold is not None and not 0.0 < threshold <= DIVERGENCE_CUTOFF:

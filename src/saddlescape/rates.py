@@ -23,7 +23,7 @@ import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -122,10 +122,15 @@ class RateSequence:
             yield from ((begin, block) for begin, block in self._windows() if begin >= start)
 
     def to_csv(self) -> Iterator[str]:
-        """CSV rows ``iter,b``, yielded by :func:`_series_rows` as text chunks of at most ``_CSV_CHUNK`` rows each."""
+        """CSV rows ``iter,b``, ``_CSV_CHUNK`` at most to a chunk, from :func:`_fixed_rows` or :func:`_series_rows`."""
         yield "iter,b\n0,0\n"
         for start, block in self._forked_windows() if _spare_cpu() else self._windows():
-            yield from _series_rows("", range(start, start + len(block)), [block])
+            for lo in range(start, start + len(block), _CSV_CHUNK):
+                run = np.frombuffer(block)[lo - start : lo - start + _CSV_CHUNK]
+                if (text := _fixed_rows(lo, run)) is None:
+                    yield from _series_rows("", range(lo, lo + len(run)), [run])
+                else:
+                    yield text
 
 
 def _spare_cpu() -> bool:
@@ -160,6 +165,57 @@ def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
                 cells[i::width] = column[lo:hi].tolist()
             yield (row * (hi - lo)) % tuple(cells)
         start = end
+
+
+@cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Each 4-digit group ``0..9999`` as its ASCII digits in one uint32, and its count of trailing zeros (4 for 0)."""
+    digit, chars, zeros = np.arange(10, dtype=np.uint8), np.empty((10, 10, 10, 10, 4), np.uint8), 0
+    for i in range(4):  # the thousands first; broadcast one axis per digit, so no temporary outgrows the tables
+        axis = digit.reshape([10 if j == i else 1 for j in range(4)])
+        chars[..., i] = axis + ord("0")
+        zeros = (axis == 0) * (1 + zeros)
+    return chars.reshape(-1).view(np.uint32), zeros.reshape(-1)
+
+
+def _ascii(numbers: np.ndarray, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ``(n, width)`` zero-padded ASCII digits of integers in ``[0, 10**12)``, and their 4-digit groups."""
+    groups = [numbers // 10 ** (4 * i) % 10**4 for i in range(2, -1, -1)]
+    return np.stack([_digit_tables()[0][group] for group in groups], axis=1).view(np.uint8)[:, 12 - width :], groups
+
+
+def _fixed_rows(start: int, values: np.ndarray) -> str | None:
+    """The text of ``_series_rows("", range(start, start + len(values)), [values])``, or None outside its domain.
+
+    The domain: values that ``%.12g`` all prints in fixed notation with one decimal exponent in [-4, 0), at iteration
+    numbers of one digit count.  The 12 digits are ``rint(value * 10**(11 - exponent))`` where that product lies in
+    the exponent's decade and at least 1e-3 from a tie (its rounding error is below 1e-4), and those of ``%.11e``
+    elsewhere.  The rows are one uint8 matrix from which a mask drops trailing zeros.
+    """
+    head, lead = "%.11e" % values[0], len(str(start))
+    exponent = int(head[14:]) if len(head) == 17 else 0  # 17 characters: positive, finite, a 2-digit exponent
+    if not (-4 <= exponent < 0 and 0 < values.min() and values.max() < 1) or len(str(start + len(values) - 1)) != lead:
+        return None
+    scaled = values * float(10 ** (11 - exponent))
+    digits = np.rint(scaled)
+    # %.12g rounds a value below the decade one digit further, so %.11e tells whether it carries into the decade
+    exact = (np.abs(scaled - digits) < 0.499) & (scaled >= 1e11)
+    if (exact & (digits >= 1e12)).any():  # it rounds into the next decade
+        return None
+    for i in np.flatnonzero(~exact):
+        if (text := "%.11e" % values[i])[13:] != head[13:]:
+            return None
+        digits[i] = int(text[0] + text[2:13])
+    chars, (high, middle, low) = _ascii(digits.astype(np.int64), 12)
+    zeros = _digit_tables()[1]
+    trailing = np.where(low > 0, zeros[low], np.where(middle > 0, 4 + zeros[middle], 8 + zeros[high]))
+    prefix = np.frombuffer(f",0.{'0' * (-1 - exponent)}".encode(), np.uint8)
+    rows = np.empty((len(values), lead + len(prefix) + 13), np.uint8)
+    rows[:, :lead] = _ascii(np.arange(start, start + len(values)), lead)[0]
+    rows[:, lead:-13], rows[:, -13:-1], rows[:, -1] = prefix, chars, ord("\n")
+    keep = np.ones(rows.shape, bool)
+    keep[:, -13:-1] = np.arange(12) < 12 - trailing[:, None]
+    return rows[keep].tobytes().decode("ascii")
 
 
 def _step_curvature(lam: float, alpha: float) -> float:

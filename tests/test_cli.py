@@ -18,16 +18,18 @@ from hypothesis import strategies as st
 
 from saddlescape import (
     SCHEDULE_KINDS,
+    NesterovSchedule,
     PerturbedStart,
     RateSequence,
     cli,
     divergence_table,
     negspace_experiment,
     rate_sequence,
+    rates,
     toy_figure,
 )
 from saddlescape.experiments import TABLE_METHODS
-from saddlescape.rates import _CSV_CHUNK, MAX_STEPS
+from saddlescape.rates import _CSV_CHUNK, MAX_STEPS, _series_rows
 from saddlescape.schedules import TkPropertyReport
 
 
@@ -237,6 +239,23 @@ class TestRatesCommand:
     @pytest.mark.parametrize("spec", ["attouch:2", "constant:0.5,0.5"])
     def test_streamed_csv_of_other_schedules_matches_csv_writer(self, capsys, tmp_path, spec):
         assert_rates_csv_matches_csv_writer(capsys, tmp_path, spec)
+
+    @pytest.mark.parametrize("spare", [True, False], ids=["forked", "one-cpu"])
+    @pytest.mark.parametrize("lam", [-1e-4, -1.1e-4])
+    def test_csv_is_the_series_rows_text(self, capsys, monkeypatch, assert_no_child, spare, lam):
+        # at -1e-4, b_1 prints as 9.9e-05; at -1.1e-4, b crosses 0.01 at k = 2752, inside the rows 2049..4096
+        iters = 2 * _CSV_CHUNK + 100
+        monkeypatch.setattr(rates, "_spare_cpu", lambda: spare)
+        code, out, _ = run_cli(capsys, "rates", f"--lambda={lam!r}", "--alpha", "0.99", "--iters", str(iters),
+                               "--format", "csv")
+        values = rate_sequence(lam, 0.99, NesterovSchedule(), iters).values
+        assert code == 0
+        assert out.split("\n") == ("iter,b\n" + "".join(_series_rows("", range(iters + 1), [values]))).split("\n")
+        if lam == -1e-4:
+            assert out.split("\n")[2] == "1,9.9e-05"
+        else:
+            assert values[_CSV_CHUNK + 1] < 0.01 <= values[2 * _CSV_CHUNK]
+        assert_no_child()
 
     def test_json_memory_does_not_grow_with_the_length(self, capsys):
         # the recurrence streams one window at a time: the whole sequence alone
@@ -688,6 +707,9 @@ class TestOutOfDomainInput:
              "delta must lie in [2.2250738585072014e-308, 8.988465674311579e+307], got 1e+308"),
             (["spectrum", "--n", "10", "--p", "2", "--delta", "1e308", "--beta", "0.9"],
              "delta must lie in [2.2250738585072014e-308, 8.988465674311579e+307], got 1e+308"),
+            # both used to surface later: n=5 as "p=5, n=5" after the n=100 cells ran, -1 as "iterations"
+            (["table", "--n", "100", "5"], "each n must be at least 6, got [100, 5]"),
+            (["table", "--iters", "-1"], "iteration_cap must be nonnegative, got -1"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):

@@ -381,6 +381,21 @@ class TestDivergenceTable:
             divergence_table(ns=[30], deltas=[1e-2], trials=0, seed=0)
 
     @pytest.mark.parametrize(
+        "ns, cap, message",
+        [
+            ([100, 5], 50, r"each n must be at least 6, got \[100, 5\]"),
+            ([100], -1, "iteration_cap must be nonnegative, got -1"),
+        ],
+    )
+    def test_small_n_or_negative_cap_rejected_before_any_cell(self, monkeypatch, ns, cap, message):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "random_problem", no_cell)
+        with pytest.raises(ValueError, match=message):
+            divergence_table(ns=ns, deltas=[1e-2], trials=2, seed=0, iteration_cap=cap)
+
+    @pytest.mark.parametrize(
         "ns, deltas, name",
         [
             ([30, 30], [2e-2], "n"),

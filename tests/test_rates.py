@@ -28,7 +28,7 @@ from saddlescape import (
     run_accelerated,
     sample_unit_ball,
 )
-from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS, _spare_cpu
+from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS, _fixed_rows, _series_rows, _spare_cpu
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
 REJECTED_CURVATURES = [
@@ -255,6 +255,78 @@ class TestForkedWindows:
         next(windows)
         windows.close()
         assert_no_child()
+
+
+def series_text(start, values):
+    """The reference text of the rows ``start..``, ``%d,%.12g`` each."""
+    return "".join(_series_rows("", range(start, start + len(values)), [values]))
+
+
+def decade(exponent):
+    """Floats that ``%.12g`` prints in fixed notation with decimal exponent ``exponent`` (in [-4, 0)).
+
+    A 13-digit decimal ending in 5 is a near-tie at the 12th digit; the largest 12-digit prefix is left out, since
+    its tie can carry to the next decade.
+    """
+    return st.one_of(
+        st.floats(10.0**exponent, 10.0 ** (exponent + 1) * (1 - 1e-11)),
+        st.builds(lambda d: float(f"{d}5e{exponent - 12}"), st.integers(10**11, 10**12 - 2)),
+    )
+
+
+# 9.999999999995 * 10**e and its neighbours: the 12th digit's tie rounds either within the decade or into the next
+CARRIES = st.builds(
+    lambda e, step: float(np.nextafter(float(f"9.999999999995e{e}"), step * math.inf)),
+    st.integers(-6, 0),
+    st.sampled_from([-1, 0, 1]),
+)
+# just below a decade, where %.12g rounds one digit further down than at the decade's own scale
+BELOW = st.integers(-6, 0).flatmap(lambda e: st.floats(10.0**e * (1 - 1e-11), 10.0**e))
+# iteration numbers within one digit count, or straddling 9/10 and 99999/100000
+STARTS = st.one_of(st.integers(1, 12), st.integers(99_960, 100_010), st.integers(1, MAX_STEPS))
+
+
+class TestFixedRows:
+    """``_fixed_rows`` writes ``_series_rows``'s bytes for the runs in its domain, and None for any other."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        STARTS,
+        st.integers(-6, 1).flatmap(
+            lambda e: st.lists(
+                st.one_of(decade(e) if -4 <= e < 0 else st.floats(10.0**e, 10.0 ** (e + 1)), CARRIES, BELOW,
+                          st.floats()),
+                min_size=1,
+                max_size=40,
+            )
+        ),
+    )
+    @example(9, [0.05, 0.05])
+    @example(99_999, [0.05, 0.05])
+    @example(1, [0.0999999999999995, 0.05])
+    @example(1, [9.999999999995e-05, 0.0005])
+    @example(1, [0.0005, 9.999999999995e-05])
+    @example(1, [0.5, -0.5])
+    @example(1, [0.5, math.nan])
+    @example(1, [0.5, 0.0])
+    def test_same_bytes_or_none(self, start, values):
+        text = _fixed_rows(start, np.array(values))
+        assert text is None or text == series_text(start, values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 9).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 41)),
+        st.integers(-4, -1).flatmap(lambda e: st.lists(decade(e), min_size=1, max_size=40)),
+    )
+    @example(100, [0.0999999999999995, 0.5, 0.1, 0.100000000000])  # the first carries to 0.1
+    @example(100, [0.0001, 0.00099999999999, 0.000123456789012])
+    def test_every_run_in_the_domain_is_written(self, start, values):
+        assert _fixed_rows(start, np.array(values)) == series_text(start, values)
+
+    def test_a_chunk_of_a_recurrence_is_written(self):
+        values = rate_sequence(-0.004, 0.99, NesterovSchedule(), 30 * _CSV_CHUNK).values[-_CSV_CHUNK:]
+        start = 29 * _CSV_CHUNK + 1
+        assert _fixed_rows(start, values) == series_text(start, values)
 
 
 class TestProductReconstruction:
