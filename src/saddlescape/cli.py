@@ -24,7 +24,7 @@ from .optimizers import MAX_TRACE_VALUES, EqualStart, PerturbedStart
 from .problems import _positive, random_problem
 from .rates import _CSV_CHUNK, MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
 from .schedules import SCHEDULE_KINDS, ToySchedule, verify_tk_properties
-from .spectral import block_eigenvalues, blocks_csv, classify_saddle_map
+from .spectral import block_roots, blocks_csv, classify_saddle_map
 
 __all__ = ["main", "console_entry", "build_parser"]
 
@@ -103,11 +103,12 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CSV_CHUNK`` list items.
 
     Dicts and lists are written piece by piece, and a float ``ndarray`` as a
-    list, each chunk of it through its ``tolist()``.  Each list item is walked
-    once by :func:`_shape`, which collects its scalars, and is formatted by
-    its shape's ``%`` template from :func:`_template`, kept for the list; a
-    chunk's items are filled with one ``%`` operation.  A key that is not a
-    string raises ``TypeError``, and a non-finite float ``ValueError``.
+    list, each chunk of it through its ``tolist()``; a structured one is a list
+    of objects with one template, its scalars walked one field at a time.
+    Each list item is walked once by :func:`_shape`, which collects its scalars,
+    and is formatted by its shape's ``%`` template from :func:`_template`, kept
+    for the list; a chunk's items are filled with one ``%`` operation.  A key
+    that is not a string raises ``TypeError``, and a non-finite float ``ValueError``.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -117,6 +118,17 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
             yield from _json_chunks(item, inner, "")
             head = ",\n"
         yield "\n" + indent + "}" + end
+    elif isinstance(value, np.ndarray) and value.dtype.names is not None and len(value):
+        columns, sep = [], ",\n" + inner
+        template = _template(_record_shape(value, columns), inner)
+        for lo in range(0, len(value), _CSV_CHUNK):
+            rows = min(_CSV_CHUNK, len(value) - lo)
+            leaves = [None] * (rows * len(columns))
+            for i, column in enumerate(columns):
+                _shape(column[lo : lo + rows].tolist(), cells := [])
+                leaves[i :: len(columns)] = cells
+            yield (("[\n" + inner if lo == 0 else sep) + sep.join([template] * rows)) % tuple(leaves)
+        yield "\n" + indent + "]" + end
     elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
         templates, sep = {}, ",\n" + inner
         for lo in range(0, len(value), _CSV_CHUNK):
@@ -165,6 +177,18 @@ def _shape(value, leaves: list):
     return "%s"
 
 
+def _record_shape(records: np.ndarray, columns: list) -> tuple:
+    """The :func:`_shape` of each of ``records``; the fields that hold its scalars are appended to ``columns``."""
+    shape = ["{"]
+    for name in records.dtype.names:
+        if records[name].dtype.names is not None:
+            shape += name, _record_shape(records[name], columns)
+        else:
+            shape += name, "%s"
+            columns.append(records[name])
+    return tuple(shape)
+
+
 def _template(shape, indent: str) -> str:
     """The ``indent=2`` JSON text at ``indent`` of a value of ``shape``, with ``%s`` for each scalar."""
     if isinstance(shape, str):
@@ -205,7 +229,9 @@ def _cmd_spectrum(args) -> int:
             raise ValueError(f"single-eigenvalue mode (--lambda) takes no {', '.join(mixed)}")
         if alpha is None or args.beta is None:
             raise ValueError("single-eigenvalue mode needs --lambda, --alpha and --beta")
-        payload = {"blocks": [block_eigenvalues(lam, alpha, args.beta).to_json_dict()]}
+        payload = {"blocks": block_roots([lam], alpha, args.beta)}
+        if lam > 0 and alpha * lam >= (bound := 2.0 * (1.0 + args.beta)):  # the block would not contract
+            raise ValueError(f"alpha*lambda must be below 2*(1 + beta) = {bound!r} if lambda > 0, got {alpha * lam!r}")
     else:
         if args.n is None or args.p is None or args.delta is None:
             raise ValueError("problem mode needs --n, --p and --delta (or use --lambda)")
@@ -321,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues of the linearized iteration map")
     spectrum.add_argument("--lambda", type=float, default=None,
-                          help="single Hessian eigenvalue to analyze")
+                          help="single Hessian eigenvalue; a positive one needs alpha*lambda < 2*(1 + beta)")
     spectrum.add_argument("--alpha", type=float, default=None, help="step size")
     spectrum.add_argument("--beta", type=float, default=None, help="momentum")
     spectrum.add_argument("--n", type=int, default=None, help="problem dimension (problem mode)")

@@ -19,12 +19,13 @@ eigenvalues.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problems import QuadraticProblem, _positive
+from .rates import _CSV_CHUNK
 
 __all__ = [
     "ConditionError",
@@ -32,6 +33,7 @@ __all__ = [
     "SpectrumClassification",
     "blocks_csv",
     "block_eigenvalues",
+    "block_roots",
     "param_conditions",
     "classify_saddle_map",
     "apply_iteration_map",
@@ -44,16 +46,19 @@ class ConditionError(ValueError):
     """The step size / momentum parameters violate the classification conditions."""
 
 
+# One record per Hessian eigenvalue: its block's roots and class, as ``spectrum`` writes them.
+_COMPLEX = [("re", float), ("im", float)]
+BLOCK_DTYPE = np.dtype([("lambda", float), ("mu_hi", _COMPLEX), ("mu_lo", _COMPLEX), ("class", "U8")])
+_CLASSES = np.array(["unstable", "unit", "stable"])  # indexed by sign(lambda) + 1
+
+
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalues of one 2x2 block of the linearized iteration map.
+    """Eigenvalues of one 2x2 block of the linearized iteration map: one record of :func:`block_roots`.
 
-    ``mu_hi`` is the root of larger magnitude; for complex pairs (equal
-    magnitudes) it is the one with nonnegative imaginary part, which keeps
-    the output deterministic.  The roots always satisfy
-    ``mu_hi + mu_lo = 1 + beta - alpha*lambda`` and ``mu_hi * mu_lo = beta``.
-    ``label`` classifies the block by the sign of ``lambda``: ``stable``,
-    ``unit`` or ``unstable``.
+    The roots always satisfy ``mu_hi + mu_lo = 1 + beta - alpha*lambda`` and
+    ``mu_hi * mu_lo = beta``.  ``label`` classifies the block by the sign of
+    ``lambda``: ``stable``, ``unit`` or ``unstable``.
     """
 
     mu_hi: complex
@@ -68,52 +73,51 @@ class EigenPair:
     def label(self) -> str:
         return "stable" if self.lam > 0 else ("unit" if self.lam == 0 else "unstable")
 
-    def to_json_dict(self) -> dict:
-        """The block as ``spectrum`` writes it, in JSON and, through :func:`blocks_csv`, in CSV."""
-        return {
-            "lambda": self.lam,
-            "mu_hi": {"re": self.mu_hi.real, "im": self.mu_hi.imag},
-            "mu_lo": {"re": self.mu_lo.real, "im": self.mu_lo.imag},
-            "class": self.label,
-        }
 
-
-def blocks_csv(blocks: Iterable[dict]) -> Iterator[str]:
-    """CSV text of blocks serialized by :meth:`EigenPair.to_json_dict`, one row per block."""
+def blocks_csv(blocks: np.ndarray) -> Iterator[str]:
+    """CSV text of ``BLOCK_DTYPE`` records, one row per block, each chunk of rows filled by one ``%``."""
     yield "lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n"
-    for block in blocks:
-        hi, lo = block["mu_hi"], block["mu_lo"]
-        yield (
-            f"{block['lambda']:.12g},{hi['re']:.12g},{hi['im']:.12g},"
-            f"{lo['re']:.12g},{lo['im']:.12g},{block['class']}\n"
-        )
+    for start in range(0, len(blocks), _CSV_CHUNK):
+        rows = blocks[start : start + _CSV_CHUNK].tolist()
+        cells = [value for lam, hi, lo, label in rows for value in (lam, *hi, *lo, label)]
+        yield ("%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" * len(rows)) % tuple(cells)
+
+
+def block_roots(lams, alpha: float, beta: float) -> np.ndarray:
+    """The roots of ``mu^2 - (1 + beta - alpha*lambda) mu + beta = 0``, one ``BLOCK_DTYPE`` record per ``lambda``.
+
+    ``mu_hi`` is the root of larger magnitude, or in a complex pair the one with positive imaginary part.
+    """
+    _positive("alpha", alpha)
+    lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"lambda must be finite, got {float(lams[~np.isfinite(lams)][0])!r}")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = alpha * lams
+        s = 1.0 + beta - scaled
+        # Expanded so lambda = 0 yields exactly (1 - beta)^2 instead of the
+        # cancellation-prone (1 + beta)^2 - 4*beta.
+        disc = (1.0 - beta) ** 2 + scaled * (scaled - 2.0 * (1.0 + beta))
+    if not np.isfinite(disc).all():
+        raise ValueError(f"alpha*lambda = {float(scaled[~np.isfinite(disc)][0])!r} is too large for finite roots")
+    real, root = disc >= 0.0, np.sqrt(np.abs(disc))
+    plus, minus = 0.5 * (s + root), 0.5 * (s - root)
+    blocks = np.empty(lams.shape, BLOCK_DTYPE)
+    blocks["lambda"], blocks["class"] = lams, _CLASSES[np.sign(lams).astype(np.intp) + 1]
+    real_roots = np.where(np.abs(plus) >= np.abs(minus), [plus, minus], [minus, plus])  # (hi, lo)
+    blocks["mu_hi"]["re"], blocks["mu_lo"]["re"] = np.where(real, real_roots, 0.5 * s)
+    blocks["mu_hi"]["im"], blocks["mu_lo"]["im"] = np.where(real, 0.0, [0.5 * root, -0.5 * root])
+    # beta < 1 keeps a zero eigenvalue's roots {1, beta} distinct, so its block is diagonalizable; guard it.
+    if (real & (plus == minus) & (lams == 0)).any():
+        raise ArithmeticError("zero-eigenvalue block produced a repeated root")
+    return blocks
 
 
 def block_eigenvalues(lam: float, alpha: float, beta: float) -> EigenPair:
-    """Roots of ``mu^2 - (1 + beta - alpha*lambda) mu + beta = 0``."""
-    _positive("alpha", alpha)
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
-    lam, alpha, beta = float(lam), float(alpha), float(beta)
-    s = 1.0 + beta - alpha * lam
-    # Expanded so lambda = 0 yields exactly (1 - beta)^2 instead of the
-    # cancellation-prone (1 + beta)^2 - 4*beta.
-    disc = (1.0 - beta) ** 2 + alpha * lam * (alpha * lam - 2.0 * (1.0 + beta))
-    if not math.isfinite(disc):
-        raise ValueError(f"alpha*lambda = {alpha * lam!r} is too large for finite roots")
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        plus = 0.5 * (s + root)
-        minus = 0.5 * (s - root)
-        if abs(plus) >= abs(minus):
-            hi, lo = plus, minus
-        else:
-            hi, lo = minus, plus
-        return EigenPair(complex(hi), complex(lo), lam)
-    imag = 0.5 * math.sqrt(-disc)
-    return EigenPair(complex(0.5 * s, imag), complex(0.5 * s, -imag), lam)
+    """The roots of one block: the one-row case of :func:`block_roots`."""
+    return SpectrumClassification(block_roots([lam], alpha, beta)).pairs[0]
 
 
 def param_conditions(alpha: float, beta: float, lambda1: float) -> None:
@@ -139,41 +143,37 @@ def param_conditions(alpha: float, beta: float, lambda1: float) -> None:
 class SpectrumClassification:
     """Block-by-block spectrum of the linearized iteration map.
 
-    ``basis`` is the problem's eigenvector matrix (None if diagonal); the rest
-    is derived when read.  ``stable_dim`` counts eigenvalues of magnitude at
-    most one and ``unstable_dim`` those beyond one, one per negative Hessian
-    eigenvalue.  ``unstable_eigenvectors`` holds one row ``(v, v / mu_hi)`` per
-    negative eigenvalue, ``v`` its unit vector or basis column; the rows are
-    mutually orthogonal.
+    ``blocks`` holds one ``BLOCK_DTYPE`` record per eigenvalue and ``basis`` the problem's eigenvector
+    matrix (None if diagonal); the rest, such as ``pairs``, is derived when read.  ``stable_dim`` counts
+    eigenvalues of magnitude at most one and ``unstable_dim`` those beyond one, one per negative Hessian
+    eigenvalue.  ``unstable_eigenvectors`` holds one row ``(v, v / mu_hi)`` per negative eigenvalue,
+    ``v`` its unit vector or basis column; the rows are mutually orthogonal.
     """
 
-    pairs: tuple[EigenPair, ...]
+    blocks: np.ndarray
     basis: np.ndarray | None = None
 
     @property
+    def pairs(self) -> tuple[EigenPair, ...]:
+        return tuple(EigenPair(complex(*hi), complex(*lo), lam) for lam, hi, lo, _ in self.blocks.tolist())
+
+    @property
     def unstable_dim(self) -> int:
-        return sum(pair.lam < 0 for pair in self.pairs)
+        return int(np.count_nonzero(self.blocks["lambda"] < 0))
 
     @property
     def stable_dim(self) -> int:
-        return 2 * len(self.pairs) - self.unstable_dim
+        return 2 * len(self.blocks) - self.unstable_dim
 
     @property
     def unstable_eigenvectors(self) -> np.ndarray:
-        n = len(self.pairs)
-        unstable = [(i, pair.mu_hi.real) for i, pair in enumerate(self.pairs) if pair.lam < 0]
-        rows = np.empty((len(unstable), 2 * n))
-        for row, (i, mu_hi) in zip(rows, unstable):
-            v = np.eye(1, n, i)[0] if self.basis is None else self.basis[:, i]
-            row[:n], row[n:] = v, v / mu_hi
-        return rows
+        (index,) = np.nonzero(self.blocks["lambda"] < 0)
+        n = len(self.blocks)
+        v = (index[:, None] == np.arange(n)).astype(float) if self.basis is None else self.basis[:, index].T
+        return np.hstack([v, v / self.blocks["mu_hi"]["re"][index, None]])
 
     def to_json_dict(self) -> dict:
-        return {
-            "stable_dim": self.stable_dim,
-            "unstable_dim": self.unstable_dim,
-            "blocks": [pair.to_json_dict() for pair in self.pairs],
-        }
+        return {"stable_dim": self.stable_dim, "unstable_dim": self.unstable_dim, "blocks": self.blocks}
 
 
 def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) -> SpectrumClassification:
@@ -186,12 +186,7 @@ def classify_saddle_map(problem: QuadraticProblem, alpha: float, beta: float) ->
     if lambda1 <= 0:
         raise ConditionError("classification requires a positive largest eigenvalue")
     param_conditions(alpha, beta, lambda1)
-    pairs = tuple(block_eigenvalues(lam, alpha, beta) for lam in problem.eigenvalues)
-    # beta < 1 keeps a zero eigenvalue's roots {1, beta} distinct, so its block
-    # is diagonalizable; guard the assumption at runtime.
-    if any(pair.lam == 0 and pair.mu_hi == pair.mu_lo for pair in pairs):
-        raise ArithmeticError("zero-eigenvalue block produced a repeated root")
-    return SpectrumClassification(pairs, problem.basis)
+    return SpectrumClassification(block_roots(problem.eigenvalues, alpha, beta), problem.basis)
 
 
 def _check_pair(problem: QuadraticProblem, z1: np.ndarray, z2: np.ndarray):
@@ -239,6 +234,5 @@ def unstable_eigenvector(lam: float, alpha: float, beta: float, v: np.ndarray) -
     if lam >= 0:
         raise ValueError(f"lambda must be negative, got {lam!r}")
     v = np.asarray(v, dtype=float)
-    pair = block_eigenvalues(lam, alpha, beta)
-    mu_hi = pair.mu_hi.real
+    mu_hi = block_eigenvalues(lam, alpha, beta).mu_hi.real
     return np.concatenate([v, v / mu_hi])

@@ -21,9 +21,12 @@ from saddlescape import (
     NesterovSchedule,
     PerturbedStart,
     RateSequence,
+    block_eigenvalues,
+    classify_saddle_map,
     cli,
     divergence_table,
     negspace_experiment,
+    random_problem,
     rate_sequence,
     rates,
     toy_figure,
@@ -31,6 +34,15 @@ from saddlescape import (
 from saddlescape.experiments import TABLE_METHODS
 from saddlescape.rates import _CSV_CHUNK, MAX_STEPS, _series_rows
 from saddlescape.schedules import TkPropertyReport
+
+
+def plain(value):
+    """A numpy array or record as ``json.dumps`` writes it: a list, with each record of a structured one an object."""
+    if value.dtype.names is None:
+        return value.tolist()
+    if isinstance(value, np.void):
+        return {name: plain(value[name]) for name in value.dtype.names}
+    return [plain(record) for record in value]
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +191,28 @@ class TestSpectrumCommand:
         row = [f"{v:.12g}" for v in (block["lambda"], hi["re"], hi["im"], lo["re"], lo["im"])]
         expected = [["lambda", "mu_hi_re", "mu_hi_im", "mu_lo_re", "mu_lo_im", "class"], row + [block["class"]]]
         assert out == csv_writer_text(expected)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "4200", "--p", "7", "--delta", "0.01", "--beta", "0.9", "--seed", "3"],  # rows of three chunks
+            ["--lambda=-0.02", "--alpha", "3", "--beta", "0.94"],
+            ["--lambda=0.5", "--alpha", "3", "--beta", "0.94"],
+        ],
+    )
+    def test_csv_rows_are_the_12_digit_format_of_the_roots(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "spectrum", *argv, "--format", "csv")
+        assert code == 0
+        if argv[0] == "--n":
+            prob = random_problem(4200, 7, 0.01, 3)
+            pairs = classify_saddle_map(prob, 1.0 / prob.lipschitz, 0.9).pairs
+        else:
+            pairs = [block_eigenvalues(float(argv[0].partition("=")[2]), 3.0, 0.94)]
+        rows = [
+            f"{p.lam:.12g},{p.mu_hi.real:.12g},{p.mu_hi.imag:.12g},{p.mu_lo.real:.12g},{p.mu_lo.imag:.12g},{p.label}\n"
+            for p in pairs
+        ]
+        assert out == "lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n" + "".join(rows)
 
     def test_missing_mode_flags(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--beta", "0.9")
@@ -710,6 +744,11 @@ class TestOutOfDomainInput:
             # both used to surface later: n=5 as "p=5, n=5" after the n=100 cells ran, -1 as "iterations"
             (["table", "--n", "100", "5"], "each n must be at least 6, got [100, 5]"),
             (["table", "--iters", "-1"], "iteration_cap must be nonnegative, got -1"),
+            # a positive lambda's block contracts only below alpha*lambda = 2*(1 + beta): past it, its class read "stable"
+            (["spectrum", "--lambda=5", "--alpha", "1", "--beta", "0.5", "--format", "csv"],
+             "alpha*lambda must be below 2*(1 + beta) = 3.0 if lambda > 0, got 5.0"),
+            (["spectrum", "--lambda=2", "--alpha", "1", "--beta", "0"],
+             "alpha*lambda must be below 2*(1 + beta) = 2.0 if lambda > 0, got 2.0"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
@@ -719,6 +758,17 @@ class TestOutOfDomainInput:
         assert out == "" and not path.exists()
         assert err.startswith("saddlescape: error:") and err.count("\n") == 1
         assert message in err
+
+    def test_a_contracting_positive_lambda_is_accepted(self, capsys):
+        # --beta 0 with alpha*lambda < 2: the roots are {0, 1 - alpha*lambda}, both inside the unit circle
+        code, out, _ = run_cli(capsys, "spectrum", "--lambda=1.9", "--alpha", "1", "--beta", "0")
+        assert code == 0
+        (block,) = json.loads(out)["blocks"]
+        assert block["class"] == "stable" and abs(block["mu_hi"]["re"]) < 1.0 and block["mu_hi"]["im"] == 0.0
+
+    def test_the_spectrum_help_states_the_contracting_condition(self, capsys):
+        assert cli.main(["spectrum", "--help"]) == 0
+        assert "a positive one needs alpha*lambda < 2*(1 + beta)" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_non_finite_json_exits_one_after_the_echo(self, capsys, tmp_path, to_file):
@@ -782,6 +832,18 @@ def with_inside(values, inner):
     )
 
 
+def records(count):
+    """``count`` records with a float, a nested pair of floats, a string that needs escaping and an int."""
+    rng = np.random.default_rng(count)
+    dtype = [("lambda", float), ("mu%", [("re", float), ("im", float)]), ("class", "U8"), ("k", np.int64)]
+    table = np.zeros(count, dtype)
+    table["lambda"] = rng.standard_normal(count) * 10.0 ** rng.integers(-20, 21, count)
+    table["mu%"]["re"], table["mu%"]["im"] = rng.standard_normal(count), -0.0
+    table["class"] = np.array(['a"%s\\', "\u00e9\u2603\n", "stable"])[np.arange(count) % 3]
+    table["k"] = np.arange(count) - 3
+    return table
+
+
 # More items than one chunk, and many shapes in one list
 LONG_LIST = [{"i": i, "mu": {"re": i / 7, "im": -0.0}} for i in range(2 * _CSV_CHUNK + 1)]
 MANY_SHAPES = [{f"k{i}%": [i] * (i % 3), "x": [None, 1.5]} for i in range(192)]
@@ -826,6 +888,28 @@ class TestJsonChunks:
         with pytest.raises(ValueError, match="JSON output holds only finite numbers, got inf"):
             "".join(cli._json_chunks({"series": np.array([[1.0, 2.0]] * _CSV_CHUNK + [[3.0, np.inf]])}))
 
+    @pytest.mark.parametrize("count", [0, 1, _CSV_CHUNK + 1])
+    @pytest.mark.parametrize("nested", [False, True], ids=["top", "in-dict"])
+    def test_a_structured_array_is_written_as_a_list_of_objects(self, count, nested):
+        table = records(count)
+        objects = [
+            {"lambda": lam, "mu%": {"re": re, "im": im}, "class": label, "k": k}
+            for lam, (re, im), label, k in table.tolist()
+        ]
+        payload, expected = ({"blocks": table, "n": count}, {"blocks": objects, "n": count}) if nested else (table, objects)
+        chunks = list(cli._json_chunks(payload))
+        assert "".join(chunks) == json.dumps(expected, indent=2) + "\n"
+        assert max(chunk.count('"lambda": ') for chunk in chunks) == min(count, _CSV_CHUNK)
+
+    @pytest.mark.parametrize("field", ["lambda", "mu%"])
+    def test_a_non_finite_record_field_raises_and_leaves_no_file(self, tmp_path, field):
+        table = records(_CSV_CHUNK + 1)
+        (table[field] if field == "lambda" else table[field]["im"])[_CSV_CHUNK] = np.nan
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match=r"^JSON output holds only finite numbers, got nan$"):
+            cli._emit(cli._json_chunks({"blocks": table}), str(path))
+        assert not path.exists()
+
     @pytest.mark.parametrize("payload", [{1: 2}, [{"a": {None: 1}}], [np.int64(1)], {"a": object()}])
     def test_what_json_cannot_hold_is_a_type_error(self, payload):
         with pytest.raises(TypeError):
@@ -867,7 +951,7 @@ class TestJsonOutput:
         path = tmp_path / "out.json"
         assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
         assert len(payloads) == 2
-        texts = [json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n" for payload in payloads]
+        texts = [json.dumps(payload, indent=2, default=plain) + "\n" for payload in payloads]
         assert out == texts[0]
         assert path.read_bytes() == out.encode("utf-8") == texts[1].encode("utf-8")
 

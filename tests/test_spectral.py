@@ -1,18 +1,19 @@
-import tracemalloc
-
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saddlescape import spectral
+from saddlescape import cli, spectral
 from saddlescape import (
     ConditionError,
     QuadraticProblem,
     apply_iteration_map,
     block_eigenvalues,
+    block_roots,
     classify_saddle_map,
     invert_iteration_map,
     param_conditions,
@@ -129,6 +130,103 @@ class TestBlockEigenvalues:
         assert abs(pair.mu_hi * pair.mu_lo - beta) <= 4 * math.ulp(scale**2)
 
 
+def scalar_roots(lam, alpha, beta):
+    """``(mu_hi, mu_lo)`` by the one-block scalar formula, the reference of the array roots."""
+    lam, alpha, beta = float(lam), float(alpha), float(beta)
+    s = 1.0 + beta - alpha * lam
+    disc = (1.0 - beta) ** 2 + alpha * lam * (alpha * lam - 2.0 * (1.0 + beta))
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        plus = 0.5 * (s + root)
+        minus = 0.5 * (s - root)
+        if abs(plus) >= abs(minus):
+            return complex(plus), complex(minus)
+        return complex(minus), complex(plus)
+    imag = 0.5 * math.sqrt(-disc)
+    return complex(0.5 * s, imag), complex(0.5 * s, -imag)
+
+
+@st.composite
+def mixed_blocks(draw):
+    """``(lams, alpha, beta)`` with lambda = 0, complex pairs, near-zero discriminants and other values in one array."""
+    alpha = 10.0 ** draw(st.floats(-3, 2))
+    beta = draw(st.floats(0.0, 1.0, exclude_max=True))
+    # the discriminant vanishes at alpha*lambda = (1 -+ sqrt(beta))^2 and is negative between them
+    low, high = ((1.0 - sign * math.sqrt(beta)) ** 2 / alpha for sign in (1.0, -1.0))
+    lam = st.one_of(
+        st.just(0.0),
+        st.floats(-1e3, 1e3),
+        st.floats(low, high),
+        st.tuples(st.sampled_from([low, high]), st.floats(-1e-9, 1e-9)).map(lambda t: t[0] * (1.0 + t[1])),
+    )
+    return draw(st.lists(lam, min_size=1, max_size=20)), alpha, beta
+
+
+def bits(*values):
+    return [float(value).hex() for value in values]
+
+
+class TestBlockRoots:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mixed_blocks())
+    @example(([0.0, 0.5, (1.0 - 0.9) ** 2 / 2.0, (1.0 + 0.9) ** 2 / 2.0, -0.3, -0.0], 2.0, 0.81))
+    def test_array_roots_equal_the_scalar_formula_bit_for_bit(self, params):
+        lams, alpha, beta = params
+        blocks = block_roots(lams, alpha, beta)
+        assert blocks.dtype == spectral.BLOCK_DTYPE and blocks.shape == (len(lams),)
+        for lam, (got_lam, hi, lo, label) in zip(lams, blocks.tolist()):
+            want_hi, want_lo = scalar_roots(lam, alpha, beta)
+            assert bits(got_lam, *hi, *lo) == bits(lam, want_hi.real, want_hi.imag, want_lo.real, want_lo.imag)
+            assert label == ("stable" if lam > 0 else ("unit" if lam == 0 else "unstable"))
+            pair = block_eigenvalues(lam, alpha, beta)
+            assert bits(pair.mu_hi.real, pair.mu_hi.imag, pair.mu_lo.real, pair.mu_lo.imag) == bits(*hi, *lo)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.floats(-3, 3),
+        st.lists(st.tuples(st.floats(-6, 6), st.sampled_from([-1.0, 1.0])), min_size=1, max_size=20),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_vieta_relations_of_the_array_roots(self, log_alpha, scales, beta):
+        # test_vieta_relations on every row of one array: alpha*|lambda| spans 12 decades
+        alpha = 10.0**log_alpha
+        lams = [sign * 10.0**log_scale / alpha for log_scale, sign in scales]
+        for lam, (_, hi, lo, _) in zip(lams, block_roots(lams, alpha, beta).tolist()):
+            mu_hi, mu_lo = complex(*hi), complex(*lo)
+            total = 1.0 + beta - alpha * lam
+            scale = max(1.0, abs(mu_hi), abs(total))
+            assert abs(mu_hi + mu_lo - total) <= 4 * math.ulp(scale)
+            assert abs(mu_hi * mu_lo - beta) <= 4 * math.ulp(scale**2)
+
+    @pytest.mark.parametrize(
+        "lams, alpha, beta, message",
+        [
+            ([0.5, float("nan")], 0.5, 0.5, "lambda must be finite, got nan"),
+            ([-1e300, 0.5], 1e10, 0.5, "alpha*lambda = -inf is too large for finite roots"),
+            ([0.5, -1e300], 1e-10, 0.5, "alpha*lambda = -1e+290 is too large for finite roots"),
+            ([0.5], 0.0, 0.5, "alpha must be positive and finite, got 0.0"),
+            ([0.5], 0.5, 1.0, "beta must lie in [0, 1), got 1.0"),
+        ],
+    )
+    def test_errors_name_the_first_bad_value(self, lams, alpha, beta, message):
+        with pytest.raises(ValueError) as info:
+            block_roots(lams, alpha, beta)
+        assert str(info.value) == message
+
+    def test_classification_and_its_json_stay_small(self):
+        # One record per block, written from its columns: per-block objects took 4.94 MiB here.
+        prob = random_problem(5000, 50, 0.01, 0)
+        tracemalloc.start()
+        try:
+            payload = classify_saddle_map(prob, 1.0 / prob.lipschitz, 0.989).to_json_dict()
+            for _ in cli._json_chunks(payload):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+
 class TestParamConditions:
     def test_toy_parameters_pass(self):
         assert param_conditions(3.0, 0.985, 1.0) is None
@@ -219,7 +317,7 @@ class TestClassification:
                 assert 0.0 < pair.mu_lo.real < 1.0
 
     def test_json_report_shape(self):
-        data = classify_saddle_map(toy_problem(0.1), 0.5, 0.9).to_json_dict()
+        data = json.loads("".join(cli._json_chunks(classify_saddle_map(toy_problem(0.1), 0.5, 0.9).to_json_dict())))
         assert data["stable_dim"] == 3 and data["unstable_dim"] == 1
         assert [b["class"] for b in data["blocks"]] == ["stable", "unstable"]
         assert set(data["blocks"][0]) == {"lambda", "mu_hi", "mu_lo", "class"}
@@ -360,11 +458,11 @@ class TestUnstableEigenvectors:
     def test_rows_equal_dense_identity_construction(self, prob, monkeypatch):
         alpha, beta = 1.0 / prob.lipschitz, 0.95
         calls = []
-        monkeypatch.setattr(spectral, "block_eigenvalues", lambda *args: calls.append(args) or block_eigenvalues(*args))
+        monkeypatch.setattr(spectral, "block_roots", lambda *args: calls.append(args) or block_roots(*args))
         result = classify_saddle_map(prob, alpha, beta)
         vectors = result.unstable_eigenvectors
-        # the rows are derived from the blocks: no block's roots are solved twice
-        assert len(calls) == prob.n
+        # the rows are derived from the blocks: each block's roots are solved once, in one call over all of them
+        assert len(calls) == 1 and np.array_equal(calls[0][0], prob.eigenvalues)
         negative = np.flatnonzero(prob.eigenvalues < 0)
         assert (result.unstable_dim, result.stable_dim) == (negative.size, 2 * prob.n - negative.size)
         expected = [
