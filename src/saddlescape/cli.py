@@ -242,8 +242,13 @@ def _cmd_spectrum(args) -> int:
         if alpha is None:
             alpha = 1.0 / problem.lipschitz
         payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
+    blocks = payload["blocks"]
+    # only lambda = 0 has a root of magnitude 1: another block whose root rounds to 1 has a class its roots contradict
+    if (unit := (blocks["lambda"] != 0) & (np.hypot(blocks["mu_hi"]["re"], blocks["mu_hi"]["im"]) == 1.0)).any():
+        raise ValueError(f"the block of lambda = {float(blocks['lambda'][unit][0])!r} has a root that rounds to "
+                         f"magnitude 1 (alpha = {alpha!r}, beta = {args.beta!r}): its class is not resolved")
     _echo_config(args, format=fmt, alpha=alpha, seed=seed)
-    _emit(_json_chunks(payload) if fmt == "json" else blocks_csv(payload["blocks"]), args.out)
+    _emit(_json_chunks(payload) if fmt == "json" else blocks_csv(blocks), args.out)
     return 0
 
 
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy = sub.add_parser("toy", help="trace both methods on the 2-D toy saddle")
     toy.add_argument("--delta", type=float, default=0.02, help="negative curvature magnitude")
     toy.add_argument("--alpha", type=float, default=0.75, help="step size")
-    toy.add_argument("--beta", type=float, default=0.985, help="heavy-ball momentum")
+    toy.add_argument("--beta", type=float, default=0.985, help="heavy-ball momentum, in [0, 1)")
     toy.add_argument("--x0", type=_parse_point, default=np.array([0.25, 0.01]),
                      help="starting point as 'X1,X2'")
     toy.add_argument("--iters", type=int, default=500,
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--lambda", type=float, default=None,
                           help="single Hessian eigenvalue; a positive one needs alpha*lambda < 2*(1 + beta)")
     spectrum.add_argument("--alpha", type=float, default=None, help="step size")
-    spectrum.add_argument("--beta", type=float, default=None, help="momentum")
+    spectrum.add_argument("--beta", type=float, default=None, help="momentum, in [0, 1)")
     spectrum.add_argument("--n", type=int, default=None, help="problem dimension (problem mode)")
     spectrum.add_argument("--p", type=int, default=None, help="negative eigenvalue count")
     spectrum.add_argument("--delta", type=float, default=None, help="negative eigenvalue scale")
@@ -363,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--alpha", type=float, required=True, help="step size")
     rates.add_argument("--gamma", type=float, default=0.0,
                        help="slack term for the toy schedule (nonnegative and finite)")
-    rates.add_argument("--schedule", default="nesterov", help=_SCHEDULE_SPECS)
+    rates.add_argument("--schedule", default="nesterov",
+                       help=f"{_SCHEDULE_SPECS}; constant:B,G allows B = 1")
     rates.add_argument("--iters", type=int, default=10000,
                        help=f"recurrence length, from 1 to {MAX_STEPS} (10^9)")
     rates.add_argument("--projection", type=float, default=1e-2,

@@ -38,7 +38,7 @@ from .optimizers import (
     run_heavy_ball,
 )
 from .problems import _delta, _positive, random_problem, rng_from, sample_unit_ball, toy_problem
-from .rates import _series_rows, first_crossings, rate_limit
+from .rates import _csv_rows, _series_rows, first_crossings, rate_limit
 from .schedules import ConstantSchedule, MomentumSchedule, NesterovSchedule
 
 __all__ = [
@@ -56,16 +56,6 @@ __all__ = [
 TABLE_METHODS = ("steepest_descent", "accelerated_gradient", "rate_predictor")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def _csv_line(fields) -> str:
-    # Fields are names, numbers and empty cells of rows with several cells,
-    # which csv.writer would write unquoted too.
-    return ",".join(map(str, fields)) + "\n"
-
-
 @dataclass(frozen=True)
 class ToyFigure:
     """Thinned (x1, x2) trajectories of both methods on the toy saddle."""
@@ -78,7 +68,7 @@ class ToyFigure:
 
     def to_csv(self) -> Iterator[str]:
         """CSV rows ``method,iter,x1,x2``, yielded by :func:`_series_rows` as text chunks of many rows."""
-        yield _csv_line(["method", "iter", "x1", "x2"])
+        yield "method,iter,x1,x2\n"
         for name, block in (("steepest_descent", self.descent), ("heavy_ball", self.heavy_ball)):
             yield from _series_rows(name + ",", range(0, len(block) * self.thin, self.thin), block.T)
 
@@ -153,8 +143,8 @@ class NegspaceSeries:
 
         A series that stopped early leaves its cells empty.
         """
-        names, series = zip(*self._blocks())
-        yield _csv_line(["iter", *names])
+        series = [block for _, block in self._blocks()]
+        yield "iter,steepest_descent,heavy_ball,accelerated,predicted\n"
         yield from _series_rows("", range(max(block.size for block in series)), series)
 
     def to_json_dict(self) -> dict:
@@ -285,29 +275,25 @@ class TableResult:
                 return row
         raise KeyError(f"no table row for n={n}, delta={delta}, method={method}")
 
+    def _cells(self) -> list[tuple[int, float, list[TableRow]]]:
+        """Each cell's ``(n, delta)`` in sorted order, with its rows in ``TABLE_METHODS`` order."""
+        keys = sorted({(row.n, row.delta) for row in self.rows})
+        return [(n, delta, [self.row(n, delta, m) for m in TABLE_METHODS]) for n, delta in keys]
+
     def to_csv(self) -> Iterator[str]:
-        """CSV rows of every trial, then each cell's average and max rows, one text chunk per row."""
-        yield _csv_line(["n", "delta", "row_type", "trial_or_method", *TABLE_METHODS])
-        for rec in self.trials:
-            counts = (rec.steepest_descent, rec.accelerated_gradient, rec.rate_predictor)
-            yield _csv_line([rec.n, _fmt(rec.delta), "trial", rec.trial, *counts])
-        for n, delta in sorted({(row.n, row.delta) for row in self.rows}):
-            by_method = [self.row(n, delta, m) for m in TABLE_METHODS]
-            yield _csv_line([n, _fmt(delta), "average", "", *(_fmt(r.avg_iters) for r in by_method)])
-            yield _csv_line([n, _fmt(delta), "max", "", *(r.max_iters for r in by_method)])
+        """CSV rows of every trial, then each cell's average and max rows; ``%s`` writes a count as ``str`` does."""
+        yield "n,delta,row_type,trial_or_method,steepest_descent,accelerated_gradient,rate_predictor\n"
+        columns = [[getattr(r, name) for r in self.trials] for name in ("n", "delta", "trial", *TABLE_METHODS)]
+        yield from _csv_rows("%s,%.12g,trial,%s,%s,%s,%s\n", columns)
+        if cells := [(n, delta, *(r.avg_iters for r in rows), n, delta, *(r.max_iters for r in rows))
+                     for n, delta, rows in self._cells()]:  # a table of no cells has no columns to transpose
+            yield from _csv_rows("%s,%.12g,average,,%.12g,%.12g,%.12g\n%s,%.12g,max,,%s,%s,%s\n", list(zip(*cells)))
 
     def to_json_dict(self) -> dict:
         cells = []
-        for n, delta in sorted({(row.n, row.delta) for row in self.rows}):
-            methods = {}
-            for method in TABLE_METHODS:
-                row = self.row(n, delta, method)
-                methods[method] = {
-                    "avg_iters": row.avg_iters,
-                    "max_iters": row.max_iters,
-                    "censored": row.censored,
-                }
-            cells.append({"n": n, "delta": delta, "methods": methods})
+        for n, delta, rows in self._cells():
+            summary = ({"avg_iters": r.avg_iters, "max_iters": r.max_iters, "censored": r.censored} for r in rows)
+            cells.append({"n": n, "delta": delta, "methods": dict(zip(TABLE_METHODS, summary))})
         return {
             "seed": self.seed,
             "trials": self.trials_per_cell,

@@ -143,27 +143,33 @@ _CSV_CHUNK = 2048
 _MAX_COUNT = 2**63 - 2  # the bisection's upper bound: its gap to -1 still fits an int64
 
 
+def _csv_rows(template: str, columns) -> Iterator[str]:
+    """``template % row`` for each row of ``columns`` (sequences of one length), ``_CSV_CHUNK`` rows at most to a chunk.
+
+    Every CSV row but :func:`_fixed_rows`' is written here: one chunk of each column (an array's through ``tolist()``)
+    is interleaved into a cell list, which fills ``template * rows`` with one ``%`` operation.
+    """
+    width, count = len(columns), len(columns[0])
+    for lo in range(0, count, _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, count)
+        cells = [None] * ((hi - lo) * width)
+        for i, column in enumerate(columns):
+            cells[i::width] = column[lo:hi].tolist() if isinstance(column, np.ndarray) else column[lo:hi]
+        yield (template * (hi - lo)) % tuple(cells)
+
+
 def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
-    """CSV rows ``<lead><iters[k]>,<columns[0][k]>,...``, yielded in chunks of at most ``_CSV_CHUNK`` rows.
+    """CSV rows ``<lead><iters[k]>,<columns[0][k]>,...``, yielded by :func:`_csv_rows`.
 
     ``lead`` holds no ``%``.  A column shorter than ``iters`` leaves its cells
-    empty from its end on.  Each run of rows with the same filled columns is
-    formatted with one ``%`` operation per chunk; ``%.12g`` formats a float as
-    ``f"{value:.12g}"`` does.
+    empty from its end on, so each run of rows with the same filled columns
+    has its own template; ``%.12g`` formats a float as ``f"{value:.12g}"`` does.
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
     start = 0
     for end in sorted({len(iters), *(c.size for c in columns if c.size < len(iters))}):
-        live = [c for c in columns if c.size >= end]
         row = lead + "%d" + "".join(",%.12g" if c.size >= end else "," for c in columns) + "\n"
-        width = 1 + len(live)
-        for lo in range(start, end, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, end)
-            cells = [None] * ((hi - lo) * width)
-            cells[0::width] = iters[lo:hi]
-            for i, column in enumerate(live, 1):
-                cells[i::width] = column[lo:hi].tolist()
-            yield (row * (hi - lo)) % tuple(cells)
+        yield from _csv_rows(row, [iters[start:end], *(c[start:end] for c in columns if c.size >= end)])
         start = end
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import QuadraticProblem, _positive
-from .rates import _CSV_CHUNK
+from .rates import _csv_rows
 
 __all__ = [
     "ConditionError",
@@ -38,7 +38,6 @@ __all__ = [
     "classify_saddle_map",
     "apply_iteration_map",
     "invert_iteration_map",
-    "unstable_eigenvector",
 ]
 
 
@@ -57,8 +56,7 @@ class EigenPair:
     """Eigenvalues of one 2x2 block of the linearized iteration map: one record of :func:`block_roots`.
 
     The roots always satisfy ``mu_hi + mu_lo = 1 + beta - alpha*lambda`` and
-    ``mu_hi * mu_lo = beta``.  ``label`` classifies the block by the sign of
-    ``lambda``: ``stable``, ``unit`` or ``unstable``.
+    ``mu_hi * mu_lo = beta``.
     """
 
     mu_hi: complex
@@ -69,18 +67,13 @@ class EigenPair:
     def is_real(self) -> bool:
         return self.mu_hi.imag == 0.0  # a complex pair's imaginary part, 0.5*sqrt(-disc), is positive
 
-    @property
-    def label(self) -> str:
-        return "stable" if self.lam > 0 else ("unit" if self.lam == 0 else "unstable")
-
 
 def blocks_csv(blocks: np.ndarray) -> Iterator[str]:
-    """CSV text of ``BLOCK_DTYPE`` records, one row per block, each chunk of rows filled by one ``%``."""
+    """CSV text of ``BLOCK_DTYPE`` records, one row per block, written from their columns by :func:`_csv_rows`."""
     yield "lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n"
-    for start in range(0, len(blocks), _CSV_CHUNK):
-        rows = blocks[start : start + _CSV_CHUNK].tolist()
-        cells = [value for lam, hi, lo, label in rows for value in (lam, *hi, *lo, label)]
-        yield ("%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" * len(rows)) % tuple(cells)
+    hi, lo = blocks["mu_hi"], blocks["mu_lo"]
+    columns = [blocks["lambda"], hi["re"], hi["im"], lo["re"], lo["im"], blocks["class"]]
+    yield from _csv_rows("%.12g,%.12g,%.12g,%.12g,%.12g,%s\n", columns)
 
 
 def block_roots(lams, alpha: float, beta: float) -> np.ndarray:
@@ -224,15 +217,3 @@ def invert_iteration_map(
     second = (y2 - y1 - alpha * problem.gradient(y2)) / beta + y2
     return y2.copy(), second
 
-
-def unstable_eigenvector(lam: float, alpha: float, beta: float, v: np.ndarray) -> np.ndarray:
-    """Eigenvector ``(v, v / mu_hi)`` of the linearized map for ``lambda < 0``.
-
-    ``v`` must be the (unit) Hessian eigenvector for ``lambda``; the returned
-    2n-vector is repelled from the fixed point at rate ``mu_hi > 1``.
-    """
-    if lam >= 0:
-        raise ValueError(f"lambda must be negative, got {lam!r}")
-    v = np.asarray(v, dtype=float)
-    mu_hi = block_eigenvalues(lam, alpha, beta).mu_hi.real
-    return np.concatenate([v, v / mu_hi])

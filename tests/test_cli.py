@@ -21,7 +21,8 @@ from saddlescape import (
     NesterovSchedule,
     PerturbedStart,
     RateSequence,
-    block_eigenvalues,
+    SpectrumClassification,
+    block_roots,
     classify_saddle_map,
     cli,
     divergence_table,
@@ -205,12 +206,12 @@ class TestSpectrumCommand:
         assert code == 0
         if argv[0] == "--n":
             prob = random_problem(4200, 7, 0.01, 3)
-            pairs = classify_saddle_map(prob, 1.0 / prob.lipschitz, 0.9).pairs
+            result = classify_saddle_map(prob, 1.0 / prob.lipschitz, 0.9)
         else:
-            pairs = [block_eigenvalues(float(argv[0].partition("=")[2]), 3.0, 0.94)]
+            result = SpectrumClassification(block_roots([float(argv[0].partition("=")[2])], 3.0, 0.94))
         rows = [
-            f"{p.lam:.12g},{p.mu_hi.real:.12g},{p.mu_hi.imag:.12g},{p.mu_lo.real:.12g},{p.mu_lo.imag:.12g},{p.label}\n"
-            for p in pairs
+            f"{p.lam:.12g},{p.mu_hi.real:.12g},{p.mu_hi.imag:.12g},{p.mu_lo.real:.12g},{p.mu_lo.imag:.12g},{label}\n"
+            for p, label in zip(result.pairs, result.blocks["class"])
         ]
         assert out == "lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n" + "".join(rows)
 
@@ -769,6 +770,51 @@ class TestOutOfDomainInput:
     def test_the_spectrum_help_states_the_contracting_condition(self, capsys):
         assert cli.main(["spectrum", "--help"]) == 0
         assert "a positive one needs alpha*lambda < 2*(1 + beta)" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, lam",
+        [
+            # the unstable root 1 + ~alpha*|lambda| rounds to 1: the row read "-1e-17,1,0,0.5,0,unstable"
+            (["--lambda=-1e-17", "--alpha", "1", "--beta", "0.5"], "-1e-17"),
+            # unstable_dim 2 with both mu_hi exactly 1
+            (["--n", "10", "--p", "2", "--delta", "1e-300", "--beta", "0.5"], "-1.9441584024424346e-300"),
+            # a positive block labelled stable with mu_hi exactly 1
+            (["--lambda=1", "--alpha", "1e-320", "--beta", "0.5"], "1.0"),
+            (["--n", "10", "--p", "2", "--delta", "0.01", "--beta", "0.5", "--alpha", "1e-320"], "0.9791345000654033"),
+            # a complex pair, whose magnitude sqrt(beta) rounds to 1 for the largest beta below 1
+            (["--lambda=1", "--alpha", "1", "--beta", "0.9999999999999999"], "1.0"),
+        ],
+    )
+    def test_a_nonzero_lambda_with_a_root_of_magnitude_one_is_rejected(self, capsys, argv, lam, fmt):
+        code, out, err = run_cli(capsys, "spectrum", *argv, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith(f"saddlescape: error: the block of lambda = {lam} has a root that rounds to magnitude 1")
+        assert err.count("\n") == 1
+
+    def test_lambda_zero_keeps_its_unit_root(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--lambda=0", "--alpha", "1", "--beta", "0.5", "--format", "csv")
+        assert (code, out) == (0, "lambda,mu_hi_re,mu_hi_im,mu_lo_re,mu_lo_im,class\n0,1,0,0.5,0,unit\n")
+
+    def test_a_rates_schedule_takes_momentum_one(self, capsys):
+        argv = ["rates", "--lambda=-0.01", "--alpha", "0.5", "--schedule", "constant:1,0", "--format", "csv"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("iter,b\n0,0\n1,0.005\n") and out.count("\n") == 10002
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--lambda=0", "--alpha", "1", "--beta", "1"],
+                                      ["toy", "--beta", "1"]])
+    def test_heavy_ball_momentum_one_is_rejected(self, capsys, argv):
+        # at lambda = 0 the block's roots {1, beta} would be a double root 1
+        assert run_cli(capsys, *argv) == (1, "", "saddlescape: error: beta must lie in [0, 1), got 1.0\n")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("spectrum", "--beta BETA momentum, in [0, 1)"), ("toy", "--beta BETA heavy-ball momentum, in [0, 1)"),
+         ("rates", "constant:B,G allows B = 1")],
+    )
+    def test_the_help_states_the_momentum_domain(self, capsys, command, text):
+        assert cli.main([command, "--help"]) == 0
+        assert text in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_non_finite_json_exits_one_after_the_echo(self, capsys, tmp_path, to_file):

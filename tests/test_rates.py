@@ -28,7 +28,7 @@ from saddlescape import (
     run_accelerated,
     sample_unit_ball,
 )
-from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS, _fixed_rows, _series_rows, _spare_cpu
+from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS, _csv_rows, _fixed_rows, _series_rows, _spare_cpu
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
 REJECTED_CURVATURES = [
@@ -327,6 +327,43 @@ class TestFixedRows:
         values = rate_sequence(-0.004, 0.99, NesterovSchedule(), 30 * _CSV_CHUNK).values[-_CSV_CHUNK:]
         start = 29 * _CSV_CHUNK + 1
         assert _fixed_rows(start, values) == series_text(start, values)
+
+
+# Each kind of column: its conversion and a strategy for a pool of its values, cycled to the column's length
+CSV_COLUMNS = {
+    "float": ("%.12g", st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, -1.7e308])),
+                                min_size=1, max_size=8)),
+    "int": ("%d", st.lists(st.one_of(st.integers(-(10**25), 10**25), st.just(10**23)), min_size=1, max_size=8)),
+    "str": ("%s", st.lists(st.text(st.characters(exclude_characters="\n"), max_size=6), min_size=1, max_size=8)),
+    "range": ("%d", st.builds(lambda start, step: [start, step], st.integers(0, 10**12), st.integers(1, 7))),
+}
+
+
+class TestCsvRows:
+    """``_csv_rows`` writes the text of ``template % row`` row by row, ``_CSV_CHUNK`` rows at most to a chunk."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([0, 1, 2047, 2048, 2049, 4097]),
+        st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=4).flatmap(
+            lambda kinds: st.tuples(st.just(kinds), st.tuples(*(CSV_COLUMNS[kind][1] for kind in kinds)))
+        ),
+        st.sampled_from(["", "lead,"]),
+    )
+    def test_chunks_are_the_per_row_text(self, rows, drawn, lead):
+        kinds, pools = drawn
+        columns = []
+        for kind, pool in zip(kinds, pools):
+            if kind == "range":
+                columns.append(range(pool[0], pool[0] + rows * pool[1], pool[1]))
+            else:
+                cycled = [pool[i % len(pool)] for i in range(rows)]
+                columns.append(np.array(cycled, dtype=float) if kind == "float" else cycled)
+        template = lead + ",".join(CSV_COLUMNS[kind][0] for kind in kinds) + "\n"
+        chunks = list(_csv_rows(template, columns))
+        assert "".join(chunks) == "".join(template % row for row in zip(*columns))
+        sizes = [min(_CSV_CHUNK, rows - lo) for lo in range(0, rows, _CSV_CHUNK)]
+        assert [chunk.count("\n") for chunk in chunks] == sizes
 
 
 class TestProductReconstruction:

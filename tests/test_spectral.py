@@ -22,7 +22,6 @@ from saddlescape import (
     rate_limit,
     rng_from,
     toy_problem,
-    unstable_eigenvector,
 )
 
 
@@ -263,7 +262,7 @@ class TestClassification:
         result = classify_saddle_map(toy_problem(0.02), 0.75, 0.985)
         assert result.stable_dim == 3
         assert result.unstable_dim == 1
-        assert tuple(pair.label for pair in result.pairs) == ("stable", "unstable")
+        assert result.blocks["class"].tolist() == ["stable", "unstable"]
 
     def test_positive_spectrum_is_contracting(self):
         alpha, beta = polyak_params(0.25, 1.0)
@@ -288,7 +287,7 @@ class TestClassification:
     def test_zero_eigenvalue_block_is_unit(self):
         prob = QuadraticProblem(np.array([1.0, 0.0, -0.5]))
         result = classify_saddle_map(prob, 0.5, 0.9)
-        assert tuple(pair.label for pair in result.pairs) == ("stable", "unit", "unstable")
+        assert result.blocks["class"].tolist() == ["stable", "unit", "unstable"]
         mags = sorted([abs(result.pairs[1].mu_hi), abs(result.pairs[1].mu_lo)])
         assert mags == pytest.approx([0.9, 1.0], abs=1e-12)
 
@@ -414,8 +413,9 @@ class TestUnstableEigenvectors:
     def test_residual_on_toy(self):
         delta, alpha, beta = 0.02, 0.75, 0.985
         prob = toy_problem(delta)
-        w = unstable_eigenvector(-delta, alpha, beta, np.array([0.0, 1.0]))
+        (w,) = classify_saddle_map(prob, alpha, beta).unstable_eigenvectors
         pair = block_eigenvalues(-delta, alpha, beta)
+        assert np.array_equal(w, [0.0, 1.0, 0.0, 1.0 / pair.mu_hi.real])
         image = self.apply_linear_map(prob, alpha, beta, w)
         assert np.linalg.norm(image - pair.mu_hi.real * w) <= 1e-10 * np.linalg.norm(w)
 
@@ -425,15 +425,6 @@ class TestUnstableEigenvectors:
         vectors = result.unstable_eigenvectors
         assert vectors.shape == (2, 6)
         assert abs(vectors[0] @ vectors[1]) == 0.0
-
-    def test_linearity_in_v(self):
-        w_plus = unstable_eigenvector(-0.2, 0.5, 0.9, np.array([0.0, 1.0]))
-        w_minus = unstable_eigenvector(-0.2, 0.5, 0.9, np.array([0.0, -1.0]))
-        assert np.array_equal(w_minus, -w_plus)
-
-    def test_lambda_domain(self):
-        with pytest.raises(ValueError):
-            unstable_eigenvector(0.1, 0.5, 0.9, np.array([1.0]))
 
     def test_rotated_problem_residuals(self):
         prob = random_problem(10, 3, 0.1, seed=12).rotated(seed=9)
@@ -465,12 +456,11 @@ class TestUnstableEigenvectors:
         assert len(calls) == 1 and np.array_equal(calls[0][0], prob.eigenvalues)
         negative = np.flatnonzero(prob.eigenvalues < 0)
         assert (result.unstable_dim, result.stable_dim) == (negative.size, 2 * prob.n - negative.size)
-        expected = [
-            unstable_eigenvector(
-                prob.eigenvalues[i], alpha, beta, np.eye(prob.n)[i] if prob.basis is None else prob.basis[:, i]
-            )
-            for i in negative
-        ]
+        expected = []
+        for i in negative:  # (v, v / mu_hi), with v the eigenvector and mu_hi the block's own root
+            v = np.eye(prob.n)[i] if prob.basis is None else prob.basis[:, i]
+            mu_hi = block_roots([prob.eigenvalues[i]], alpha, beta)["mu_hi"]["re"][0]
+            expected.append(np.concatenate([v, v / mu_hi]))
         assert np.array_equal(vectors, np.reshape(expected, (negative.size, 2 * prob.n)))
         for z, i in zip(vectors, negative):
             mu_hi = result.pairs[i].mu_hi.real
