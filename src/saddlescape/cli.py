@@ -100,15 +100,14 @@ def _emit_result(result, fmt: str, out: str | None) -> None:
 
 
 def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
-    """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CSV_CHUNK`` list items.
+    """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CSV_CHUNK`` array items.
 
-    Dicts and lists are written piece by piece, and a float ``ndarray`` as a
-    list, each chunk of it through its ``tolist()``; a structured one is a list
-    of objects with one template, its scalars walked one field at a time.
-    Each list item is walked once by :func:`_shape`, which collects its scalars,
-    and is formatted by its shape's ``%`` template from :func:`_template`, kept
-    for the list; a chunk's items are filled with one ``%`` operation.  A key
-    that is not a string raises ``TypeError``, and a non-finite float ``ValueError``.
+    A dict is written key by key.  A non-empty ``ndarray`` is written as its
+    ``tolist()``, its items filled into one ``%`` template from the columns
+    :func:`_columns` splits it into, one chunk of items at a time.  Anything
+    else is written at once, through the template of its :func:`_shape`.  A
+    key that is not a string raises ``TypeError``, and a non-finite float
+    ``ValueError``.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -118,9 +117,9 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
             yield from _json_chunks(item, inner, "")
             head = ",\n"
         yield "\n" + indent + "}" + end
-    elif isinstance(value, np.ndarray) and value.dtype.names is not None and len(value):
+    elif isinstance(value, np.ndarray) and len(value):
         columns, sep = [], ",\n" + inner
-        template = _template(_record_shape(value, columns), inner)
+        template = _template(_columns(value, columns), inner)
         for lo in range(0, len(value), _CSV_CHUNK):
             rows = min(_CSV_CHUNK, len(value) - lo)
             leaves = [None] * (rows * len(columns))
@@ -128,19 +127,6 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
                 _shape(column[lo : lo + rows].tolist(), cells := [])
                 leaves[i :: len(columns)] = cells
             yield (("[\n" + inner if lo == 0 else sep) + sep.join([template] * rows)) % tuple(leaves)
-        yield "\n" + indent + "]" + end
-    elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
-        templates, sep = {}, ",\n" + inner
-        for lo in range(0, len(value), _CSV_CHUNK):
-            leaves, parts = [], []
-            items = value[lo : lo + _CSV_CHUNK]
-            for item in items.tolist() if isinstance(items, np.ndarray) else items:
-                shape = _shape(item, leaves)
-                template = templates.get(shape)
-                if template is None:
-                    template = templates[shape] = _template(shape, inner)
-                parts.append(template)
-            yield (("[\n" + inner if lo == 0 else sep) + sep.join(parts)) % tuple(leaves)
         yield "\n" + indent + "]" + end
     else:
         leaves = []
@@ -177,16 +163,20 @@ def _shape(value, leaves: list):
     return "%s"
 
 
-def _record_shape(records: np.ndarray, columns: list) -> tuple:
-    """The :func:`_shape` of each of ``records``; the fields that hold its scalars are appended to ``columns``."""
-    shape = ["{"]
-    for name in records.dtype.names:
-        if records[name].dtype.names is not None:
-            shape += name, _record_shape(records[name], columns)
-        else:
-            shape += name, "%s"
-            columns.append(records[name])
-    return tuple(shape)
+def _columns(array: np.ndarray, columns: list):
+    """The :func:`_shape` of each item of ``array``; the 1-D arrays that hold its scalars are appended to ``columns``.
+
+    A structured array is split by field, and a plain one along its second axis, until each part is 1-D.
+    """
+    if array.dtype.names is not None:
+        shape = ["{"]
+        for name in array.dtype.names:
+            shape += name, _columns(array[name], columns)
+        return tuple(shape)
+    if array.ndim > 1:
+        return ("[", *[_columns(array[:, i], columns) for i in range(array.shape[1])])
+    columns.append(array)
+    return "%s"
 
 
 def _template(shape, indent: str) -> str:

@@ -96,7 +96,8 @@ def toy_figure(
     Both methods share the start, which is also the heavy-ball predecessor;
     every ``thin``-th iterate is kept.  Escape is the first step whose
     ``|x2|`` reaches ``threshold``, a positive finite number, as
-    :func:`escape_time` counts it on the negative projector.
+    :func:`escape_time` counts it on the negative projector.  A run whose
+    last iterate overflows raises ``ValueError`` naming the run and its step.
     """
     if thin < 1:
         raise ValueError("thin must be at least 1")
@@ -109,6 +110,9 @@ def toy_figure(
     # heavy ball runs first: it checks beta, and every other input is checked before either run
     heavy_ball = run_heavy_ball(problem, alpha, beta, start, iterations=iterations)
     descent = run_gradient_descent(problem, alpha, start, iterations)
+    for name, run in (("steepest_descent", descent), ("heavy_ball", heavy_ball)):
+        if not np.isfinite(run.final).all():  # a run stops at its first non-finite iterate
+            raise ValueError(f"the {name} run overflows at step {run.steps}, to x = {run.final.tolist()}")
     escapes = (escape_time(run, problem.negative_projector(), threshold) for run in (descent, heavy_ball))
     # a thinned slice is copied so that the whole runs can be freed; unthinned, the runs' arrays are kept
     kept = [run.points if thin == 1 else run.points[::thin].copy() for run in (descent, heavy_ball)]
@@ -277,8 +281,9 @@ class TableResult:
 
     def _cells(self) -> list[tuple[int, float, list[TableRow]]]:
         """Each cell's ``(n, delta)`` in sorted order, with its rows in ``TABLE_METHODS`` order."""
+        rows = {(row.n, row.delta, row.method): row for row in self.rows}
         keys = sorted({(row.n, row.delta) for row in self.rows})
-        return [(n, delta, [self.row(n, delta, m) for m in TABLE_METHODS]) for n, delta in keys]
+        return [(n, delta, [rows[n, delta, m] for m in TABLE_METHODS]) for n, delta in keys]
 
     def to_csv(self) -> Iterator[str]:
         """CSV rows of every trial, then each cell's average and max rows; ``%s`` writes a count as ``str`` does."""

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from saddlescape import (
     SCHEDULE_KINDS,
@@ -130,6 +131,15 @@ class TestToyCommand:
         # a run of 10**14 steps fails the stored trace's bound unless every other input is checked first
         code, _, err = run_cli(capsys, "toy", "--iters", "100000000000000", *argv)
         assert code == 1 and message in err
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_an_overflowing_step_exits_one_before_the_echo(self, capsys, tmp_path, fmt, to_file):
+        path = tmp_path / "fig.txt"
+        argv = ["toy", "--alpha", "1e308", "--x0", "1e99,0", "--iters", "3", *fmt]
+        code, out, err = run_cli(capsys, *argv, *(["--out", str(path)] if to_file else []))
+        assert code == 1 and out == "" and not path.exists()
+        assert err == "saddlescape: error: the steepest_descent run overflows at step 1, to x = [-inf, 0.0]\n"
 
 
 class TestSpectrumCommand:
@@ -890,6 +900,25 @@ def records(count):
     return table
 
 
+# elements of each dtype of a plain array, and shapes with zero-length axes and more rows than one chunk
+ARRAY_ELEMENTS = {
+    "float64": json_floats,
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+    "<U4": st.text(st.one_of(st.sampled_from('%"\\'), st.characters(exclude_characters="\x00")), max_size=4),
+}
+ARRAY_SHAPES = st.one_of(
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    st.sampled_from([(0,), (3, 0), (0, 2), (_CSV_CHUNK + 1,), (2 * _CSV_CHUNK + 1, 2), (_CSV_CHUNK + 3, 0, 2)]),
+)
+
+
+def plain_arrays(dtypes=tuple(ARRAY_ELEMENTS)):
+    return st.sampled_from(dtypes).flatmap(
+        lambda dtype: hnp.arrays(dtype, ARRAY_SHAPES, elements=ARRAY_ELEMENTS[dtype], fill=ARRAY_ELEMENTS[dtype])
+    )
+
+
 # More items than one chunk, and many shapes in one list
 LONG_LIST = [{"i": i, "mu": {"re": i / 7, "im": -0.0}} for i in range(2 * _CSV_CHUNK + 1)]
 MANY_SHAPES = [{f"k{i}%": [i] * (i % 3), "x": [None, 1.5]} for i in range(192)]
@@ -916,11 +945,6 @@ class TestJsonChunks:
         with pytest.raises(ValueError, match="JSON output holds only finite numbers"):
             "".join(cli._json_chunks(payload))
 
-    def test_a_long_list_is_written_in_chunks_of_items(self):
-        chunks = list(cli._json_chunks({"blocks": LONG_LIST}))
-        # the key, three chunks of at most _CSV_CHUNK items, and each closing bracket
-        assert [chunk.count('"i": ') for chunk in chunks] == [0, _CSV_CHUNK, _CSV_CHUNK, 1, 0, 0]
-
     @pytest.mark.parametrize("shape", [(0,), (0, 2), (1,), (2 * _CSV_CHUNK + 1,), (_CSV_CHUNK + 3, 2)])
     def test_a_float_array_is_written_as_its_list(self, shape):
         rng = np.random.default_rng(0)
@@ -929,6 +953,22 @@ class TestJsonChunks:
         assert "".join(chunks) == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
         # the key, each chunk of at most _CSV_CHUNK items and the closing bracket (or one "[]"), then "n" and "}"
         assert len(chunks) == 5 + -(-shape[0] // _CSV_CHUNK)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(plain_arrays())
+    def test_a_plain_array_is_written_as_its_list_at_top_level_and_in_a_dict(self, array):
+        for payload, expected in ((array, array.tolist()), ({"a": array, "n": 1}, {"a": array.tolist(), "n": 1})):
+            # compared as lines: a mismatch then names its first line, where a diff of the whole text takes minutes
+            text = "".join(cli._json_chunks(payload))
+            assert text.split("\n") == (json.dumps(expected, indent=2) + "\n").split("\n")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(plain_arrays(["float64"]).filter(np.size), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_a_non_finite_float_anywhere_in_an_array_raises(self, array, bad, data):
+        array.flat[data.draw(st.integers(0, array.size - 1))] = bad
+        for payload in (array, {"a": array}):
+            with pytest.raises(ValueError, match=f"^JSON output holds only finite numbers, got {bad!r}$"):
+                "".join(cli._json_chunks(payload))
 
     def test_a_non_finite_array_value_raises(self):
         with pytest.raises(ValueError, match="JSON output holds only finite numbers, got inf"):
@@ -1163,6 +1203,8 @@ class TestCliContractProperty:
     @settings(max_examples=500, deadline=5000, derandomize=True)
     @given(contract_argv())
     @example(["simulate", "--delta=0.5", "--json"])  # its predicted series passes the float range
+    @example(["toy", "--alpha=1e308", "--x0=1e99,0", "--iters=3"])  # a step overflows
+    @example(["toy", "--alpha=1e308", "--x0=1e99,0", "--iters=3", "--json"])
     def test_exit_code_error_line_and_json(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
@@ -1175,6 +1217,9 @@ class TestCliContractProperty:
         assert code != 1 or out.getvalue() == ""
         echoes = [json.loads(line.partition(" config: ")[2], parse_constant=_no_constant)
                   for line in lines if " config: " in line]
-        # Only JSON is checked for finite numbers: a CSV cell may still be inf at exit 0 (ROADMAP item 2)
         if code != 1 and echoes[0].get("format", "json") == "json":  # verify-tk writes only JSON
             json.loads(out.getvalue(), parse_constant=_no_constant)
+        # Only simulate's predicted column may still hold an inf cell at exit 0 (ROADMAP item 3)
+        elif code == 0 and argv[0] != "simulate":
+            cells = out.getvalue().replace("\n", ",").split(",")
+            assert not {"inf", "-inf", "nan"} & set(cells), argv

@@ -120,6 +120,12 @@ class TestToyFigure:
         with pytest.raises(ValueError):
             toy_figure(**args)
 
+    @pytest.mark.parametrize("thin", [1, 2])
+    def test_a_run_whose_last_iterate_overflows_is_rejected(self, thin):
+        # the run stops at its overflowed step, which a thinned figure would not even keep
+        with pytest.raises(ValueError, match=r"^the steepest_descent run overflows at step 1, to x = \[-inf, 0\.0\]$"):
+            toy_figure(0.02, 1e308, 0.5, [1e99, 0.0], 3, thin)
+
 
 class TestNegspaceExperiment:
     def test_method_ordering_at_matched_step(self):

@@ -1,4 +1,4 @@
-"""The CSV bytes of every command at fixed argv, pinned by their sha256.
+"""The CSV and JSON bytes of every command at fixed argv, pinned by their sha256.
 
 Every CSV row is written by ``rates._csv_rows`` or, on the ``rates`` fast
 path, ``rates._fixed_rows``; a change to either that moves one byte of these
@@ -6,6 +6,12 @@ outputs fails here.  The set covers what each writer path must keep: ragged
 ``simulate`` columns, negative and subnormal ``toy`` values, a censored
 ``table`` and one whose cap is past int64, both ``spectrum`` modes, and
 ``rates`` rows in exponent notation and across a 65,536-term window.
+
+Every JSON byte is written by ``cli._json_chunks``; its set covers each kind
+of value that writer meets: the float arrays of ``toy`` and ``simulate``, a
+``null`` escape, the ``table`` cells written at once (censored, and with a
+cap past int64), ``spectrum`` records across chunks and its one-block mode,
+and the plain dicts of ``rates`` and ``verify-tk``.
 """
 
 import hashlib
@@ -32,11 +38,36 @@ GOLDEN = {
     "rates --lambda=-0.004 --alpha 0.99 --iters 70000 --format csv":
         "fd3735623f4cb00933f44e1bb432a4b76c043d193e03c4b691f03d917ea88a3b",
 }
+GOLDEN_JSON = {
+    "toy --iters 5000 --json": "abbab3e505f777c1f4520c38fa9030cc55032ed75006f969362ab82fd33640db",
+    "toy --x0 0.25,0 --iters 300 --thin 7 --json": "d66b40783baec815a3b951f911a1f230dbf342c739172d44534c2a050f0cbe76",
+    "simulate --n 50 --p 3 --iters 3000 --eps-perturb 1e-3 --json":
+        "6796ca8a926e0d766aca8e79fc421cabb1b0ba04a0723e050e862fb8927cfa76",
+    "table --n 30 60 --delta 0.02 0.01 --trials 5 --iters 5 --json":
+        "297f2cbffe52134500ca76c65b7a43d4aaad582386fc5c0ef635a8c07846dea4",
+    "table --n 30 --delta 1e-300 --trials 3 --iters 100000000000000000000000 --json":
+        "8f92eb8ea0b3259cbcbf3ef8bad6dbf7f170eb051629956b1423a1dccf9d8e36",
+    "spectrum --n 4200 --p 7 --delta 0.01 --beta 0.9":
+        "d3ebcea35c516fd2736aa8d893038422e0d0f687a38ba233cb5c8cadcee5007e",
+    "spectrum --lambda=-0.5 --alpha 1 --beta 0.3": "f1f31e2abd701ca3e9f9ea545169755bafff4ff60db7c3eb73d0c5718dc56402",
+    "rates --lambda=-0.004 --alpha 0.99 --gamma 0.01 --schedule toy --iters 3000":
+        "7735996791eca79dff2359779b183473cf071c1b1f2999d6252884f6845e4af1",
+    "verify-tk --K 5000": "8e5f4f1dbd8217114b4c0fbaf94d0bbfb381cf29a9873a80f2efa270a4b88c7a",
+}
+
+
+def output_digest(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    assert cli.main([*argv.split(), "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("argv", GOLDEN)
 def test_csv_bytes_match_their_digest(capsys, tmp_path, argv):
-    path = tmp_path / "out.csv"
-    assert cli.main([*argv.split(), "--out", str(path)]) == 0
-    assert capsys.readouterr().out == ""
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[argv]
+    assert output_digest(capsys, tmp_path, argv) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_JSON)
+def test_json_bytes_match_their_digest(capsys, tmp_path, argv):
+    assert output_digest(capsys, tmp_path, argv) == GOLDEN_JSON[argv]
