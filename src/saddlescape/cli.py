@@ -103,11 +103,10 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CSV_CHUNK`` array items.
 
     A dict is written key by key.  A non-empty ``ndarray`` is written as its
-    ``tolist()``, its items filled into one ``%`` template from the columns
-    :func:`_columns` splits it into, one chunk of items at a time.  Anything
-    else is written at once, through the template of its :func:`_shape`.  A
-    key that is not a string raises ``TypeError``, and a non-finite float
-    ``ValueError``.
+    ``tolist()``, its items filled into the one ``%`` template :func:`_columns`
+    builds from its columns, one chunk of items at a time.  Anything else is
+    one :func:`_leaf`.  A list or tuple, or a key that is not a string, raises
+    ``TypeError``, and a non-finite float ``ValueError``.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -119,76 +118,56 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
         yield "\n" + indent + "}" + end
     elif isinstance(value, np.ndarray) and len(value):
         columns, sep = [], ",\n" + inner
-        template = _template(_columns(value, columns), inner)
+        template = _columns(value, columns, inner)
         for lo in range(0, len(value), _CSV_CHUNK):
             rows = min(_CSV_CHUNK, len(value) - lo)
             leaves = [None] * (rows * len(columns))
             for i, column in enumerate(columns):
-                _shape(column[lo : lo + rows].tolist(), cells := [])
-                leaves[i :: len(columns)] = cells
+                leaves[i :: len(columns)] = [_leaf(item) for item in column[lo : lo + rows].tolist()]
             yield (("[\n" + inner if lo == 0 else sep) + sep.join([template] * rows)) % tuple(leaves)
         yield "\n" + indent + "]" + end
     else:
-        leaves = []
-        yield _template(_shape(value, leaves), indent) % tuple(leaves) + end
+        yield f"{_leaf(value)}{end}"
 
 
-def _shape(value, leaves: list):
-    """The key of ``value``'s template; its scalars are appended to ``leaves`` in order.
+def _leaf(value):
+    """What ``%s`` writes as the JSON text of ``value``: a scalar, or an empty dict or array.
 
-    A scalar's shape is ``"%s"``.  A float is appended as a ``float``, whose
-    ``%s`` is ``float.__repr__`` as in ``json``; any other scalar as its JSON
-    text.  A list's, tuple's or array's shape is ``("[", *item shapes)``, and a dict's
-    ``("{", key, shape, key, shape, ...)``.
+    A float is returned as a ``float``, whose ``%s`` is ``float.__repr__`` as
+    in ``json``; anything else as its JSON text.
     """
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"JSON output holds only finite numbers, got {float(value)!r}")
-        leaves.append(value if type(value) is float else float(value))
-    elif isinstance(value, dict):
-        shape = ["{"]
-        for key, item in value.items():
-            shape += key, _shape(item, leaves)
-        return tuple(shape)
-    elif isinstance(value, str):
-        leaves.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        return ("[", *[_shape(item, leaves) for item in value])
-    elif value is None or value is True or value is False:
-        leaves.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        leaves.append(int.__repr__(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return "%s"
+        return value if type(value) is float else float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (dict, np.ndarray)) and not len(value):  # _json_chunks writes a non-empty one
+        return "{}" if isinstance(value, dict) else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _columns(array: np.ndarray, columns: list):
-    """The :func:`_shape` of each item of ``array``; the 1-D arrays that hold its scalars are appended to ``columns``.
+def _columns(array: np.ndarray, columns: list, indent: str) -> str:
+    """The ``indent=2`` JSON text at ``indent`` of an item of ``array``, with ``%s`` for each scalar.
 
-    A structured array is split by field, and a plain one along its second axis, until each part is 1-D.
+    The 1-D arrays that hold those scalars are appended to ``columns``, in
+    order: a structured array is split by field, and a plain one along its
+    second axis, until each part is 1-D.
     """
-    if array.dtype.names is not None:
-        shape = ["{"]
-        for name in array.dtype.names:
-            shape += name, _columns(array[name], columns)
-        return tuple(shape)
-    if array.ndim > 1:
-        return ("[", *[_columns(array[:, i], columns) for i in range(array.shape[1])])
-    columns.append(array)
-    return "%s"
-
-
-def _template(shape, indent: str) -> str:
-    """The ``indent=2`` JSON text at ``indent`` of a value of ``shape``, with ``%s`` for each scalar."""
-    if isinstance(shape, str):
-        return shape
     inner = indent + "  "
-    if shape[0] == "[":
-        brackets, parts = "[]", [_template(item, inner) for item in shape[1:]]
+    if array.dtype.names is not None:
+        keys = (encode_basestring_ascii(name).replace("%", "%%") for name in array.dtype.names)
+        brackets, parts = "{}", [key + ": " + _columns(array[name], columns, inner)
+                                 for key, name in zip(keys, array.dtype.names)]
+    elif array.ndim > 1:
+        brackets, parts = "[]", [_columns(array[:, i], columns, inner) for i in range(array.shape[1])]
     else:
-        keys = (encode_basestring_ascii(key).replace("%", "%%") for key in shape[1::2])
-        brackets, parts = "{}", [key + ": " + _template(item, inner) for key, item in zip(keys, shape[2::2])]
+        columns.append(array)
+        return "%s"
     if not parts:
         return brackets
     return brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + brackets[1]
@@ -233,8 +212,8 @@ def _cmd_spectrum(args) -> int:
             alpha = 1.0 / problem.lipschitz
         payload = classify_saddle_map(problem, alpha, args.beta).to_json_dict()
     blocks = payload["blocks"]
-    # only lambda = 0 has a root of magnitude 1: another block whose root rounds to 1 has a class its roots contradict
-    if (unit := (blocks["lambda"] != 0) & (np.hypot(blocks["mu_hi"]["re"], blocks["mu_hi"]["im"]) == 1.0)).any():
+    # only lambda = 0 has a root of magnitude 1: a block of another lambda classed unit has a root that rounded to 1
+    if (unit := (blocks["lambda"] != 0) & (blocks["class"] == "unit")).any():
         raise ValueError(f"the block of lambda = {float(blocks['lambda'][unit][0])!r} has a root that rounds to "
                          f"magnitude 1 (alpha = {alpha!r}, beta = {args.beta!r}): its class is not resolved")
     _echo_config(args, format=fmt, alpha=alpha, seed=seed)

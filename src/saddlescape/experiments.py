@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 TABLE_METHODS = ("steepest_descent", "accelerated_gradient", "rate_predictor")
+# One record per (n, delta) cell of the divergence table, as ``table --json`` writes it.  ``max_iters`` is an
+# object field: a count can pass int64 when the iteration cap does.
+_SUMMARY = [("avg_iters", float), ("max_iters", object), ("censored", np.int64)]
+CELL_DTYPE = np.dtype([("n", np.int64), ("delta", float), ("methods", [(m, _SUMMARY) for m in TABLE_METHODS])])
 
 
 @dataclass(frozen=True)
@@ -295,15 +299,14 @@ class TableResult:
             yield from _csv_rows("%s,%.12g,average,,%.12g,%.12g,%.12g\n%s,%.12g,max,,%s,%s,%s\n", list(zip(*cells)))
 
     def to_json_dict(self) -> dict:
-        cells = []
-        for n, delta, rows in self._cells():
-            summary = ({"avg_iters": r.avg_iters, "max_iters": r.max_iters, "censored": r.censored} for r in rows)
-            cells.append({"n": n, "delta": delta, "methods": dict(zip(TABLE_METHODS, summary))})
+        """The table's settings, and its ``cells`` as one ``CELL_DTYPE`` record per cell in :meth:`_cells` order."""
+        cells = [(n, delta, tuple((r.avg_iters, r.max_iters, r.censored) for r in rows))
+                 for n, delta, rows in self._cells()]
         return {
             "seed": self.seed,
             "trials": self.trials_per_cell,
             "iteration_cap": self.iteration_cap,
-            "cells": cells,
+            "cells": np.array(cells, CELL_DTYPE),
         }
 
 

@@ -91,7 +91,8 @@ class PerturbedStart:
     def resolve(self, x0: np.ndarray) -> np.ndarray:
         x0 = np.asarray(x0, dtype=float)
         noise = rng_from(self.seed, 1).standard_normal(x0.size)
-        return x0 + self.epsilon * noise
+        with np.errstate(over="ignore"):  # an overflowing predecessor is rejected by iterate, with one line
+            return x0 + self.epsilon * noise
 
 
 StartPolicy = EqualStart | PerturbedStart

@@ -10,10 +10,10 @@ eigenvalue ``lambda``, and the block's eigenvalues are the roots of
 
     mu^2 - (1 + beta - alpha*lambda) mu + beta = 0.
 
-Positive ``lambda`` gives two roots of magnitude below one, ``lambda = 0``
-gives {1, beta}, and negative ``lambda`` gives one root in (0, 1) and one
-above 1, so the unstable dimension equals the number of negative Hessian
-eigenvalues.
+Positive ``lambda`` with ``alpha*lambda < 2*(1 + beta)`` gives two roots of
+magnitude below one, ``lambda = 0`` gives {1, beta}, and negative ``lambda``
+gives one root in (0, 1) and one above 1, so the unstable dimension equals
+the number of negative Hessian eigenvalues.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ConditionError(ValueError):
 # One record per Hessian eigenvalue: its block's roots and class, as ``spectrum`` writes them.
 _COMPLEX = [("re", float), ("im", float)]
 BLOCK_DTYPE = np.dtype([("lambda", float), ("mu_hi", _COMPLEX), ("mu_lo", _COMPLEX), ("class", "U8")])
-_CLASSES = np.array(["unstable", "unit", "stable"])  # indexed by sign(lambda) + 1
+_CLASSES = np.array(["unstable", "unit", "stable"])  # indexed by sign(1 - |mu_hi|) + 1
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ def block_roots(lams, alpha: float, beta: float) -> np.ndarray:
     """The roots of ``mu^2 - (1 + beta - alpha*lambda) mu + beta = 0``, one ``BLOCK_DTYPE`` record per ``lambda``.
 
     ``mu_hi`` is the root of larger magnitude, or in a complex pair the one with positive imaginary part.
+    ``class`` is ``unstable``, ``unit`` or ``stable`` as ``|mu_hi|`` lies above, at or below one.
     """
     _positive("alpha", alpha)
     lams = np.asarray(lams, dtype=float)
@@ -98,13 +99,16 @@ def block_roots(lams, alpha: float, beta: float) -> np.ndarray:
     real, root = disc >= 0.0, np.sqrt(np.abs(disc))
     plus, minus = 0.5 * (s + root), 0.5 * (s - root)
     blocks = np.empty(lams.shape, BLOCK_DTYPE)
-    blocks["lambda"], blocks["class"] = lams, _CLASSES[np.sign(lams).astype(np.intp) + 1]
+    blocks["lambda"] = lams
     real_roots = np.where(np.abs(plus) >= np.abs(minus), [plus, minus], [minus, plus])  # (hi, lo)
     blocks["mu_hi"]["re"], blocks["mu_lo"]["re"] = np.where(real, real_roots, 0.5 * s)
     blocks["mu_hi"]["im"], blocks["mu_lo"]["im"] = np.where(real, 0.0, [0.5 * root, -0.5 * root])
-    # beta < 1 keeps a zero eigenvalue's roots {1, beta} distinct, so its block is diagonalizable; guard it.
+    hi = blocks["mu_hi"]
+    blocks["class"] = _CLASSES[np.sign(1.0 - np.hypot(hi["re"], hi["im"])).astype(np.intp) + 1]
+    # beta < 1 keeps a zero eigenvalue's roots {1, beta} distinct, so its block is diagonalizable; but
+    # 1 + beta rounds to 2 at the largest beta below 1, and both computed roots to 1.
     if (real & (plus == minus) & (lams == 0)).any():
-        raise ArithmeticError("zero-eigenvalue block produced a repeated root")
+        raise ValueError(f"beta = {beta!r} rounds the zero-eigenvalue block's roots 1 and beta to one root")
     return blocks
 
 

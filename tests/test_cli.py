@@ -39,7 +39,12 @@ from saddlescape.schedules import TkPropertyReport
 
 
 def plain(value):
-    """A numpy array or record as ``json.dumps`` writes it: a list, with each record of a structured one an object."""
+    """A numpy array or record as ``json.dumps`` writes it: a list, with each record of a structured one an object.
+
+    Any other value, such as the int of an ``object`` field, is returned as it is.
+    """
+    if not isinstance(value, (np.ndarray, np.generic)):
+        return value
     if value.dtype.names is None:
         return value.tolist()
     if isinstance(value, np.void):
@@ -865,26 +870,14 @@ json_scalars = st.one_of(
 )
 
 
-def json_values(leaves):
-    return st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            st.lists(inner, max_size=4),
-            st.lists(inner, max_size=3).map(tuple),
-            st.dictionaries(json_text, inner, max_size=4),
-        ),
-        max_leaves=25,
-    )
+def json_dicts(leaves):
+    return st.recursive(leaves, lambda inner: st.dictionaries(json_text, inner, max_size=4), max_leaves=25)
 
 
 def with_inside(values, inner):
-    """``inner`` inside one more list, tuple or dict, among ``values``."""
-    return st.one_of(
-        st.tuples(st.lists(values, max_size=2), inner, st.lists(values, max_size=2)).map(
-            lambda t: [*t[0], t[1], *t[2]]
-        ),
-        st.tuples(inner, st.lists(values, max_size=2)).map(lambda t: (t[0], *t[1])),
-        st.tuples(st.dictionaries(json_text, values, max_size=2), json_text, inner).map(lambda t: {**t[0], t[1]: t[2]}),
+    """``inner`` inside one more dict, among ``values``."""
+    return st.tuples(st.dictionaries(json_text, values, max_size=2), json_text, inner).map(
+        lambda t: {**t[0], t[1]: t[2]}
     )
 
 
@@ -919,28 +912,28 @@ def plain_arrays(dtypes=tuple(ARRAY_ELEMENTS)):
     )
 
 
-# More items than one chunk, and many shapes in one list
-LONG_LIST = [{"i": i, "mu": {"re": i / 7, "im": -0.0}} for i in range(2 * _CSV_CHUNK + 1)]
-MANY_SHAPES = [{f"k{i}%": [i] * (i % 3), "x": [None, 1.5]} for i in range(192)]
+# a non-finite float, alone or in a float array
+BAD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("inf")])
+BAD_LEAVES = st.one_of(
+    BAD_FLOATS, st.tuples(st.integers(0, 5), BAD_FLOATS).map(lambda t: np.insert(np.ones(5), *t).reshape(3, 2))
+)
+
+
+def assert_same_lines(text, expected):
+    # compared as lines: a mismatch then names its first line, where pytest's diff of two whole texts takes minutes
+    assert text.split("\n") == expected.split("\n")
 
 
 class TestJsonChunks:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(json_values(json_scalars))
-    @example(LONG_LIST)
-    @example({"blocks": MANY_SHAPES, "": [], "e": {}, "t": ()})
-    @example([[[]], [{}], "%s%%", "\u00e9\u2603\U0001f600", 1e16, 1e-7, True, 2**70])
+    @given(json_dicts(json_scalars))
+    @example({"": {}, "e": {"%s%%": "%s%%"}, "s": "\u00e9\u2603\U0001f600", "f": 1e16, "g": 1e-7, "b": True,
+              "i": 2**70})
     def test_text_is_json_dumps_with_indent_two(self, payload):
-        assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
+        assert_same_lines("".join(cli._json_chunks(payload)), json.dumps(payload, indent=2) + "\n")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        st.recursive(
-            st.sampled_from([math.nan, math.inf, -math.inf, np.float64("inf")]),
-            lambda inner: with_inside(json_values(json_scalars), inner),
-            max_leaves=6,
-        )
-    )
+    @given(st.recursive(BAD_LEAVES, lambda inner: with_inside(json_dicts(json_scalars), inner), max_leaves=6))
     def test_a_non_finite_float_at_any_depth_raises(self, payload):
         with pytest.raises(ValueError, match="JSON output holds only finite numbers"):
             "".join(cli._json_chunks(payload))
@@ -950,7 +943,7 @@ class TestJsonChunks:
         rng = np.random.default_rng(0)
         payload = {"series": rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape), "n": 1}
         chunks = list(cli._json_chunks(payload))
-        assert "".join(chunks) == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+        assert_same_lines("".join(chunks), json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n")
         # the key, each chunk of at most _CSV_CHUNK items and the closing bracket (or one "[]"), then "n" and "}"
         assert len(chunks) == 5 + -(-shape[0] // _CSV_CHUNK)
 
@@ -958,9 +951,7 @@ class TestJsonChunks:
     @given(plain_arrays())
     def test_a_plain_array_is_written_as_its_list_at_top_level_and_in_a_dict(self, array):
         for payload, expected in ((array, array.tolist()), ({"a": array, "n": 1}, {"a": array.tolist(), "n": 1})):
-            # compared as lines: a mismatch then names its first line, where a diff of the whole text takes minutes
-            text = "".join(cli._json_chunks(payload))
-            assert text.split("\n") == (json.dumps(expected, indent=2) + "\n").split("\n")
+            assert_same_lines("".join(cli._json_chunks(payload)), json.dumps(expected, indent=2) + "\n")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(plain_arrays(["float64"]).filter(np.size), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
@@ -984,7 +975,7 @@ class TestJsonChunks:
         ]
         payload, expected = ({"blocks": table, "n": count}, {"blocks": objects, "n": count}) if nested else (table, objects)
         chunks = list(cli._json_chunks(payload))
-        assert "".join(chunks) == json.dumps(expected, indent=2) + "\n"
+        assert_same_lines("".join(chunks), json.dumps(expected, indent=2) + "\n")
         assert max(chunk.count('"lambda": ') for chunk in chunks) == min(count, _CSV_CHUNK)
 
     @pytest.mark.parametrize("field", ["lambda", "mu%"])
@@ -996,7 +987,11 @@ class TestJsonChunks:
             cli._emit(cli._json_chunks({"blocks": table}), str(path))
         assert not path.exists()
 
-    @pytest.mark.parametrize("payload", [{1: 2}, [{"a": {None: 1}}], [np.int64(1)], {"a": object()}])
+    @pytest.mark.parametrize(
+        "payload",
+        [{1: 2}, {"l": {"a": {None: 1}}}, {"i": np.int64(1)}, {"a": object()}, [1.0], {"t": ()}],
+        ids=["int-key", "nested-none-key", "numpy-int", "object", "list", "nested-tuple"],
+    )
     def test_what_json_cannot_hold_is_a_type_error(self, payload):
         with pytest.raises(TypeError):
             "".join(cli._json_chunks(payload))
@@ -1154,7 +1149,7 @@ class TestCliContract:
 # The CLI contract over argv drawn from edge values: for each subcommand, a subset of its options (a command's
 # required options are always given) with values from these pools.  Two draws in three are ordinary values, so
 # that most runs get past their other input checks to the edge, and sizes stay at most 50, so an example is fast.
-EDGES = st.sampled_from(["0", "-0", "-1", "1e-320", "1e-300", "1e300", "nan", "inf", "-inf"])
+EDGES = st.sampled_from(["0", "-0", "-1", "1e-320", "1e-300", "1e300", "1e308", "nan", "inf", "-inf"])
 ORDINARY, ORDINARY_NEGATIVE = st.sampled_from(["0.5", "0.02", "-0.02"]), st.sampled_from(["-0.02", "-1"])
 REALS = st.one_of(EDGES, ORDINARY, ORDINARY)  # one_of picks a branch uniformly
 NEGATIVES = st.one_of(EDGES.map(lambda value: "-" + value.lstrip("-")), ORDINARY_NEGATIVE, ORDINARY_NEGATIVE)
@@ -1205,6 +1200,8 @@ class TestCliContractProperty:
     @example(["simulate", "--delta=0.5", "--json"])  # its predicted series passes the float range
     @example(["toy", "--alpha=1e308", "--x0=1e99,0", "--iters=3"])  # a step overflows
     @example(["toy", "--alpha=1e308", "--x0=1e99,0", "--iters=3", "--json"])
+    @example(["simulate", "--eps-perturb=1e308"])  # the perturbed predecessor overflows
+    @example(["spectrum", "--lambda=0", "--alpha=1", "--beta=0.9999999999999999"])  # lambda = 0's roots round to one
     def test_exit_code_error_line_and_json(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:

@@ -26,7 +26,7 @@ from saddlescape import (
     toy_figure,
     toy_problem,
 )
-from saddlescape import experiments
+from saddlescape import cli, experiments
 from saddlescape.experiments import TABLE_METHODS
 from saddlescape.optimizers import GRADIENT_DESCENT, FirstCrossing, iterate, row_norms
 
@@ -290,7 +290,7 @@ class TestDivergenceTable:
     def test_deterministic_in_master_seed(self):
         a = divergence_table(ns=[30], deltas=[2e-2], trials=4, seed=7)
         b = divergence_table(ns=[30], deltas=[2e-2], trials=4, seed=7)
-        assert a.to_json_dict() == b.to_json_dict()
+        assert "".join(cli._json_chunks(a.to_json_dict())) == "".join(cli._json_chunks(b.to_json_dict()))
 
     def test_accelerated_beats_descent_per_trial(self):
         result = divergence_table(ns=[60], deltas=[1e-2], trials=10, seed=3)
@@ -376,11 +376,14 @@ class TestDivergenceTable:
 
     def test_json_summary_shape(self):
         result = divergence_table(ns=[30], deltas=[2e-2, 1e-2], trials=3, seed=2)
-        data = result.to_json_dict()
+        data = json.loads("".join(cli._json_chunks(result.to_json_dict())))
         assert data["trials"] == 3
-        assert len(data["cells"]) == 2
+        assert [(cell["n"], cell["delta"]) for cell in data["cells"]] == [(30, 1e-2), (30, 2e-2)]
         for cell in data["cells"]:
-            assert set(cell["methods"]) == set(TABLE_METHODS)
+            assert list(cell["methods"]) == list(TABLE_METHODS)
+            for method, summary in cell["methods"].items():
+                row = result.row(30, cell["delta"], method)
+                assert summary == {"avg_iters": row.avg_iters, "max_iters": row.max_iters, "censored": row.censored}
 
     def test_trials_domain(self):
         with pytest.raises(ValueError):

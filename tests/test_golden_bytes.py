@@ -9,9 +9,10 @@ outputs fails here.  The set covers what each writer path must keep: ragged
 
 Every JSON byte is written by ``cli._json_chunks``; its set covers each kind
 of value that writer meets: the float arrays of ``toy`` and ``simulate``, a
-``null`` escape, the ``table`` cells written at once (censored, and with a
-cap past int64), ``spectrum`` records across chunks and its one-block mode,
-and the plain dicts of ``rates`` and ``verify-tk``.
+``null`` escape, the ``table`` cell records (censored, with a cap past int64,
+and in sorted order from descending ``--n`` and ``--delta``), ``spectrum``
+records across chunks and its one-block mode, and the plain dicts of
+``rates`` and ``verify-tk``.
 """
 
 import hashlib
@@ -47,6 +48,8 @@ GOLDEN_JSON = {
         "297f2cbffe52134500ca76c65b7a43d4aaad582386fc5c0ef635a8c07846dea4",
     "table --n 30 --delta 1e-300 --trials 3 --iters 100000000000000000000000 --json":
         "8f92eb8ea0b3259cbcbf3ef8bad6dbf7f170eb051629956b1423a1dccf9d8e36",
+    "table --n 60 30 --delta 0.02 0.01 --trials 3 --iters 3000 --json":
+        "8fd19fcd6df277942dc14a90ad91c53fc5c02cc347981b73efb09bee9a932e9f",
     "spectrum --n 4200 --p 7 --delta 0.01 --beta 0.9":
         "d3ebcea35c516fd2736aa8d893038422e0d0f687a38ba233cb5c8cadcee5007e",
     "spectrum --lambda=-0.5 --alpha 1 --beta 0.3": "f1f31e2abd701ca3e9f9ea545169755bafff4ff60db7c3eb73d0c5718dc56402",

@@ -169,14 +169,20 @@ class TestBlockRoots:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mixed_blocks())
     @example(([0.0, 0.5, (1.0 - 0.9) ** 2 / 2.0, (1.0 + 0.9) ** 2 / 2.0, -0.3, -0.0], 2.0, 0.81))
+    @example(([5.0], 1.0, 0.5))  # alpha*lambda past 2*(1 + beta): |mu_hi| = 3.35, unstable though lambda > 0
+    @example(([0.5, 0.0], 1.0, 0.9999999999999999))
     def test_array_roots_equal_the_scalar_formula_bit_for_bit(self, params):
         lams, alpha, beta = params
+        if 0.0 in lams and 1.0 + beta == 2.0:  # the largest beta below 1: both roots of lambda = 0 round to 1
+            with pytest.raises(ValueError, match=r"rounds the zero-eigenvalue block's roots 1 and beta to one root$"):
+                block_roots(lams, alpha, beta)
+            return
         blocks = block_roots(lams, alpha, beta)
         assert blocks.dtype == spectral.BLOCK_DTYPE and blocks.shape == (len(lams),)
         for lam, (got_lam, hi, lo, label) in zip(lams, blocks.tolist()):
             want_hi, want_lo = scalar_roots(lam, alpha, beta)
             assert bits(got_lam, *hi, *lo) == bits(lam, want_hi.real, want_hi.imag, want_lo.real, want_lo.imag)
-            assert label == ("stable" if lam > 0 else ("unit" if lam == 0 else "unstable"))
+            assert label == ("unstable" if abs(want_hi) > 1.0 else ("unit" if abs(want_hi) == 1.0 else "stable"))
             pair = block_eigenvalues(lam, alpha, beta)
             assert bits(pair.mu_hi.real, pair.mu_hi.imag, pair.mu_lo.real, pair.mu_lo.imag) == bits(*hi, *lo)
 
