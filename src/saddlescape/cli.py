@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .experiments import divergence_table, negspace_experiment, toy_figure
+from .experiments import TABLE_METHODS, divergence_table, negspace_experiment, toy_figure
 from .optimizers import MAX_TRACE_VALUES, EqualStart, PerturbedStart
 from .problems import _positive, random_problem
 from .rates import _CSV_CHUNK, MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
@@ -273,8 +273,8 @@ def _cmd_table(args) -> int:
         iteration_cap=args.iters,
         threshold=args.threshold,
     )
-    censored = [f"{row.censored} of {result.trials_per_cell} {row.method} (n={row.n}, delta={row.delta:g})"
-                for row in result.rows if row.censored]
+    censored = [f"{row.censored} of {result.trials_per_cell} {m} (n={cell.n}, delta={cell.delta:g})"
+                for cell in result.cells() for m in TABLE_METHODS if (row := cell.methods[m]).censored]
     if censored:
         print(f"saddlescape: warning: trials that hit the iteration cap: {'; '.join(censored)}", file=sys.stderr)
     _echo_config(args, format=fmt)

@@ -46,7 +46,6 @@ __all__ = [
     "toy_figure",
     "NegspaceSeries",
     "negspace_experiment",
-    "TableRow",
     "TrialRecord",
     "TableResult",
     "divergence_table",
@@ -54,8 +53,8 @@ __all__ = [
 ]
 
 TABLE_METHODS = ("steepest_descent", "accelerated_gradient", "rate_predictor")
-# One record per (n, delta) cell of the divergence table, as ``table --json`` writes it.  ``max_iters`` is an
-# object field: a count can pass int64 when the iteration cap does.
+# One record per (n, delta) cell of the divergence table, as ``TableResult.cells`` derives it from the trials and
+# ``table --json`` writes it.  ``max_iters`` is an object field: a count can pass int64 when the iteration cap does.
 _SUMMARY = [("avg_iters", float), ("max_iters", object), ("censored", np.int64)]
 CELL_DTYPE = np.dtype([("n", np.int64), ("delta", float), ("methods", [(m, _SUMMARY) for m in TABLE_METHODS])])
 
@@ -243,18 +242,6 @@ def negspace_experiment(
 
 
 @dataclass(frozen=True)
-class TableRow:
-    """Summary of one (n, delta, method) cell of the divergence table."""
-
-    n: int
-    delta: float
-    method: str
-    avg_iters: float
-    max_iters: int
-    censored: int
-
-
-@dataclass(frozen=True)
 class TrialRecord:
     """Escape iteration counts for one seeded trial."""
 
@@ -269,44 +256,53 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class TableResult:
-    """Per-trial records plus per-cell summaries of the divergence table."""
+    """Per-trial records of the divergence table, with the settings that drew them."""
 
-    rows: tuple[TableRow, ...]
     trials: tuple[TrialRecord, ...]
     seed: int
     trials_per_cell: int
     iteration_cap: int
 
-    def row(self, n: int, delta: float, method: str) -> TableRow:
-        for row in self.rows:
-            if row.n == n and row.delta == delta and row.method == method:
-                return row
-        raise KeyError(f"no table row for n={n}, delta={delta}, method={method}")
+    def cells(self) -> np.recarray:
+        """One ``CELL_DTYPE`` record per ``(n, delta)`` cell in sorted order: each method's mean and max count over
+        the cell's trials, and how many of those trials name it in ``censored``."""
+        groups: dict[tuple[int, float], list[TrialRecord]] = {}
+        for record in self.trials:
+            groups.setdefault((record.n, record.delta), []).append(record)
+        cells = []
+        for (n, delta), group in sorted(groups.items()):
+            summaries = []
+            for m in TABLE_METHODS:
+                counts = [getattr(r, m) for r in group]
+                summaries.append((sum(counts) / len(counts), max(counts), sum(m in r.censored for r in group)))
+            cells.append((n, delta, tuple(summaries)))
+        return np.array(cells, CELL_DTYPE).view(np.recarray)
 
-    def _cells(self) -> list[tuple[int, float, list[TableRow]]]:
-        """Each cell's ``(n, delta)`` in sorted order, with its rows in ``TABLE_METHODS`` order."""
-        rows = {(row.n, row.delta, row.method): row for row in self.rows}
-        keys = sorted({(row.n, row.delta) for row in self.rows})
-        return [(n, delta, [rows[n, delta, m] for m in TABLE_METHODS]) for n, delta in keys]
+    def row(self, n: int, delta: float, method: str) -> np.record:
+        """The ``(avg_iters, max_iters, censored)`` record of ``method`` in cell ``(n, delta)``, else ``KeyError``."""
+        cells = self.cells()
+        found = cells[(cells.n == n) & (cells.delta == delta)]
+        if not len(found) or method not in TABLE_METHODS:
+            raise KeyError(f"no table row for n={n}, delta={delta}, method={method}")
+        return found[0].methods[method]
 
     def to_csv(self) -> Iterator[str]:
         """CSV rows of every trial, then each cell's average and max rows; ``%s`` writes a count as ``str`` does."""
         yield "n,delta,row_type,trial_or_method,steepest_descent,accelerated_gradient,rate_predictor\n"
         columns = [[getattr(r, name) for r in self.trials] for name in ("n", "delta", "trial", *TABLE_METHODS)]
         yield from _csv_rows("%s,%.12g,trial,%s,%s,%s,%s\n", columns)
-        if cells := [(n, delta, *(r.avg_iters for r in rows), n, delta, *(r.max_iters for r in rows))
-                     for n, delta, rows in self._cells()]:  # a table of no cells has no columns to transpose
-            yield from _csv_rows("%s,%.12g,average,,%.12g,%.12g,%.12g\n%s,%.12g,max,,%s,%s,%s\n", list(zip(*cells)))
+        cells = self.cells()
+        key, methods = [cells.n, cells.delta], [cells.methods[m] for m in TABLE_METHODS]
+        columns = [*key, *(s.avg_iters for s in methods), *key, *(s.max_iters for s in methods)]
+        yield from _csv_rows("%s,%.12g,average,,%.12g,%.12g,%.12g\n%s,%.12g,max,,%s,%s,%s\n", columns)
 
     def to_json_dict(self) -> dict:
-        """The table's settings, and its ``cells`` as one ``CELL_DTYPE`` record per cell in :meth:`_cells` order."""
-        cells = [(n, delta, tuple((r.avg_iters, r.max_iters, r.censored) for r in rows))
-                 for n, delta, rows in self._cells()]
+        """The table's settings, and its ``cells`` as :meth:`cells` derives them."""
         return {
             "seed": self.seed,
             "trials": self.trials_per_cell,
             "iteration_cap": self.iteration_cap,
-            "cells": np.array(cells, CELL_DTYPE),
+            "cells": self.cells(),
         }
 
 
@@ -333,9 +329,9 @@ def divergence_table(
     ``1 + b`` per step, for ``b`` the limiting growth rate of the most
     negative eigenvalue under ``schedule.limit()``, counted the same way.
     Trials that hit ``iteration_cap``, at most the largest float, are
-    recorded at the cap and counted as censored, in ``TrialRecord.censored``
-    and ``TableRow.censored``; nothing is warned.  All trials of a cell run
-    as one batch.
+    recorded at the cap and counted as censored in ``TrialRecord.censored``;
+    nothing is warned.  All trials of a cell run as one batch; the result
+    keeps the trials, and :meth:`TableResult.cells` summarizes each cell.
 
     A count is the first step at which the projection norm reaches the
     threshold, the start (step 0) included, as :func:`escape_time` counts it:
@@ -364,7 +360,6 @@ def divergence_table(
         raise ValueError(f"threshold must lie in (0, {DIVERGENCE_CUTOFF:g}], got {threshold!r}")
     cap = iteration_cap
     limits = schedule.limit()
-    rows: list[TableRow] = []
     records: list[TrialRecord] = []
     for cell_index, (n, delta) in enumerate((n, d) for n in ns for d in deltas):
         cell_threshold = float(n) if threshold is None else float(threshold)
@@ -393,17 +388,10 @@ def divergence_table(
             "rate_predictor": first_crossings(1.0 + rates[:, None], row_norms(neg_start)[:, None], cell_threshold, cap),
         }
         # a crossing of -1 never came: the trial is recorded at the cap, as censored
-        counts = {m: [int(k) if k >= 0 else cap for k in ks] for m, ks in crossings.items()}
-        for trial in range(trials):
-            censored = tuple(m for m in TABLE_METHODS if crossings[m][trial] < 0)
-            escapes = (counts[m][trial] for m in TABLE_METHODS)
-            records.append(TrialRecord(n, delta, trial, *escapes, censored=censored))
-        for method in TABLE_METHODS:
-            values = counts[method]
-            censored = int(np.count_nonzero(crossings[method] < 0))
-            rows.append(TableRow(n, delta, method, sum(values) / trials, max(values), censored))
+        for trial, ks in enumerate(zip(*(crossings[m].tolist() for m in TABLE_METHODS))):
+            censored = tuple(m for m, k in zip(TABLE_METHODS, ks) if k < 0)
+            records.append(TrialRecord(n, delta, trial, *(k if k >= 0 else cap for k in ks), censored=censored))
     return TableResult(
-        rows=tuple(rows),
         trials=tuple(records),
         seed=int(seed),
         trials_per_cell=int(trials),

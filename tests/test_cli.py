@@ -557,8 +557,9 @@ class TestTableCommand:
             summary = [result.row(n, delta, m) for m in methods]
             rows.append([n, f"{delta:.12g}", "average", ""] + [f"{r.avg_iters:.12g}" for r in summary])
             rows.append([n, f"{delta:.12g}", "max", ""] + [r.max_iters for r in summary])
-        assert any(row.censored for row in result.rows)
-        assert any(not row.avg_iters.is_integer() for row in result.rows)
+        summaries = [cell.methods[m] for cell in result.cells() for m in methods]
+        assert any(summary.censored for summary in summaries)
+        assert any(not summary.avg_iters.is_integer() for summary in summaries)
         assert out == csv_writer_text(rows)
 
     def test_json_output(self, capsys):
@@ -570,11 +571,13 @@ class TestTableCommand:
         data = json.loads(out)
         assert len(data["cells"]) == 2
 
-    def test_censored_run_prints_one_line_per_warning(self, tmp_path):
-        # run in a child, where any warning Python raised would be printed, not recorded
+    @pytest.mark.parametrize("deltas", [["0.02"], ["0.02", "0.01"]], ids=["one_cell", "two_cells"])
+    def test_censored_run_prints_one_line_per_warning(self, tmp_path, deltas):
+        # run in a child, where any warning Python raised would be printed, not recorded;
+        # the cells are named in the outputs' sorted (n, delta) order, not in the order the deltas were given
         env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-        argv = ["table", "--n", "30", "--delta", "0.02", "--trials", "2", "--iters", "5"]
+        argv = ["table", "--n", "30", "--delta", *deltas, "--trials", "2", "--iters", "5"]
         proc = subprocess.run(
             [sys.executable, "-m", "saddlescape", *argv, "--out", str(tmp_path / "table.csv")],
             env=env, capture_output=True, text=True, timeout=120,
@@ -582,8 +585,10 @@ class TestTableCommand:
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == [
             "saddlescape: warning: trials that hit the iteration cap: "
-            + "; ".join(f"2 of 2 {method} (n=30, delta=0.02)" for method in TABLE_METHODS),
-            'saddlescape table config: {"delta": [0.02], "format": "csv", "iters": 5, "n": [30], '
+            + "; ".join(
+                f"2 of 2 {method} (n=30, delta={delta})" for delta in sorted(deltas, key=float) for method in TABLE_METHODS
+            ),
+            f'saddlescape table config: {{"delta": [{", ".join(deltas)}], "format": "csv", "iters": 5, "n": [30], '
             '"seed": 0, "threshold": null, "trials": 2}',
         ]
 

@@ -279,7 +279,9 @@ class TestDivergenceTable:
     def test_structure_and_summaries(self):
         result = divergence_table(ns=[40], deltas=[2e-2], trials=5, seed=1)
         assert len(result.trials) == 5
-        assert {row.method for row in result.rows} == set(TABLE_METHODS)
+        cells = result.cells()
+        assert [(cell.n, cell.delta) for cell in cells] == [(40, 2e-2)]
+        assert cells.methods.dtype.names == TABLE_METHODS
         for method in TABLE_METHODS:
             row = result.row(40, 2e-2, method)
             per_trial = [getattr(rec, method) for rec in result.trials]
@@ -329,19 +331,20 @@ class TestDivergenceTable:
 
     def test_one_censored_count_per_cell_and_method(self):
         result = divergence_table(ns=[30], deltas=[1e-2, 2e-2], trials=3, seed=0, iteration_cap=5)
-        assert [(row.delta, row.method) for row in result.rows] == [
-            (delta, method) for delta in (1e-2, 2e-2) for method in TABLE_METHODS
-        ]
-        for row in result.rows:
-            cell = [rec for rec in result.trials if rec.delta == row.delta]
-            assert row.censored == sum(row.method in rec.censored for rec in cell)
-        assert [row.censored for row in result.rows] == [3] * 6  # no method escapes within 5 steps
+        cells = result.cells()
+        assert [(cell.n, cell.delta) for cell in cells] == [(30, 1e-2), (30, 2e-2)]
+        for cell in cells:
+            trials = [rec for rec in result.trials if rec.delta == cell.delta]
+            for method in TABLE_METHODS:
+                assert cell.methods[method].censored == sum(method in rec.censored for rec in trials)
+        # no method escapes within 5 steps
+        assert [cell.methods[method].censored for cell in cells for method in TABLE_METHODS] == [3] * 6
 
     def test_cap_beyond_int64_is_accepted(self):
         # every trial escapes long before the cap, which only the censored trials would reach
         huge = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1, iteration_cap=10**23)
         small = divergence_table(ns=[30], deltas=[2e-2], trials=3, seed=1, iteration_cap=10**6)
-        assert huge.trials == small.trials and huge.rows == small.rows
+        assert huge.trials == small.trials and huge.cells().tolist() == small.cells().tolist()
 
     def test_stalled_trials_stop_and_are_censored_at_the_cap(self):
         # with delta = 1e-300 the accelerated step rounds to nothing from the start:
@@ -359,7 +362,44 @@ class TestDivergenceTable:
         for rec in result.trials:
             assert (rec.steepest_descent, rec.accelerated_gradient, rec.rate_predictor) == (0, 0, 0)
             assert rec.censored == ()
-        assert all(row.max_iters == 0 and row.censored == 0 for row in result.rows)
+        for method in TABLE_METHODS:
+            row = result.row(30, 1e-2, method)
+            assert row.max_iters == 0 and row.censored == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ns=st.lists(st.integers(6, 40), min_size=1, max_size=2, unique=True),
+        deltas=st.lists(st.sampled_from([5e-3, 1e-2, 2e-2, 5e-2]), min_size=1, max_size=2, unique=True),
+        trials=st.integers(1, 4),
+        cap=st.sampled_from([0, 1, 5, 10**6, 10**23]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cells_summarize_their_trials(self, ns, deltas, trials, cap, seed):
+        result = divergence_table(ns=ns, deltas=deltas, trials=trials, seed=seed, iteration_cap=cap)
+        cells = result.cells()
+        assert [(cell.n, cell.delta) for cell in cells] == sorted((n, delta) for n in ns for delta in deltas)
+        for cell in cells:
+            group = [rec for rec in result.trials if (rec.n, rec.delta) == (cell.n, cell.delta)]
+            assert len(group) == trials
+            for method in TABLE_METHODS:
+                counts = [getattr(rec, method) for rec in group]
+                censored = sum(method in rec.censored for rec in group)
+                assert cell.methods[method].tolist() == (sum(counts) / trials, max(counts), censored)
+                assert result.row(cell.n, cell.delta, method).tolist() == cell.methods[method].tolist()
+
+    def test_row_of_a_missing_cell_or_method_raises_key_error(self):
+        result = divergence_table(ns=[30], deltas=[2e-2], trials=2, seed=0)
+        for n, delta, method in [(40, 2e-2, "steepest_descent"), (30, 1e-2, "steepest_descent"), (30, 2e-2, "x")]:
+            with pytest.raises(KeyError, match="no table row"):
+                result.row(n, delta, method)
+
+    def test_table_of_no_cells(self):
+        result = divergence_table(ns=[], deltas=[1e-2], trials=1)
+        assert result.trials == () and len(result.cells()) == 0
+        assert "".join(result.to_csv()) == "n,delta,row_type,trial_or_method," + ",".join(TABLE_METHODS) + "\n"
+        text = "".join(cli._json_chunks(result.to_json_dict()))
+        assert text.endswith('  "cells": []\n}\n')
+        assert json.loads(text) == {"seed": 0, "trials": 1, "iteration_cap": 10**6, "cells": []}
 
     def test_threshold_domain(self):
         for threshold in (0.0, float("nan"), 1e101):
