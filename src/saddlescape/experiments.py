@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,11 +61,11 @@ CELL_DTYPE = np.dtype([("n", np.int64), ("delta", float), ("methods", [(m, _SUMM
 
 @dataclass(frozen=True)
 class ToyFigure:
-    """Thinned (x1, x2) trajectories of both methods on the toy saddle."""
+    """Thinned (x1, x2) trajectories of both methods on the toy saddle; the fields are its JSON keys, in order."""
 
+    thin: int
     descent: np.ndarray
     heavy_ball: np.ndarray
-    thin: int
     descent_escape: int | None
     heavy_ball_escape: int | None
 
@@ -76,13 +76,7 @@ class ToyFigure:
             yield from _series_rows(name + ",", range(0, len(block) * self.thin, self.thin), block.T)
 
     def to_json_dict(self) -> dict:
-        return {
-            "thin": self.thin,
-            "descent": self.descent,
-            "heavy_ball": self.heavy_ball,
-            "descent_escape": self.descent_escape,
-            "heavy_ball_escape": self.heavy_ball_escape,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def toy_figure(
@@ -119,49 +113,40 @@ def toy_figure(
     escapes = (escape_time(run, problem.negative_projector(), threshold) for run in (descent, heavy_ball))
     # a thinned slice is copied so that the whole runs can be freed; unthinned, the runs' arrays are kept
     kept = [run.points if thin == 1 else run.points[::thin].copy() for run in (descent, heavy_ball)]
-    return ToyFigure(*kept, int(thin), *escapes)
+    return ToyFigure(int(thin), *kept, *escapes)
 
 
 @dataclass(frozen=True)
 class NegspaceSeries:
     """Per-iteration negative-eigenspace projection norms for four series.
 
-    Series may be shorter than ``iterations + 1`` when a run stopped at the
+    Each series field is named after its CSV column and JSON key.  A series
+    may be shorter than ``iterations + 1`` when a run stopped at the
     divergence cutoff.  ``params`` records the resolved configuration
     (stepsizes, momentum, limiting rate, seed) for reproducibility.
     """
 
-    descent: np.ndarray
+    steepest_descent: np.ndarray
     heavy_ball: np.ndarray
     accelerated: np.ndarray
     predicted: np.ndarray
     params: dict
-
-    def _blocks(self):
-        return (
-            ("steepest_descent", self.descent),
-            ("heavy_ball", self.heavy_ball),
-            ("accelerated", self.accelerated),
-            ("predicted", self.predicted),
-        )
 
     def to_csv(self) -> Iterator[str]:
         """CSV rows ``iter`` and one column per series, yielded by :func:`_series_rows` as text chunks of many rows.
 
         A series that stopped early leaves its cells empty.
         """
-        series = [block for _, block in self._blocks()]
-        yield "iter,steepest_descent,heavy_ball,accelerated,predicted\n"
-        yield from _series_rows("", range(max(block.size for block in series)), series)
+        series = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}
+        yield ",".join(["iter", *series]) + "\n"
+        yield from _series_rows("", range(max(block.size for block in series.values())), series.values())
 
     def to_json_dict(self) -> dict:
-        """The JSON payload; a non-finite ``predicted`` value raises ``ValueError`` before any text is written."""
+        """The fields; a non-finite ``predicted`` value raises ``ValueError`` before any text is written."""
         if not (finite := np.isfinite(self.predicted)).all():
             bad = float(self.predicted[~finite][0])
             raise ValueError(f"JSON output holds only finite numbers, got {bad!r}")
-        out = dict(self._blocks())
-        out["params"] = self.params
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def negspace_experiment(
@@ -193,7 +178,8 @@ def negspace_experiment(
     lam_n = float(eigenvalues[-1])
     beta_hb = 1.0 - alpha * abs(lam_n)
     alpha_ag = 0.99 / lipschitz
-    limit = rate_limit(lam_n, alpha_ag, 1.0, 1.0)
+    schedule = NesterovSchedule()
+    limit = rate_limit(lam_n, alpha_ag, *schedule.limit())
     # The coordinates decouple and only the negative block's norms are
     # written; with these step sizes and schedules the positive coordinates
     # contract, so they cannot stop a run at the divergence cutoff either.
@@ -208,14 +194,14 @@ def negspace_experiment(
 
     descent = proj_norms(alpha, GRADIENT_DESCENT, start)
     heavy = proj_norms(alpha, ConstantSchedule(beta_hb, 0.0), previous)
-    accel = proj_norms(alpha_ag, NesterovSchedule(), previous)
+    accel = proj_norms(alpha_ag, schedule, previous)
 
     start_norm = float(row_norms(start)[0])
     with np.errstate(over="ignore"):
         predicted = start_norm * (1.0 + limit) ** np.arange(iterations + 1, dtype=float)
 
     return NegspaceSeries(
-        descent=descent,
+        steepest_descent=descent,
         heavy_ball=heavy,
         accelerated=accel,
         predicted=predicted,

@@ -506,7 +506,7 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, "simulate", *argv)
         assert code == 0
         series = negspace_experiment(**kwargs)
-        blocks = [series.descent, series.heavy_ball, series.accelerated, series.predicted]
+        blocks = [series.steepest_descent, series.heavy_ball, series.accelerated, series.predicted]
         rows = [["iter", "steepest_descent", "heavy_ball", "accelerated", "predicted"]]
         for k in range(max(block.size for block in blocks)):
             rows.append([str(k)] + [f"{b[k]:.12g}" if k < b.size else "" for b in blocks])
@@ -635,6 +635,20 @@ class TestVerifyTkCommand:
         code, out, _ = run_cli(capsys, "verify-tk", "--K", "10")
         assert code == 2
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (MemoryError(), "an allocation failed"),
+            (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+        ],
+    )
+    def test_memory_error_exits_one_with_one_line(self, capsys, monkeypatch, error, reason):
+        def exhausted(count):
+            raise error
+
+        monkeypatch.setattr(cli, "verify_tk_properties", exhausted)
+        assert run_cli(capsys, "verify-tk", "--K", "10") == (1, "", f"saddlescape: error: out of memory: {reason}\n")
 
 
 class TestNonFiniteInput:
@@ -765,7 +779,7 @@ class TestOutOfDomainInput:
             # both used to surface later: n=5 as "p=5, n=5" after the n=100 cells ran, -1 as "iterations"
             (["table", "--n", "100", "5"], "each n must be at least 6, got [100, 5]"),
             (["table", "--iters", "-1"], "iteration_cap must be nonnegative, got -1"),
-            # a positive lambda's block contracts only below alpha*lambda = 2*(1 + beta): past it, its class read "stable"
+            # a positive lambda must keep alpha*lambda below 2*(1 + beta), the domain problem mode's conditions impose
             (["spectrum", "--lambda=5", "--alpha", "1", "--beta", "0.5", "--format", "csv"],
              "alpha*lambda must be below 2*(1 + beta) = 3.0 if lambda > 0, got 5.0"),
             (["spectrum", "--lambda=2", "--alpha", "1", "--beta", "0"],

@@ -71,7 +71,13 @@ class TestToyFigure:
         for kept, trace in ((fig.descent, descent), (fig.heavy_ball, heavy_ball)):
             assert np.shares_memory(kept, trace.points) == (thin == 1)
             assert np.array_equal(kept, trace.points[::thin])
-        copied = ToyFigure(fig.descent.copy(), fig.heavy_ball.copy(), thin, fig.descent_escape, fig.heavy_ball_escape)
+        copied = ToyFigure(
+            thin=thin,
+            descent=fig.descent.copy(),
+            heavy_ball=fig.heavy_ball.copy(),
+            descent_escape=fig.descent_escape,
+            heavy_ball_escape=fig.heavy_ball_escape,
+        )
         assert "".join(fig.to_csv()) == "".join(copied.to_csv())
         dumps = [json.dumps(f.to_json_dict(), default=np.ndarray.tolist) for f in (fig, copied)]
         assert dumps[0] == dumps[1]
@@ -130,8 +136,8 @@ class TestToyFigure:
 class TestNegspaceExperiment:
     def test_method_ordering_at_matched_step(self):
         series = negspace_experiment(n=100, p=1, delta=1e-2, seed=0, iterations=2000)
-        m = min(series.descent.size, series.heavy_ball.size, series.accelerated.size) - 1
-        assert series.accelerated[m] > series.heavy_ball[m] > series.descent[m]
+        m = min(series.steepest_descent.size, series.heavy_ball.size, series.accelerated.size) - 1
+        assert series.accelerated[m] > series.heavy_ball[m] > series.steepest_descent[m]
 
     def test_accelerated_tracks_predictor_at_escape(self):
         # at the predictor's first crossing of the unit threshold the realized
@@ -155,7 +161,7 @@ class TestNegspaceExperiment:
     def test_multiple_negative_eigenvalues(self):
         series = negspace_experiment(n=30, p=3, delta=5e-2, seed=4, iterations=100)
         assert series.params["lambda_n"] <= -5e-2
-        assert series.descent.size == 101
+        assert series.steepest_descent.size == 101
 
     def test_same_seed_gives_identical_csv_bytes(self):
         out = []
@@ -167,9 +173,9 @@ class TestNegspaceExperiment:
     def test_csv_pads_truncated_series(self):
         # long enough that the momentum runs hit the divergence cutoff first
         series = negspace_experiment(n=30, p=1, delta=5e-2, seed=5, iterations=2500)
-        assert series.accelerated.size < series.descent.size
+        assert series.accelerated.size < series.steepest_descent.size
         lines = "".join(series.to_csv()).splitlines()
-        assert len(lines) == 1 + series.descent.size
+        assert len(lines) == 1 + series.steepest_descent.size
         tail = lines[-1].split(",")
         assert tail[2] == "" and tail[3] == ""  # heavy-ball and accelerated padded
 
@@ -266,7 +272,9 @@ class TestSeriesCsv:
         descent, heavy_ball = (
             np.stack(ragged_columns((size, size), seed), axis=1) for seed, size in enumerate(lengths)
         )
-        figure = ToyFigure(descent, heavy_ball, thin, None, None)
+        figure = ToyFigure(
+            thin=thin, descent=descent, heavy_ball=heavy_ball, descent_escape=None, heavy_ball_escape=None
+        )
         rows = [
             [name, j * thin, *block[j].tolist()]
             for name, block in (("steepest_descent", descent), ("heavy_ball", heavy_ball))

@@ -154,6 +154,12 @@ class TestAccelerated:
             )
             assert np.array_equal(full.points[:, i], single.points[:, 0])
 
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros(4), np.zeros((1, 3))])
+    def test_start_of_wrong_dimension_rejected(self, x0):
+        prob = QuadraticProblem(np.array([0.8, 0.1, -0.2]))
+        with pytest.raises(ValueError, match=r"^starting point must have dimension 3$"):
+            run_accelerated(prob, 0.5, NesterovSchedule(), x0, EqualStart(), 5)
+
 
 class TestHeavyBall:
     def test_critical_pair_is_fixed(self):

@@ -43,6 +43,24 @@ class TestQuadraticProblem:
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
             QuadraticProblem(np.array([1.0, bad, -1.0]))
 
+    @pytest.mark.parametrize(
+        "eigenvalues, message",
+        [
+            ([], "eigenvalues must be a nonempty 1-D array"),
+            ([[1.0, -1.0]], "eigenvalues must be a nonempty 1-D array"),
+            ([-1.0, 1.0], "eigenvalues must be sorted nonincreasing"),
+        ],
+    )
+    def test_malformed_eigenvalues_rejected(self, eigenvalues, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            QuadraticProblem(np.array(eigenvalues))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3,)])
+    def test_basis_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError) as info:
+            QuadraticProblem(np.array([1.0, 0.5, -0.1]), basis=np.zeros(shape))
+        assert str(info.value) == f"basis must be 3x3, got {shape}"
+
 
 class TestRandomProblem:
     def test_seeded_determinism(self):

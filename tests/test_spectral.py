@@ -290,6 +290,11 @@ class TestClassification:
         assert result.unstable_dim == 5
         assert result.stable_dim == 195
 
+    @pytest.mark.parametrize("eigenvalues", [[0.0, -0.5], [-0.1, -0.2]])
+    def test_nonpositive_largest_eigenvalue_rejected(self, eigenvalues):
+        with pytest.raises(ConditionError, match=r"^classification requires a positive largest eigenvalue$"):
+            classify_saddle_map(QuadraticProblem(np.array(eigenvalues)), 0.5, 0.5)
+
     def test_zero_eigenvalue_block_is_unit(self):
         prob = QuadraticProblem(np.array([1.0, 0.0, -0.5]))
         result = classify_saddle_map(prob, 0.5, 0.9)
