@@ -22,8 +22,8 @@ from . import __version__
 from .experiments import TABLE_METHODS, divergence_table, negspace_experiment, toy_figure
 from .optimizers import MAX_TRACE_VALUES, EqualStart, PerturbedStart
 from .problems import _positive, random_problem
-from .rates import _CSV_CHUNK, MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
-from .schedules import SCHEDULE_KINDS, ToySchedule, verify_tk_properties
+from .rates import MAX_STEPS, predicted_escape_iters, rate_limit, rate_sequence
+from .schedules import _CHUNK, SCHEDULE_KINDS, ToySchedule, verify_tk_properties
 from .spectral import block_roots, blocks_csv, classify_saddle_map
 
 __all__ = ["main", "console_entry", "build_parser"]
@@ -100,13 +100,13 @@ def _emit_result(result, fmt: str, out: str | None) -> None:
 
 
 def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
-    """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CSV_CHUNK`` array items.
+    """The text of ``json.dumps(value, indent=2) + end`` at ``indent``, as chunks of at most ``_CHUNK`` array scalars.
 
     A dict is written key by key.  A non-empty ``ndarray`` is written as its
     ``tolist()``, its items filled into the one ``%`` template :func:`_columns`
-    builds from its columns, one chunk of items at a time.  Anything else is
-    one :func:`_leaf`.  A list or tuple, or a key that is not a string, raises
-    ``TypeError``, and a non-finite float ``ValueError``.
+    builds from its columns, ``_CHUNK // len(columns)`` items (at least one) at
+    a time.  Anything else is one :func:`_leaf`.  A list or tuple, or a key that
+    is not a string, raises ``TypeError``, and a non-finite float ``ValueError``.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -119,8 +119,8 @@ def _json_chunks(value, indent: str = "", end: str = "\n") -> Iterator[str]:
     elif isinstance(value, np.ndarray) and len(value):
         columns, sep = [], ",\n" + inner
         template = _columns(value, columns, inner)
-        for lo in range(0, len(value), _CSV_CHUNK):
-            rows = min(_CSV_CHUNK, len(value) - lo)
+        for lo in range(0, len(value), step := max(1, _CHUNK // max(1, len(columns)))):
+            rows = min(step, len(value) - lo)
             leaves = [None] * (rows * len(columns))
             for i, column in enumerate(columns):
                 leaves[i :: len(columns)] = [_leaf(item) for item in column[lo : lo + rows].tolist()]

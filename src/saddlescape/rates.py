@@ -46,10 +46,10 @@ __all__ = [
 class RateSequence:
     """Growth factors ``b_0..b_count`` for ``a = alpha*|lambda|`` under one schedule.
 
-    The recurrence runs one ``_CHUNK``-step window at a time each time the
-    sequence is read: ``final`` and ``to_csv`` hold one window, and
-    ``values`` builds the whole array on first use.  Where a second CPU is
-    free, ``to_csv`` reads the windows from a forked child, and runs inline
+    The recurrence runs one ``_CHUNK``-step window at a time each time the sequence is read:
+    ``final`` and ``to_csv`` hold one window, which ``to_csv`` formats ``_CHUNK // 2`` rows
+    (of 2 cells) at a time, and ``values`` builds the whole array on first use.  Where a
+    second CPU is free, ``to_csv`` reads the windows from a forked child, and runs inline
     whatever the child did not send.
     """
 
@@ -122,11 +122,11 @@ class RateSequence:
             yield from ((begin, block) for begin, block in self._windows() if begin >= start)
 
     def to_csv(self) -> Iterator[str]:
-        """CSV rows ``iter,b``, ``_CSV_CHUNK`` at most to a chunk, from :func:`_fixed_rows` or :func:`_series_rows`."""
+        """CSV rows ``iter,b``, ``_CHUNK // 2`` at most to a chunk, from :func:`_fixed_rows` or :func:`_series_rows`."""
         yield "iter,b\n0,0\n"
         for start, block in self._forked_windows() if _spare_cpu() else self._windows():
-            for lo in range(start, start + len(block), _CSV_CHUNK):
-                run = np.frombuffer(block)[lo - start : lo - start + _CSV_CHUNK]
+            for lo in range(start, start + len(block), _CHUNK // 2):
+                run = np.frombuffer(block)[lo - start : lo - start + _CHUNK // 2]
                 if (text := _fixed_rows(lo, run)) is None:
                     yield from _series_rows("", range(lo, lo + len(run)), [run])
                 else:
@@ -138,20 +138,19 @@ def _spare_cpu() -> bool:
     return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-# Rows per formatted chunk of a series CSV: bounds the text and the cell tuple held at once.
-_CSV_CHUNK = 2048
 _MAX_COUNT = 2**63 - 2  # the bisection's upper bound: its gap to -1 still fits an int64
 
 
 def _csv_rows(template: str, columns) -> Iterator[str]:
-    """``template % row`` for each row of ``columns`` (sequences of one length), ``_CSV_CHUNK`` rows at most to a chunk.
+    """``template % row`` for each row of ``columns`` (sequences of one length), ``_CHUNK`` cells at most to a chunk.
 
     Every CSV row but :func:`_fixed_rows`' is written here: one chunk of each column (an array's through ``tolist()``)
-    is interleaved into a cell list, which fills ``template * rows`` with one ``%`` operation.
+    is interleaved into a cell list, which fills ``template * rows`` with one ``%`` operation.  A row wider than
+    ``_CHUNK`` is a chunk of its own.
     """
     width, count = len(columns), len(columns[0])
-    for lo in range(0, count, _CSV_CHUNK):
-        hi = min(lo + _CSV_CHUNK, count)
+    for lo in range(0, count, step := max(1, _CHUNK // width)):
+        hi = min(lo + step, count)
         cells = [None] * ((hi - lo) * width)
         for i, column in enumerate(columns):
             cells[i::width] = column[lo:hi].tolist() if isinstance(column, np.ndarray) else column[lo:hi]

@@ -185,9 +185,9 @@ class ToySchedule(MomentumSchedule, spec="toy"):
 # The most terms ``rate_sequence`` and :func:`verify_tk_properties` read: a
 # billion take minutes, and the sequence kept whole needs 8 GB.
 MAX_STEPS = 10**9
-# Terms per window that a long reader holds at once: :func:`verify_tk_properties`
-# and the rate recurrence of ``rates``, whose values are bounded by it too.
-_CHUNK = 1 << 16
+# Values a streamed window or chunk holds at once: the terms of :func:`verify_tk_properties` and of the rate
+# recurrence, and the cells of a CSV or JSON chunk, which holds ``_CHUNK // width`` rows (at least one).
+_CHUNK = 1 << 12
 
 
 def _spans(count: int, size: int) -> Iterator[tuple[int, int]]:

@@ -34,8 +34,8 @@ from saddlescape import (
     toy_figure,
 )
 from saddlescape.experiments import TABLE_METHODS
-from saddlescape.rates import _CSV_CHUNK, MAX_STEPS, _series_rows
-from saddlescape.schedules import TkPropertyReport
+from saddlescape.rates import MAX_STEPS, _series_rows
+from saddlescape.schedules import _CHUNK, TkPropertyReport
 
 
 def plain(value):
@@ -282,8 +282,8 @@ class TestRatesCommand:
         )
 
     def test_csv_bytes_on_stdout_and_file_match_csv_writer(self, capsys, tmp_path):
-        # b_1..b_iters are formatted 2,048 rows at a time: 2047, 2048 and 2049 end just inside, at and past a chunk
-        for iters in (70000, 2047, 2048, 2049):
+        # b_1..b_iters are formatted _CHUNK // 2 rows (2 cells each) at a time: these end inside, at and past a chunk
+        for iters in (70000, _CHUNK // 2 - 1, _CHUNK // 2, _CHUNK // 2 + 1):
             assert_rates_csv_matches_csv_writer(capsys, tmp_path, "nesterov", iters)
 
     @pytest.mark.parametrize("spec", ["attouch:2", "constant:0.5,0.5"])
@@ -293,8 +293,9 @@ class TestRatesCommand:
     @pytest.mark.parametrize("spare", [True, False], ids=["forked", "one-cpu"])
     @pytest.mark.parametrize("lam", [-1e-4, -1.1e-4])
     def test_csv_is_the_series_rows_text(self, capsys, monkeypatch, assert_no_child, spare, lam):
-        # at -1e-4, b_1 prints as 9.9e-05; at -1.1e-4, b crosses 0.01 at k = 2752, inside the rows 2049..4096
-        iters = 2 * _CSV_CHUNK + 100
+        # at -1e-4, b_1 prints as 9.9e-05; at -1.1e-4, b crosses 0.01 at k = 2752, inside the second chunk of rows
+        rows = _CHUNK // 2
+        iters = 2 * rows + 100
         monkeypatch.setattr(rates, "_spare_cpu", lambda: spare)
         code, out, _ = run_cli(capsys, "rates", f"--lambda={lam!r}", "--alpha", "0.99", "--iters", str(iters),
                                "--format", "csv")
@@ -304,7 +305,7 @@ class TestRatesCommand:
         if lam == -1e-4:
             assert out.split("\n")[2] == "1,9.9e-05"
         else:
-            assert values[_CSV_CHUNK + 1] < 0.01 <= values[2 * _CSV_CHUNK]
+            assert values[rows + 1] < 0.01 <= values[2 * rows]
         assert_no_child()
 
     def test_json_memory_does_not_grow_with_the_length(self, capsys):
@@ -912,7 +913,7 @@ def records(count):
     return table
 
 
-# elements of each dtype of a plain array, and shapes with zero-length axes and more rows than one chunk
+# elements of each dtype of a plain array, and shapes with zero-length axes and more rows than one chunk of their width
 ARRAY_ELEMENTS = {
     "float64": json_floats,
     "int64": st.integers(-(2**63), 2**63 - 1),
@@ -921,7 +922,7 @@ ARRAY_ELEMENTS = {
 }
 ARRAY_SHAPES = st.one_of(
     hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
-    st.sampled_from([(0,), (3, 0), (0, 2), (_CSV_CHUNK + 1,), (2 * _CSV_CHUNK + 1, 2), (_CSV_CHUNK + 3, 0, 2)]),
+    st.sampled_from([(0,), (3, 0), (0, 2), (_CHUNK + 1,), (2 * (_CHUNK // 2) + 1, 2), (_CHUNK + 3, 0, 2)]),
 )
 
 
@@ -957,17 +958,18 @@ class TestJsonChunks:
         with pytest.raises(ValueError, match="JSON output holds only finite numbers"):
             "".join(cli._json_chunks(payload))
 
-    @pytest.mark.parametrize("shape", [(0,), (0, 2), (1,), (2 * _CSV_CHUNK + 1,), (_CSV_CHUNK + 3, 2)])
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (1,), (2 * _CHUNK + 1,), (_CHUNK // 2 + 3, 2)])
     def test_a_float_array_is_written_as_its_list(self, shape):
         rng = np.random.default_rng(0)
         payload = {"series": rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape), "n": 1}
         chunks = list(cli._json_chunks(payload))
         assert_same_lines("".join(chunks), json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n")
-        # the key, each chunk of at most _CSV_CHUNK items and the closing bracket (or one "[]"), then "n" and "}"
-        assert len(chunks) == 5 + -(-shape[0] // _CSV_CHUNK)
+        # the key, each chunk of at most _CHUNK // width items and the closing bracket (or one "[]"), then "n" and "}"
+        assert len(chunks) == 5 + -(-shape[0] // (_CHUNK // math.prod(shape[1:])))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(plain_arrays())
+    @example(np.zeros((3, 0)))  # no scalar in an item: its chunk is sized as one of width 1
     def test_a_plain_array_is_written_as_its_list_at_top_level_and_in_a_dict(self, array):
         for payload, expected in ((array, array.tolist()), ({"a": array, "n": 1}, {"a": array.tolist(), "n": 1})):
             assert_same_lines("".join(cli._json_chunks(payload)), json.dumps(expected, indent=2) + "\n")
@@ -982,9 +984,9 @@ class TestJsonChunks:
 
     def test_a_non_finite_array_value_raises(self):
         with pytest.raises(ValueError, match="JSON output holds only finite numbers, got inf"):
-            "".join(cli._json_chunks({"series": np.array([[1.0, 2.0]] * _CSV_CHUNK + [[3.0, np.inf]])}))
+            "".join(cli._json_chunks({"series": np.array([[1.0, 2.0]] * (_CHUNK // 2) + [[3.0, np.inf]])}))
 
-    @pytest.mark.parametrize("count", [0, 1, _CSV_CHUNK + 1])
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK // 5 + 1])  # a record holds 5 scalars
     @pytest.mark.parametrize("nested", [False, True], ids=["top", "in-dict"])
     def test_a_structured_array_is_written_as_a_list_of_objects(self, count, nested):
         table = records(count)
@@ -995,16 +997,49 @@ class TestJsonChunks:
         payload, expected = ({"blocks": table, "n": count}, {"blocks": objects, "n": count}) if nested else (table, objects)
         chunks = list(cli._json_chunks(payload))
         assert_same_lines("".join(chunks), json.dumps(expected, indent=2) + "\n")
-        assert max(chunk.count('"lambda": ') for chunk in chunks) == min(count, _CSV_CHUNK)
+        assert max(chunk.count('"lambda": ') for chunk in chunks) == min(count, _CHUNK // 5)
 
     @pytest.mark.parametrize("field", ["lambda", "mu%"])
     def test_a_non_finite_record_field_raises_and_leaves_no_file(self, tmp_path, field):
-        table = records(_CSV_CHUNK + 1)
-        (table[field] if field == "lambda" else table[field]["im"])[_CSV_CHUNK] = np.nan
+        table = records(_CHUNK // 5 + 1)  # the bad record is the first of the second chunk
+        (table[field] if field == "lambda" else table[field]["im"])[_CHUNK // 5] = np.nan
         path = tmp_path / "out.json"
         with pytest.raises(ValueError, match=r"^JSON output holds only finite numbers, got nan$"):
             cli._emit(cli._json_chunks({"blocks": table}), str(path))
         assert not path.exists()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 8),
+        st.sampled_from(["plain", "deep", "structured"]),
+        st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),  # rows as (chunks, offset)
+    )
+    @example(_CHUNK + 3, "plain", (0, 3))  # an item wider than the budget is a chunk of its own
+    def test_an_array_chunk_holds_at_most_the_budget_of_scalars(self, width, kind, offset):
+        step = max(1, _CHUNK // max(1, width))
+        rows = offset[0] * step + offset[1]
+        if kind == "structured":  # the first two scalars nested in a record
+            fields = [(name, np.int64) for name in "abcdefgh"[:width]]
+            array = np.full(rows, 7, [("r", fields[:2]), *fields[2:]] if width >= 2 else fields)
+        else:  # the item shape; (0, 2) holds no scalar
+            items = {"plain": () if width == 1 else (width,), "deep": (width, 1) if width else (0, 2)}
+            array = np.full((rows, *items[kind]), 7)
+        chunks = list(cli._json_chunks(array))
+        scalars = [chunk.count("7") for chunk in chunks]  # each scalar is a 7, and no other text holds one
+        assert sum(scalars) == rows * width and max(scalars) <= max(_CHUNK, width)
+        assert len(chunks) == (1 + -(-rows // step) if rows else 1)  # the item chunks and "]", or one "[]"
+
+    def test_writing_the_spectrum_holds_one_chunk_of_scalars(self):
+        # 5,000 blocks of 6 scalars: 1.46 MiB here when a chunk held 2,048 blocks
+        prob = random_problem(5000, 50, 0.01, 0)
+        payload = classify_saddle_map(prob, 1.0 / prob.lipschitz, 0.989).to_json_dict()
+        tracemalloc.start()
+        try:
+            cli._emit(cli._json_chunks(payload), os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2**20
 
     @pytest.mark.parametrize(
         "payload",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,6 +282,18 @@ class TestSeriesCsv:
             for j in range(len(block))
         ]
         assert "".join(figure.to_csv()).split("\n")[:-1] == per_cell_csv("method,iter,x1,x2", rows)
+
+    def test_negspace_csv_holds_one_chunk_of_cells(self):
+        # its 5-cell rows are formatted _CHUNK cells at a time: 0.61 MiB here at 2,048 rows to a chunk
+        series = negspace_experiment(2000, 1, 0.01, 0, 20000)
+        tracemalloc.start()
+        try:
+            for _ in series.to_csv():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * 2**20
 
 
 class TestDivergenceTable:

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -28,7 +29,7 @@ from saddlescape import (
     run_accelerated,
     sample_unit_ball,
 )
-from saddlescape.rates import _CHUNK, _CSV_CHUNK, MAX_STEPS, _csv_rows, _fixed_rows, _series_rows, _spare_cpu
+from saddlescape.rates import _CHUNK, MAX_STEPS, _csv_rows, _fixed_rows, _series_rows, _spare_cpu
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
 REJECTED_CURVATURES = [
@@ -131,10 +132,26 @@ class TestRateSequence:
         assert rows[-1] == f"{_CHUNK + 3},{final:.12g}"
 
     def test_csv_chunks_hold_at_most_one_formatted_chunk_of_rows(self):
-        # 5,000 rows lie in one 65,536-step window of the recurrence, and are still formatted 2,048 at a time
+        # 5,000 rows span two windows of the recurrence, and each window is formatted _CHUNK // 2 rows at a time
         chunks = list(rate_sequence(-0.01, 0.99, NesterovSchedule(), 5000).to_csv())
-        assert max(chunk.count("\n") for chunk in chunks) <= _CSV_CHUNK
+        assert max(chunk.count("\n") for chunk in chunks) <= _CHUNK // 2
         assert sum(chunk.count("\n") for chunk in chunks) == 5002
+        # the header and b_0, then two windows, the second 1 row short of two chunks; _fixed_rows writes its runs
+        seq, half = rate_sequence(-0.004, 0.99, NesterovSchedule(), 2 * _CHUNK - 1), _CHUNK // 2
+        assert _fixed_rows(_CHUNK + 1, seq.values[_CHUNK + 1 :]) is not None
+        assert [chunk.count("\n") for chunk in seq.to_csv()] == [2, half, half, half, half - 1]
+
+    def test_a_pass_holds_one_window_at_a_time(self):
+        # the schedule's terms and b, _CHUNK of each at a time: 2.56 MiB here with windows of 65,536 terms
+        seq = rate_sequence(-0.004, 0.99, NesterovSchedule(), 200_000)
+        tracemalloc.start()
+        try:
+            for _ in seq._windows():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     @pytest.mark.parametrize("lam, alpha", REJECTED_CURVATURES)
     def test_non_finite_curvature_rejected(self, lam, alpha):
@@ -324,8 +341,9 @@ class TestFixedRows:
         assert _fixed_rows(start, np.array(values)) == series_text(start, values)
 
     def test_a_chunk_of_a_recurrence_is_written(self):
-        values = rate_sequence(-0.004, 0.99, NesterovSchedule(), 30 * _CSV_CHUNK).values[-_CSV_CHUNK:]
-        start = 29 * _CSV_CHUNK + 1
+        rows = _CHUNK // 2
+        values = rate_sequence(-0.004, 0.99, NesterovSchedule(), 30 * rows).values[-rows:]
+        start = 29 * rows + 1
         assert _fixed_rows(start, values) == series_text(start, values)
 
 
@@ -339,19 +357,25 @@ CSV_COLUMNS = {
 }
 
 
+# A row count as (chunks, offset): rows = chunks * (_CHUNK // width) + offset, around each width's chunk boundaries
+CHUNK_OFFSETS = st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+
+
 class TestCsvRows:
-    """``_csv_rows`` writes the text of ``template % row`` row by row, ``_CSV_CHUNK`` rows at most to a chunk."""
+    """``_csv_rows`` writes the text of ``template % row`` row by row, ``_CHUNK // width`` rows at most to a chunk."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        st.sampled_from([0, 1, 2047, 2048, 2049, 4097]),
+        CHUNK_OFFSETS,
         st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=4).flatmap(
             lambda kinds: st.tuples(st.just(kinds), st.tuples(*(CSV_COLUMNS[kind][1] for kind in kinds)))
         ),
         st.sampled_from(["", "lead,"]),
     )
-    def test_chunks_are_the_per_row_text(self, rows, drawn, lead):
+    def test_chunks_are_the_per_row_text(self, offset, drawn, lead):
         kinds, pools = drawn
+        step = _CHUNK // len(kinds)
+        rows = offset[0] * step + offset[1]
         columns = []
         for kind, pool in zip(kinds, pools):
             if kind == "range":
@@ -362,8 +386,18 @@ class TestCsvRows:
         template = lead + ",".join(CSV_COLUMNS[kind][0] for kind in kinds) + "\n"
         chunks = list(_csv_rows(template, columns))
         assert "".join(chunks) == "".join(template % row for row in zip(*columns))
-        sizes = [min(_CSV_CHUNK, rows - lo) for lo in range(0, rows, _CSV_CHUNK)]
+        sizes = [min(step, rows - lo) for lo in range(0, rows, step)]
         assert [chunk.count("\n") for chunk in chunks] == sizes
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), CHUNK_OFFSETS)
+    @example(_CHUNK + 3, (0, 3))  # a row wider than the budget is a chunk of its own
+    def test_a_chunk_holds_at_most_the_budget_of_cells(self, width, offset):
+        rows = offset[0] * max(1, _CHUNK // width) + offset[1]
+        columns = [range(i, i + rows) for i in range(width)]
+        chunks = list(_csv_rows(",".join(["%d"] * width) + "\n", columns))
+        cells = [chunk.count("\n") * width for chunk in chunks]
+        assert sum(cells) == rows * width and max(cells, default=0) <= max(_CHUNK, width)
 
 
 class TestProductReconstruction:
