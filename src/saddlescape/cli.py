@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     rates = sub.add_parser("rates", help="divergence-rate recurrence and its limit")
     rates.add_argument("--lambda", type=float, required=True,
                        help="negative Hessian eigenvalue")
-    rates.add_argument("--alpha", type=float, required=True, help="step size")
+    rates.add_argument("--alpha", type=float, required=True,
+                       help="step size; for a = alpha*|lambda|, b_k's bound a + sqrt(a)*sqrt(1 + a) must be finite")
     rates.add_argument("--gamma", type=float, default=0.0,
                        help="slack term for the toy schedule (nonnegative and finite)")
     rates.add_argument("--schedule", default="nesterov",

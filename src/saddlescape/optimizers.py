@@ -54,8 +54,8 @@ __all__ = [
 # flagged as diverged once any coordinate magnitude passes this cutoff.
 DIVERGENCE_CUTOFF = 1e100
 GRADIENT_DESCENT = ConstantSchedule(0.0, 0.0)
-# The most values a :class:`Trace` stores: it keeps the longest ``toy`` or
-# ``simulate`` run, JSON included, under about 1 GiB.
+# The most values a :class:`Trace` stores, 32 MB of float64 (``toy`` holds two runs; JSON streams from them): a
+# longer run fails at once with one error line, where a trace grown without a bound would fill memory.
 MAX_TRACE_VALUES = 4 * 10**6
 # Schedule terms :func:`iterate` holds at a time; most escape runs end within one window.
 _TERMS_WINDOW = 1024

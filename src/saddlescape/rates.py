@@ -173,20 +173,18 @@ def _series_rows(lead: str, iters: range, columns) -> Iterator[str]:
 
 
 @cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Each 4-digit group ``0..9999`` as its ASCII digits in one uint32, and its count of trailing zeros (4 for 0)."""
-    digit, chars, zeros = np.arange(10, dtype=np.uint8), np.empty((10, 10, 10, 10, 4), np.uint8), 0
-    for i in range(4):  # the thousands first; broadcast one axis per digit, so no temporary outgrows the tables
-        axis = digit.reshape([10 if j == i else 1 for j in range(4)])
-        chars[..., i] = axis + ord("0")
-        zeros = (axis == 0) * (1 + zeros)
-    return chars.reshape(-1).view(np.uint32), zeros.reshape(-1)
+def _digit_table() -> np.ndarray:
+    """Each 4-digit group ``0..9999`` as its ASCII digits in one uint32."""
+    digit, chars = np.arange(10, dtype=np.uint8), np.empty((10, 10, 10, 10, 4), np.uint8)
+    for i in range(4):  # the thousands first; broadcast one axis per digit, so no temporary outgrows the table
+        chars[..., i] = digit.reshape([10 if j == i else 1 for j in range(4)]) + ord("0")
+    return chars.reshape(-1).view(np.uint32)
 
 
-def _ascii(numbers: np.ndarray, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The ``(n, width)`` zero-padded ASCII digits of integers in ``[0, 10**12)``, and their 4-digit groups."""
-    groups = [numbers // 10 ** (4 * i) % 10**4 for i in range(2, -1, -1)]
-    return np.stack([_digit_tables()[0][group] for group in groups], axis=1).view(np.uint8)[:, 12 - width :], groups
+def _ascii(numbers: np.ndarray, width: int) -> np.ndarray:
+    """The ``(n, width)`` zero-padded ASCII digits of integers in ``[0, 10**12)``."""
+    groups = [_digit_table()[numbers // 10 ** (4 * i) % 10**4] for i in range(2, -1, -1)]
+    return np.stack(groups, axis=1).view(np.uint8)[:, 12 - width :]
 
 
 def _fixed_rows(start: int, values: np.ndarray) -> str | None:
@@ -211,12 +209,11 @@ def _fixed_rows(start: int, values: np.ndarray) -> str | None:
         if (text := "%.11e" % values[i])[13:] != head[13:]:
             return None
         digits[i] = int(text[0] + text[2:13])
-    chars, (high, middle, low) = _ascii(digits.astype(np.int64), 12)
-    zeros = _digit_tables()[1]
-    trailing = np.where(low > 0, zeros[low], np.where(middle > 0, 4 + zeros[middle], 8 + zeros[high]))
+    chars = _ascii(digits.astype(np.int64), 12)
+    trailing = (chars[:, ::-1] != ord("0")).argmax(axis=1)  # the 12 digits lie in [1e11, 1e12): the first is not 0
     prefix = np.frombuffer(f",0.{'0' * (-1 - exponent)}".encode(), np.uint8)
     rows = np.empty((len(values), lead + len(prefix) + 13), np.uint8)
-    rows[:, :lead] = _ascii(np.arange(start, start + len(values)), lead)[0]
+    rows[:, :lead] = _ascii(np.arange(start, start + len(values)), lead)
     rows[:, lead:-13], rows[:, -13:-1], rows[:, -1] = prefix, chars, ord("\n")
     keep = np.ones(rows.shape, bool)
     keep[:, -13:-1] = np.arange(12) < 12 - trailing[:, None]
@@ -241,6 +238,8 @@ def _step_curvature(lam: float, alpha: float) -> float:
 def rate_sequence(lam: float, alpha: float, schedule: MomentumSchedule, count: int) -> RateSequence:
     """The growth recurrence for ``count`` steps (``b_0`` through ``b_count``), run as it is read."""
     a = _step_curvature(lam, alpha)
+    if a + math.sqrt(a) * math.sqrt(1.0 + a) == math.inf:  # the (1, 1) limit, which bounds every b_k
+        raise ValueError(f"alpha*|lambda| = {a!r} is too large: the bound a + sqrt(a)*sqrt(1 + a) on b_k overflows")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count!r}")
     if count > MAX_STEPS:

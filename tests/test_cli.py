@@ -325,6 +325,11 @@ class TestRatesCommand:
         code, out, _ = run_cli(capsys, "rates", "--help")
         assert code == 0 and f"from 1 to {MAX_STEPS}" in " ".join(out.split())
 
+    def test_help_states_the_growth_factor_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "rates", "--help")
+        assert code == 0
+        assert "for a = alpha*|lambda|, b_k's bound a + sqrt(a)*sqrt(1 + a) must be finite" in " ".join(out.split())
+
     def test_failing_chunk_removes_the_partial_file(self, capsys, tmp_path, monkeypatch):
         def failing_rows(self):
             yield "iter,b\n"
@@ -785,6 +790,11 @@ class TestOutOfDomainInput:
              "alpha*lambda must be below 2*(1 + beta) = 3.0 if lambda > 0, got 5.0"),
             (["spectrum", "--lambda=2", "--alpha", "1", "--beta", "0"],
              "alpha*lambda must be below 2*(1 + beta) = 2.0 if lambda > 0, got 2.0"),
+            # every b_k is at most a + sqrt(a)*sqrt(1 + a), which overflows past a = 8.99e307: the CSV wrote "2,inf"
+            (["rates", "--lambda=-1", "--alpha", "1e308", "--schedule", "constant:1,1", "--iters", "3",
+              "--format", "csv"], "alpha*|lambda| = 1e+308 is too large: the bound a + sqrt(a)*sqrt(1 + a) on b_k"),
+            (["rates", "--lambda=-1", "--alpha", "1e308", "--json"],
+             "alpha*|lambda| = 1e+308 is too large: the bound a + sqrt(a)*sqrt(1 + a) on b_k"),
         ],
     )
     def test_rejected_with_one_line_and_no_echo(self, capsys, tmp_path, argv, message):
@@ -1255,6 +1265,7 @@ class TestCliContractProperty:
     @example(["toy", "--alpha=1e308", "--x0=1e99,0", "--iters=3"])  # a step overflows
     @example(["toy", "--alpha=1e308", "--x0=1e99,0", "--iters=3", "--json"])
     @example(["simulate", "--eps-perturb=1e308"])  # the perturbed predecessor overflows
+    @example(["rates", "--lambda=-1", "--alpha=1e308", "--schedule=constant:1,1", "--iters=3", "--format=csv"])
     @example(["spectrum", "--lambda=0", "--alpha=1", "--beta=0.9999999999999999"])  # lambda = 0's roots round to one
     def test_exit_code_error_line_and_json(self, argv):
         out, err = io.StringIO(), io.StringIO()

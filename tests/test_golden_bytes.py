@@ -4,8 +4,10 @@ Every CSV row is written by ``rates._csv_rows`` or, on the ``rates`` fast
 path, ``rates._fixed_rows``; a change to either that moves one byte of these
 outputs fails here.  The set covers what each writer path must keep: ragged
 ``simulate`` columns, negative and subnormal ``toy`` values, a censored
-``table`` and one whose cap is past int64, both ``spectrum`` modes, and
-``rates`` rows in exponent notation and across a 65,536-term window.
+``table`` and one whose cap is past int64, both ``spectrum`` modes,
+``rates`` rows in exponent notation, and 70,000 ``rates`` rows that cross the
+17 edges of the recurrence's 4,096-term windows and each power of ten of
+``k`` up to 10,000.
 
 Every JSON byte is written by ``cli._json_chunks``; its set covers each kind
 of value that writer meets: the float arrays of ``toy`` and ``simulate``, a

@@ -1,7 +1,9 @@
 import math
 import os
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from saddlescape import (
 from saddlescape.rates import _CHUNK, MAX_STEPS, _csv_rows, _fixed_rows, _series_rows, _spare_cpu
 
 SCHEDULES = [NesterovSchedule(), AttouchSchedule(2.0), ConstantSchedule(0.5, 0.5)]
+# The largest accepted a = alpha*|lambda|: past it, a + sqrt(a)*sqrt(1 + a), the (1, 1) limit that bounds b_k, overflows
+A_MAX = sys.float_info.max / 2
 REJECTED_CURVATURES = [
     (float("nan"), 0.5),
     (-float("inf"), 0.5),
@@ -40,6 +44,7 @@ REJECTED_CURVATURES = [
     (-1e200, 1e200),  # alpha*|lambda| overflows
     (-1e-300, 1e-300),  # alpha*|lambda| underflows to 0: an all-zero sequence and a zero limit
     (-1e-200, 3e-124),  # alpha*|lambda| = 3e-324 is subnormal, stored as 5e-324
+    (-1.0, math.nextafter(A_MAX, math.inf)),  # the bound a + sqrt(a)*sqrt(1 + a) on b_k overflows
 ]
 
 all_schedules = st.one_of(
@@ -157,6 +162,26 @@ class TestRateSequence:
     def test_non_finite_curvature_rejected(self, lam, alpha):
         with pytest.raises(ValueError):
             rate_sequence(lam, alpha, NesterovSchedule(), 10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.integers(0, 1000).map(lambda ulps: A_MAX - ulps * math.ulp(A_MAX)),
+                  st.floats(A_MAX * (1 - 1e-9), A_MAX)),
+        all_schedules,
+        st.integers(1, 3 * _CHUNK),
+    )
+    @example(A_MAX, ConstantSchedule(1.0, 1.0), 3)
+    @example(A_MAX, ConstantSchedule(0.0, 1.0), 3)
+    @example(A_MAX, PolyakSchedule(0.01, 10.0), 3)
+    @example(A_MAX, NesterovSchedule(), 2 * _CHUNK + 1)
+    @example(A_MAX, AttouchSchedule(0.0), 2 * _CHUNK + 1)
+    @example(A_MAX, ToySchedule(0.01, 0.0, 0.0), 3)
+    def test_values_at_the_largest_accepted_a_are_finite_and_bounded(self, a, schedule, count):
+        values = rate_sequence(-1.0, a, schedule, count).values
+        assert np.isfinite(values).all()
+        # b <= a + sqrt(a*(1 + a)) in exact rationals: the float formula can round below b (at A_MAX under (1, 1), 2a)
+        b, a = Fraction(float(values.max())), Fraction(a)
+        assert b <= a or (b - a) ** 2 <= a * (1 + a)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -337,6 +362,9 @@ class TestFixedRows:
     )
     @example(100, [0.0999999999999995, 0.5, 0.1, 0.100000000000])  # the first carries to 0.1
     @example(100, [0.0001, 0.00099999999999, 0.000123456789012])
+    # one value for each count of trailing zeros in its 12 digits, 0 to 11
+    @example(100, [float("0." + "123456789012"[: 12 - k]) for k in range(12)])
+    @example(100, [float("0.000" + "123456789012"[: 12 - k]) for k in range(12)])
     def test_every_run_in_the_domain_is_written(self, start, values):
         assert _fixed_rows(start, np.array(values)) == series_text(start, values)
 

@@ -205,9 +205,11 @@ def whole_array_tk_report(count):
 
 
 class TestTkProperties:
-    @pytest.mark.parametrize("count", [2, 3, 1024, 65536, 65537, 10**5, 10**6])
+    @pytest.mark.parametrize(
+        "count", [2, 3, 1024, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 65536, 65537, 10**5, 10**6]
+    )
     def test_streamed_report_equals_the_whole_array_report(self, count):
-        # windows hold 65536 terms; the ratios compare across each window edge
+        # windows hold _CHUNK = 4,096 terms; the ratios compare across each window edge
         streamed = json.dumps(verify_tk_properties(count).to_json_dict())
         assert streamed == json.dumps(whole_array_tk_report(count).to_json_dict())
 
