@@ -36,9 +36,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_point(text: str) -> list[float]:
     try:
-        return np.array([float(part) for part in text.split(",")])
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
@@ -72,8 +72,8 @@ def _echo_config(args, **resolved) -> None:
     print(f"saddlescape {args.command} config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, a string or an iterable of string chunks, to ``out`` (stdout when None).
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the string ``chunks`` to ``out`` (stdout when None).
 
     The only function that writes a command's output.  Output is computed
     as it is written: a CSV series as its rows are formatted, and JSON as
@@ -81,7 +81,6 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     were written (JSON holds only finite numbers, so an infinite or NaN
     value raises ``ValueError``); the partly written ``out`` is then deleted.
     """
-    chunks = (text,) if isinstance(text, str) else text
     if out is None:
         sys.stdout.writelines(chunks)
         return
@@ -185,7 +184,7 @@ def _resolve_format(args, default: str) -> str:
 def _cmd_toy(args) -> int:
     fmt = _resolve_format(args, "csv")
     figure = toy_figure(args.delta, args.alpha, args.beta, args.x0, args.iters, args.thin, args.threshold)
-    _echo_config(args, format=fmt, x0=args.x0.tolist())
+    _echo_config(args, format=fmt)
     _emit_result(figure, fmt, args.out)
     return 0
 
@@ -310,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--delta", type=float, default=0.02, help="negative curvature magnitude")
     toy.add_argument("--alpha", type=float, default=0.75, help="step size")
     toy.add_argument("--beta", type=float, default=0.985, help="heavy-ball momentum, in [0, 1)")
-    toy.add_argument("--x0", type=_parse_point, default=np.array([0.25, 0.01]),
-                     help="starting point as 'X1,X2'")
+    toy.add_argument("--x0", type=_parse_point, default=[0.25, 0.01], help="starting point as 'X1,X2'")
     toy.add_argument("--iters", type=int, default=500,
                      help=f"number of update steps, at most {MAX_TRACE_VALUES // 2 - 1}")
     toy.add_argument("--thin", type=int, default=1, help="keep every m-th iterate")

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .problems import QuadraticProblem, _positive, rng_from
-from .schedules import ConstantSchedule, MomentumSchedule
+from .schedules import _CHUNK, ConstantSchedule, MomentumSchedule
 
 # The reducers Trace and FirstCrossing are called once per block of steps from
 # inside iterate; they are importable from here but not part of the exported surface.
@@ -57,8 +57,6 @@ GRADIENT_DESCENT = ConstantSchedule(0.0, 0.0)
 # The most values a :class:`Trace` stores, 32 MB of float64 (``toy`` holds two runs; JSON streams from them): a
 # longer run fails at once with one error line, where a trace grown without a bound would fill memory.
 MAX_TRACE_VALUES = 4 * 10**6
-# Schedule terms :func:`iterate` holds at a time; most escape runs end within one window.
-_TERMS_WINDOW = 1024
 # Steps :func:`iterate` runs between checks of the cutoff and the reducer, and
 # the coordinates a block holds at most, which bounds its buffer (at 4096 the
 # table's 500-coordinate batches raised its peak RSS by about 0.1 MiB).
@@ -215,9 +213,7 @@ def iterate(
     a = np.broadcast_to(step_sizes, x.shape[:1])[:, None]  # raises unless one step size or one per row
     result = BatchRun(np.zeros(x.shape[0], dtype=int), np.zeros(x.shape[0], dtype=bool), np.empty_like(x))
     rows = np.arange(x.shape[0])
-    # the schedule's terms, one window at a time: betas[k - first] is beta_k, for k up to last
-    windows = schedule.windows(iterations, _TERMS_WINDOW)
-    first = last = 0
+    windows = schedule.windows(iterations)  # betas[k % _CHUNK] is beta_{k+1}
     if reducer is not None:
         reducer.start(x, iterations)
 
@@ -256,10 +252,9 @@ def iterate(
                 buf[0], buf[1] = xp, x
                 slots = list(buf)
                 d, u, v = np.empty((3, *x.shape))
-            if k == last:
+            if (j := k % _CHUNK) == 0:
                 betas, gammas = next(windows)
-                first, last = k + 1, k + betas.size
-            m, j = min(size, last - k), k + 1 - first
+            m = min(size, betas.size - j)
             _steps(buf, slots, betas[j : j + m].tolist(), gammas[j : j + m].tolist(), h, a, d, u, v)
             states, over = buf[2 : m + 2], None
             # Two whole-block reductions, with no temporary; steps are told

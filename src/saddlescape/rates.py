@@ -63,7 +63,7 @@ class RateSequence:
         Each window is an ``array("d")``, which keeps no float object per value.
         """
         a, b, start = self.a, 0.0, 1
-        for betas, gammas in self.schedule.windows(self.count, _CHUNK):
+        for betas, gammas in self.schedule.windows(self.count):
             block = array("d")
             append = block.append
             for c in array("d", (betas + gammas * a).tobytes()):  # c_k = beta_k + gamma_k*a

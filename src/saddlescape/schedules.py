@@ -64,23 +64,21 @@ class MomentumSchedule:
         cls.spec, cls.kind = spec, spec.partition(":")[0]
         SCHEDULE_KINDS[cls.kind] = cls
 
-    def windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``betas, gammas`` for iterations ``1..count``, in consecutive windows of at most ``size`` terms.
+    def windows(self, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``betas, gammas`` for iterations ``1..count``, in windows of exactly ``_CHUNK`` terms but the last.
 
-        Raises :class:`ScheduleError` at the first window with a term outside [0, 1].
+        The kernel relies on that size.  Raises :class:`ScheduleError` at the first window with a term outside [0, 1].
         """
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count!r}")
-        if size < 1:
-            raise ValueError(f"size must be positive, got {size!r}")
-        for betas, gammas in self._windows(count, size):
+        for betas, gammas in self._windows(count):
             for terms in (betas, gammas):
                 if not (terms.min() >= 0.0 and terms.max() <= 1.0):  # NaN fails both
                     raise ScheduleError("schedule emitted parameters outside [0, 1]")
             yield betas, gammas
 
-    def _windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for _, n in _spans(count, size):
+    def _windows(self, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for _, n in _spans(count):
             yield np.full(n, self.beta), np.full(n, self.gamma)
 
     def limit(self) -> tuple[float, float]:
@@ -128,8 +126,8 @@ class PolyakSchedule(MomentumSchedule, spec="polyak:M,L"):
 class NesterovSchedule(MomentumSchedule, spec="nesterov"):
     """``beta_k = gamma_k = (t_{k-1} - 1) / t_k`` driven by the t-sequence."""
 
-    def _windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for t in _t_windows(count, size):
+    def _windows(self, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for t in _t_windows(count):
             betas = (t[:-1] - 1.0) / t[1:]
             yield betas, betas
 
@@ -147,8 +145,8 @@ class AttouchSchedule(MomentumSchedule, spec="attouch:ETA"):
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be nonnegative and finite, got {self.eta!r}")
 
-    def _windows(self, count: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for start, n in _spans(count, size):
+    def _windows(self, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start, n in _spans(count):
             k = np.arange(start, start + n, dtype=float)
             betas = (k - 1.0) / (k + self.eta + 1.0)
             yield betas, betas
@@ -185,25 +183,26 @@ class ToySchedule(MomentumSchedule, spec="toy"):
 # The most terms ``rate_sequence`` and :func:`verify_tk_properties` read: a
 # billion take minutes, and the sequence kept whole needs 8 GB.
 MAX_STEPS = 10**9
-# Values a streamed window or chunk holds at once: the terms of :func:`verify_tk_properties` and of the rate
-# recurrence, and the cells of a CSV or JSON chunk, which holds ``_CHUNK // width`` rows (at least one).
+# Values a streamed window or chunk holds at once: the schedule terms of every reader of
+# :meth:`MomentumSchedule.windows` (the iteration kernel, the rate recurrence and :func:`verify_tk_properties`),
+# and the cells of a CSV or JSON chunk, which holds ``_CHUNK // width`` rows (at least one).
 _CHUNK = 1 << 12
 
 
-def _spans(count: int, size: int) -> Iterator[tuple[int, int]]:
-    """``(start, n)`` of consecutive windows ``[start, start + n)`` covering ``1..count``, ``n <= size``."""
-    for start in range(1, count + 1, size):
-        yield start, min(size, count + 1 - start)
+def _spans(count: int) -> Iterator[tuple[int, int]]:
+    """``(start, n)`` of consecutive windows ``[start, start + n)`` covering ``1..count``, ``n <= _CHUNK``."""
+    for start in range(1, count + 1, _CHUNK):
+        yield start, min(_CHUNK, count + 1 - start)
 
 
-def _t_windows(count: int, size: int) -> Iterator[np.ndarray]:
+def _t_windows(count: int) -> Iterator[np.ndarray]:
     """``t_{start-1}..t_{start+n-1}`` for each window of :func:`_spans`; ``t_{start-1}`` is carried over.
 
     The terms are appended to an ``array("d")``, which keeps no float object
     per term.
     """
     sqrt, prev = math.sqrt, 1.0
-    for _, n in _spans(count, size):
+    for _, n in _spans(count):
         t = array("d", (prev,))
         append = t.append
         for _ in repeat(None, n):
@@ -269,7 +268,7 @@ def verify_tk_properties(count: int) -> TkPropertyReport:
     if count > MAX_STEPS:
         raise ValueError(f"count must be at most {MAX_STEPS}, got {count!r}")
     identity_err, bound_ok, monotone, gap, last = 0.0, True, True, 0.0, -math.inf  # no ratio before the first
-    for (start, _), t in zip(_spans(count, _CHUNK), _t_windows(count, _CHUNK)):
+    for (start, _), t in zip(_spans(count), _t_windows(count)):
         prev, cur = t[:-1], t[1:]  # t_{k-1} and t_k for k = start, start + 1, ...
         identity_err = max(identity_err, float(np.max(np.abs(cur * cur - cur - prev * prev) / (cur * cur))))
         k = np.arange(start - 1, start + cur.size, dtype=float)

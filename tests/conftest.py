@@ -8,8 +8,8 @@ from saddlescape import SCHEDULE_KINDS, ConstantSchedule, ScheduleError
 class LateFailingSchedule(ConstantSchedule, spec="late-failing:B"):
     """Constant momentum whose second window raises, as a schedule that leaves [0, 1] late would."""
 
-    def _windows(self, count, size):
-        windows = super()._windows(count, size)
+    def _windows(self, count):
+        windows = super()._windows(count)
         yield next(windows)
         raise ScheduleError("the second window failed")
 

@@ -1146,6 +1146,15 @@ class TestConfigEcho:
             '"gamma_hat": 0.1, "kind": "toy"}, "threshold": 1.0}\n'
         )
 
+    @pytest.mark.parametrize("argv, x0", [([], "[0.25, 0.01]"), (["--x0=-0.25,1e-300"], "[-0.25, 1e-300]")])
+    def test_toy_echo(self, capsys, argv, x0):
+        code, _, err = run_cli(capsys, "toy", "--iters", "10", *argv)
+        assert code == 0
+        assert err == (
+            'saddlescape toy config: {"alpha": 0.75, "beta": 0.985, "delta": 0.02, "format": "csv", "iters": 10, '
+            f'"thin": 1, "threshold": 1.0, "x0": {x0}}}\n'
+        )
+
     def test_spectrum_single_block_echo(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--lambda=-0.02", "--alpha", "3", "--beta", "0.94")
         assert code == 0

@@ -26,6 +26,7 @@ from saddlescape import (
 )
 from saddlescape import optimizers
 from saddlescape.optimizers import _NARROW, DIVERGENCE_CUTOFF, GRADIENT_DESCENT, FirstCrossing, Trace, row_norms
+from saddlescape.schedules import _CHUNK
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -50,8 +51,9 @@ def setups(draw, batch=1, max_step=2.5, schedule=schedules, n=st.integers(2, 10)
     """A random diagonal saddle, ``batch`` starts with predecessors, and run parameters.
 
     Step sizes reach ``max_step``/L; past 2/L the positive curvatures are
-    unstable, so some runs stop at the divergence cutoff.  Up to 1500
-    iterations, the kernel extends the schedule's terms past its first 1024.
+    unstable, so some runs stop at the divergence cutoff.  Runs of
+    ``_CHUNK - 1`` to ``_CHUNK + 1`` iterations end at and past the edge of
+    the kernel's first window of schedule terms.
     """
     n = draw(n)
     p = draw(st.integers(1, n - 1))
@@ -70,7 +72,7 @@ def setups(draw, batch=1, max_step=2.5, schedule=schedules, n=st.integers(2, 10)
         "policies": policies,
         "alphas": alphas,
         "schedule": draw(schedule),
-        "iterations": draw(st.integers(0, 1500)),
+        "iterations": draw(st.one_of(st.integers(0, 1500), st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1]))),
     }
 
 
@@ -231,7 +233,7 @@ def per_step_run(curvatures, alphas, schedule, starts, x_prevs, iterations, thre
 
     Returns each row's ``(steps, diverged, final, crossing, points)``.
     """
-    terms = [None, *(pair for window in schedule.windows(iterations, 1000) for pair in zip(*window))]
+    terms = [None, *(pair for window in schedule.windows(iterations) for pair in zip(*window))]
     runs = []
     for alpha, x, xp in zip(alphas, starts, x_prevs):
         points, steps, diverged, crossing = [x], iterations, False, -1
@@ -255,7 +257,11 @@ def per_step_run(curvatures, alphas, schedule, starts, x_prevs, iterations, thre
 @PROPERTY
 @given(
     sized_setups(),
-    st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 1023, 1024, 1025, 2049]), st.integers(0, 2100)),
+    st.one_of(
+        st.sampled_from([0, 1, 63, 64, 65, 127, 1023, 1024, 1025, 2049]),
+        st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1]),
+        st.integers(0, 2100),
+    ),
     st.one_of(st.none(), st.floats(0.5, 1e3), st.sampled_from([1e99, 1e100])),
 )
 def test_blocked_kernel_equals_a_per_step_loop(setup, iterations, threshold):
@@ -315,6 +321,26 @@ def test_each_body_and_a_batch_narrowing_into_floats_equal_a_per_step_loop(monke
     assert crossing.crossing.tolist() == [e[3] for e in expected]
     assert run.final.tobytes() == np.array([e[2] for e in expected]).tobytes()
     assert narrow == in_floats
+
+
+@pytest.mark.parametrize("cols, batch", [(1, 1), (_NARROW, 1), (_NARROW + 1, 1), (6, 16)])
+def test_each_body_steps_across_a_term_window_edge_as_a_per_step_loop(monkeypatch, cols, batch):
+    # curvatures of at most 1e-2 at step sizes below 1 contract slowly, so every row
+    # runs into the second window of Nesterov terms in the body its width picks
+    curvatures = np.linspace(1e-4, 1e-2, cols)
+    rng = rng_from(7, 2)
+    starts = rng.standard_normal((batch, cols))
+    alphas = rng.uniform(0.5, 0.99, size=batch)
+    narrow = set()  # whether each block stepped was at most _NARROW coordinates
+    steps = optimizers._steps
+    monkeypatch.setattr(optimizers, "_steps", lambda buf, *a: narrow.add(buf[0].size <= _NARROW) or steps(buf, *a))
+    trace, iterations = Trace(), _CHUNK + 70
+    run = iterate(curvatures, alphas, NesterovSchedule(), starts, starts, iterations, trace)
+    expected = per_step_run(curvatures, alphas, NesterovSchedule(), starts, starts, iterations)
+    assert run.steps.tolist() == [iterations] * batch and not run.diverged.any()
+    assert trace.values.transpose(1, 0, 2).tobytes() == np.array([e[4] for e in expected]).tobytes()
+    assert np.abs(trace.values[_CHUNK:]).min() > 1e-250  # far from underflow, so every step's bits count
+    assert narrow == {cols * batch <= _NARROW}
 
 
 class FilledTrace(Trace):
@@ -456,17 +482,19 @@ def test_descent_closed_form_edge_cases():
     assert first_crossings(growth, starts, 2.0, 1000).tolist() == [-1, 0, -1, -1]
 
 
-@pytest.mark.parametrize("iterations", [0, 1, 1024, 1025, 2500])
-def test_schedule_terms_extended_past_1024_match_one_array(iterations):
-    # the kernel pulls the schedule's terms in windows of 1024; the run must
-    # equal the recurrence driven by one array of all the terms
+@pytest.mark.parametrize("iterations", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_runs_across_term_windows_match_a_scalar_t_loop(iterations):
+    # the kernel reads the schedule's terms in windows of _CHUNK; the run must
+    # equal the recurrence driven by the t-sequence computed one term at a time
     lam = np.array([-1e-4, 0.5])
     x = xp = np.array([0.3, 0.2])
     batch = iterate(lam, 0.9, NesterovSchedule(), x[None], xp[None], iterations)
-    for window in NesterovSchedule().windows(iterations, iterations + 1):  # every term in one window
-        for beta, gamma in zip(*window):
-            d = x - xp
-            xp, x = x, x - 0.9 * (lam * (x + gamma * d)) + beta * d
+    t_prev = 1.0
+    for _ in range(iterations):
+        t = (math.sqrt(4.0 * t_prev * t_prev + 1.0) + 1.0) / 2.0
+        beta = gamma = (t_prev - 1.0) / t
+        d = x - xp
+        xp, x, t_prev = x, x - 0.9 * (lam * (x + gamma * d)) + beta * d, t
     assert batch.steps[0] == iterations and not batch.diverged[0]
     assert np.array_equal(batch.final[0], x)
 

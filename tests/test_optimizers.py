@@ -25,7 +25,7 @@ def scalar_recurrence(lam, alpha, schedule, x0, steps):
     """Independent per-coordinate form of the framework's update."""
     xs = [x0]
     prev, cur = x0, x0
-    for betas, gammas in schedule.windows(steps, 64):
+    for betas, gammas in schedule.windows(steps):
         for beta, gamma in zip(betas, gammas):
             nxt = ((1 + beta) - (1 + gamma) * alpha * lam) * cur - (beta - gamma * alpha * lam) * prev
             xs.append(nxt)

@@ -61,7 +61,7 @@ def scalar_rates(lam, alpha, schedule, count):
     a = alpha * abs(lam)
     values = [0.0]
     b = 0.0
-    for betas, gammas in schedule.windows(count, 1000):
+    for betas, gammas in schedule.windows(count):
         for beta, gamma in zip(betas, gammas):
             b = (beta + gamma * a) * (1.0 - 1.0 / (1.0 + b)) + a
             values.append(b)
@@ -226,8 +226,8 @@ DEFINED_IN = os.getpid()
 class DyingSchedule(ConstantSchedule, spec="dying:B"):
     """Constant momentum whose process exits in its second window, unless it is the process that defined it."""
 
-    def _windows(self, count, size):
-        windows = super()._windows(count, size)
+    def _windows(self, count):
+        windows = super()._windows(count)
         yield next(windows)
         if os.getpid() != DEFINED_IN:
             os._exit(3)

@@ -37,7 +37,7 @@ KIND_STRATEGIES = {
 
 def params_at(schedule, k):
     """The pair ``(beta_k, gamma_k)`` emitted at iteration ``k``: the last terms of the schedule's windows."""
-    *_, (betas, gammas) = schedule.windows(k, 1000)
+    *_, (betas, gammas) = schedule.windows(k)
     return betas[-1], gammas[-1]
 
 
@@ -53,7 +53,7 @@ class TestNesterovT:
     """The t-sequence, read through the Nesterov schedule's terms ``(t_{k-1} - 1) / t_k``."""
 
     def test_first_terms(self):
-        betas, gammas = next(NesterovSchedule().windows(2, 2))
+        betas, gammas = next(NesterovSchedule().windows(2))
         golden = (math.sqrt(5.0) + 1.0) / 2.0
         assert betas[0] == gammas[0] == 0.0
         assert betas[1] == gammas[1] == pytest.approx((golden - 1.0) / 2.1935271, rel=1e-6)
@@ -63,54 +63,64 @@ class TestNesterovT:
 
     def test_count_domain(self):
         with pytest.raises(ValueError):
-            next(NesterovSchedule().windows(-1, 10))
+            next(NesterovSchedule().windows(-1))
 
     def test_terms_past_a_window_match_the_scalar_loop(self):
         t = scalar_t(_CHUNK + 5)
-        terms = np.concatenate([b for b, _ in NesterovSchedule().windows(_CHUNK + 5, _CHUNK)])
+        terms = np.concatenate([b for b, _ in NesterovSchedule().windows(_CHUNK + 5)])
         assert np.array_equal(terms, (t[:-1] - 1.0) / t[1:])
 
 
-# Small windows at small counts, and counts at the kernel's (1024) and the
-# recurrence's (_CHUNK) window boundaries.
-COUNT_AND_SIZE = st.one_of(
-    st.tuples(st.integers(0, 40), st.integers(1, 5)),
-    st.tuples(
-        st.sampled_from([1023, 1024, 1025, 2049, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
-        st.sampled_from([1000, 1024, _CHUNK]),
-    ),
-)
+def reference_terms(schedule, count):
+    """``beta_1..beta_count`` and ``gamma_1..gamma_count`` of ``schedule``, from its rule term by term."""
+    if isinstance(schedule, NesterovSchedule):
+        t = scalar_t(count)
+        betas = (t[:-1] - 1.0) / t[1:]
+    elif isinstance(schedule, AttouchSchedule):
+        betas = np.array([(k - 1.0) / (k + schedule.eta + 1.0) for k in range(1, count + 1)])
+    else:
+        return np.full(count, schedule.beta), np.full(count, schedule.gamma)
+    return betas, betas
+
+
+class SecondWindowOutOfRange(ConstantSchedule, spec="second-window-out-of-range:B"):
+    """Constant momentum whose terms are 1.5 from the second window on, left to the range check of ``windows``."""
+
+    def _windows(self, count):
+        for i, (betas, gammas) in enumerate(super()._windows(count)):
+            yield (betas if i == 0 else np.full(betas.size, 1.5)), gammas
+
+
+del SCHEDULE_KINDS[SecondWindowOutOfRange.kind]
 
 
 class TestWindows:
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(st.one_of(*KIND_STRATEGIES.values()), COUNT_AND_SIZE)
-    @example(NesterovSchedule(), (_CHUNK + 1, 1024))
-    @example(AttouchSchedule(2.0), (1025, 1024))
-    @example(ConstantSchedule(0.5, 0.5), (_CHUNK, _CHUNK))
-    def test_concatenated_windows_equal_one_window(self, schedule, count_and_size):
-        count, size = count_and_size
-        windows = list(schedule.windows(count, size))
-        assert [b.size for b, _ in windows] == [min(size, count + 1 - s) for s in range(1, count + 1, size)]
-        assert all(b.size == g.size for b, g in windows)
-        whole = list(schedule.windows(count, count + 1))  # every term in one window, none at count 0
-        assert len(whole) == min(count, 1)
-        for parts, one in zip(zip(*windows), zip(*whole)):
-            assert np.array_equal(np.concatenate(parts), one[0])
+    @given(
+        st.one_of(*KIND_STRATEGIES.values()),
+        st.one_of(st.integers(0, 40), st.sampled_from([k * _CHUNK + d for k in (1, 2) for d in (-1, 0, 1)])),
+    )
+    @example(NesterovSchedule(), _CHUNK + 1)
+    @example(AttouchSchedule(2.0), 2 * _CHUNK + 1)
+    @example(ConstantSchedule(0.5, 0.5), _CHUNK)
+    def test_windows_hold_chunk_terms_and_join_to_the_rule(self, schedule, count):
+        windows = list(schedule.windows(count))
+        # every window holds _CHUNK terms but the last, which holds the rest
+        tail = [count % _CHUNK] if count % _CHUNK else []
+        assert [b.size for b, _ in windows] == [g.size for _, g in windows] == [_CHUNK] * (count // _CHUNK) + tail
+        joined = [np.concatenate([np.empty(0)] + [window[i] for window in windows]) for i in (0, 1)]
+        for terms, expected in zip(joined, reference_terms(schedule, count)):
+            assert np.array_equal(terms, expected)
 
     def test_domain(self):
         with pytest.raises(ValueError, match="count"):
-            next(NesterovSchedule().windows(-1, 10))
-        with pytest.raises(ValueError, match="size"):
-            next(NesterovSchedule().windows(10, 0))
+            next(NesterovSchedule().windows(-1))
 
     def test_range_checked_window_by_window(self):
-        # a rule that leaves [0, 1] only after its first window raises there, not before
-        schedule = object.__new__(AttouchSchedule)  # skips the constructor's check of eta
-        object.__setattr__(schedule, "eta", -2.5)  # beta_1 = 0/(-0.5), beta_2 = 1/0.5
-        windows = schedule.windows(10, 1)
-        assert next(windows)[0].tolist() == [0.0]
-        with pytest.raises(ScheduleError):
+        # a rule that leaves [0, 1] only in its second window raises there, not before
+        windows = SecondWindowOutOfRange(0.5).windows(_CHUNK + 1)
+        assert next(windows)[0].tolist() == [0.5] * _CHUNK
+        with pytest.raises(ScheduleError, match="schedule emitted parameters outside"):
             next(windows)
 
 
@@ -150,13 +160,13 @@ class TestScheduleParams:
 
     def test_array_agrees_with_pointwise(self):
         for sched in (NesterovSchedule(), AttouchSchedule(1.5), ConstantSchedule(0.4, 0.2)):
-            betas, gammas = next(sched.windows(50, 50))
+            betas, gammas = next(sched.windows(50))
             for k in (1, 2, 17, 50):
                 assert (betas[k - 1], gammas[k - 1]) == params_at(sched, k)
 
     def test_nondecreasing_variants(self):
         for sched in (NesterovSchedule(), AttouchSchedule(2.0)):
-            betas, _ = next(sched.windows(2000, 2000))
+            betas, _ = next(sched.windows(2000))
             assert np.all(np.diff(betas) >= 0.0)
             assert betas[0] == 0.0 and betas[-1] < 1.0
 
@@ -316,4 +326,4 @@ class TestScheduleKinds:
         schedule = object.__new__(AttouchSchedule)  # skips the constructor's check of eta
         object.__setattr__(schedule, "eta", NAN)
         with pytest.raises(ScheduleError):
-            list(schedule.windows(5, 5))
+            list(schedule.windows(5))
